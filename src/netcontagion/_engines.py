@@ -1,244 +1,236 @@
-"""Internal incentive-evaluation engines for the contagion algorithms.
+"""The exact incentive engine behind the contagion algorithms.
 
-Both engines maintain an evolving deviating set and answer, for the current
-set, which outsiders have the incentive at a given q and what the exact
-largest outsider switch threshold is.  ``ExactEngine`` works on any
-configuration with Fraction arithmetic.  ``FastEngine`` covers the
-unit-weight parametric case with vectorized int64 arithmetic; every
-comparison it makes is exact (products are bounds-checked against the int64
-range up front, with a big-int fallback for oversized q), so the two
-engines are interchangeable and are property-tested against each other.
+``ExactEngine`` maintains an evolving deviating set and answers, for the
+current set, which outsiders have the incentive at a given q and what the
+exact largest outsider switch threshold is.  It holds the deviation
+condition of every player ``i``,
+
+    c * s_i  >=  q * (c * w_i - phi_i(o_i / pool_i)),
+
+as one pair of integers ``num_i / den_i`` equal to the switch threshold
+``c*s_i / (c*w_i - phi_i)``.  Here ``o_i`` counts the infected
+non-neighbours of ``i`` and ``pool_i`` its non-neighbours (the share is 0
+on an empty pool, where ``o_i`` is 0 too; ``pe_i = max(pool_i, 1)``).
+Row ``i`` of the weights is scaled by the LCM ``L_i`` of its denominators,
+giving integer weights, their sum ``W_i = L_i*w_i`` and the support
+``S_i = L_i*s_i``; then
+
+    num_i = M_i * S_i,        den_i = M_i * W_i - a_i * g_i
+
+with, for a parametric effect ``phi = alpha*c*d_i*p`` (``alpha = an/ad``),
+``M_i = ad*pe_i`` (1 when alpha is 0), ``a_i = an*L_i*d_i`` and
+``g_i = o_i``; and for a tabular effect (``c = cn/cd``, table values over
+their common denominator ``D_i``) ``M_i = D_i*cn``, ``a_i = L_i*cd`` and
+``g_i`` the numerator of the current step value.  The step is found from integer breakpoints
+``ceil(bp*pe_i)`` on ``o_i``; as ``o_i`` never decreases within a search, a
+per-player step pointer only moves forward.
+
+A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
+``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
+static bound, so each comparison is decided in int64 when its products fit
+and otherwise in Python ints (object arrays, the same expressions), which
+is logged once per engine at DEBUG.  The integer tables are built lazily,
+once per (network, weights, global effect, c).
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvariantViolationError
-from .game import GameConfig, ParametricGlobalEffect
+from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
+from .graphs import Network
 
-_INT64_SAFE = 2**62
+_log = logging.getLogger(__name__)
+
+_INT64_LIMIT = 2**63
+
+# Tables built from immutable inputs, keyed by the identity of those inputs
+# and dropped when any of them is garbage collected.
+_CACHE: dict[tuple, object] = {}
+
+
+def _memo(build, objs: tuple, extra: tuple = ()):
+    key = (build, *map(id, objs), *extra)
+    value = _CACHE.get(key)
+    if value is None:
+        value = _CACHE[key] = build(*objs, *extra)
+        for obj in objs:
+            weakref.finalize(obj, _CACHE.pop, key, None)
+    return value
+
+
+@dataclass(frozen=True)
+class _WeightTables:
+    L: np.ndarray           # row LCMs (object)
+    W: np.ndarray           # scaled row sums (object)
+    in_weights: np.ndarray | None  # per CSR slot (j, nb): L_nb * w[nb][j]; None if unit
+
+
+def _weight_tables(net: Network, weights: InfluenceWeights) -> _WeightTables:
+    deg = np.diff(net.csr[0])
+    if weights.is_unit:
+        return _WeightTables(np.ones(len(deg), dtype=object), deg.astype(object), None)
+    L = [math.lcm(*(w.denominator for w in weights.row(i).values()))
+         for i in range(net.node_count)]
+    W = [int(weights.row_sum(i) * L[i]) for i in range(net.node_count)]
+    in_weights = []
+    for j, nbrs in enumerate(net.adjacency):
+        for nb in nbrs:
+            w = weights.weight(nb, j)
+            in_weights.append(w.numerator * (L[nb] // w.denominator))
+    # Supports accumulate up to W_i, so W decides the dtype of the weights.
+    dtype = np.int64 if max(W) < _INT64_LIMIT else object
+    return _WeightTables(np.array(L, dtype=object), np.array(W, dtype=object),
+                         np.array(in_weights, dtype=dtype))
+
+
+@dataclass(frozen=True)
+class _Steps:
+    thresholds: np.ndarray  # o_i at which each step starts; n+1 ends a table
+    values: np.ndarray      # step value numerators g over D_i
+    first: np.ndarray       # index of each player's first step
+
+
+@dataclass(frozen=True)
+class _Tables:
+    indptr: np.ndarray
+    indices: np.ndarray
+    in_weights: np.ndarray | None
+    M: np.ndarray
+    MW: np.ndarray
+    a: np.ndarray
+    steps: _Steps | None    # None for a parametric effect
+    bound: int              # max M_i*W_i, bounding every num_i and den_i
+
+
+def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Tables:
+    n = net.node_count
+    indptr, indices = net.csr
+    deg = np.diff(indptr)
+    pe = np.maximum(n - 1 - deg, 1).astype(object)
+    wt = _memo(_weight_tables, (net, weights))
+    steps = None
+    if isinstance(effect, ParametricGlobalEffect):
+        an, ad = effect.alpha.numerator, effect.alpha.denominator
+        M = ad * pe if an else np.ones(n, dtype=object)
+        a = an * wt.L * deg.astype(object)
+    else:
+        D, thresholds, values, first = [], [], [], []
+        for i, table in enumerate(effect.tables):
+            D.append(math.lcm(*(v.denominator for _, v in table)))
+            first.append(len(thresholds))
+            thresholds.extend(math.ceil(bp * pe[i]) for bp, _ in table)
+            values.extend(int(v * D[i]) for _, v in table)
+            thresholds.append(n + 1)
+            values.append(0)
+        M = np.array(D, dtype=object) * c.numerator
+        a = wt.L * c.denominator
+        steps = _Steps(np.array(thresholds, dtype=np.int64), np.array(values, dtype=object),
+                       np.array(first, dtype=np.int64))
+    MW = M * wt.W
+    bound = int(MW.max())
+    if bound < _INT64_LIMIT:
+        M, MW, a = M.astype(np.int64), MW.astype(np.int64), a.astype(np.int64)
+        if steps is not None:
+            steps = _Steps(steps.thresholds, steps.values.astype(np.int64), steps.first)
+    return _Tables(indptr, indices, wt.in_weights, M, MW, a, steps, bound)
 
 
 class ExactEngine:
-    """Fraction-arithmetic engine; the reference implementation."""
+    """Vectorized exact engine for every configuration (see module docstring)."""
 
     def __init__(self, cfg: GameConfig):
-        self.cfg = cfg
-        net = cfg.network
-        self.n = net.node_count
-        self.adj = net.adjacency
-        self.rows = [cfg.weights.row(i) for i in range(self.n)]
-        self.c = cfg.c
-        self.cw = [cfg.c * cfg.weights.row_sum(i) for i in range(self.n)]
-        self.pool = [self.n - net.degree(i) - 1 for i in range(self.n)]
-        self._rhs_cache: dict[tuple[int, int], Fraction] = {}
+        self.n = cfg.network.node_count
+        self.tables = _memo(_tables, (cfg.network, cfg.weights, cfg.global_effect), (cfg.c,))
+        self._logged_python_ints = False
 
     def start(self, initial: frozenset[int]):
-        self.infected = bytearray(self.n)
-        self.s = [Fraction(0)] * self.n
-        self.k = [0] * self.n
-        self.K = len(initial)
-        self.uninf = set(range(self.n))
-        for j in initial:
-            self.infected[j] = 1
-            self.uninf.discard(j)
-        for j in initial:
-            for nb in self.adj[j]:
-                self.s[nb] += self.rows[nb][j]
-                self.k[nb] += 1
+        t = self.tables
+        self.outside = np.ones(self.n, dtype=bool)
+        self.K = 0
+        self.k = np.zeros(self.n, dtype=np.int64)
+        self.S = self.k if t.in_weights is None else np.zeros(self.n, dtype=t.in_weights.dtype)
+        if t.steps is not None:
+            self.ptr = t.steps.first.copy()
+        self._add(np.fromiter(initial, dtype=np.int64, count=len(initial)))
 
     def uninfected_count(self) -> int:
-        return len(self.uninf)
+        return self.n - self.K
 
     def infected_set(self) -> frozenset[int]:
-        return frozenset(i for i in range(self.n) if self.infected[i])
+        return frozenset(np.flatnonzero(~self.outside).tolist())
 
-    def _rhs(self, i: int, outside: int) -> Fraction:
-        # c*w_i - phi_i(p_i) with p_i = outside / pool_i (0 on empty pool).
-        key = (i, outside)
-        val = self._rhs_cache.get(key)
-        if val is None:
-            pool = self.pool[i]
-            p = Fraction(0) if pool == 0 else Fraction(outside, pool)
-            val = self.cw[i] - self.cfg.global_effect.value(
-                i, p, self.c, len(self.adj[i]))
-            self._rhs_cache[key] = val
-        return val
+    def _add(self, players: np.ndarray) -> None:
+        t = self.tables
+        self.outside[players] = False
+        self.K += len(players)
+        # CSR slots of every neighbour of every added player.
+        starts = t.indptr[players]
+        lens = t.indptr[players + 1] - starts
+        slots = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        nbrs = t.indices[slots]
+        self.k += np.bincount(nbrs, minlength=self.n)
+        if self.S is not self.k:
+            np.add.at(self.S, nbrs, t.in_weights[slots])
+        if t.steps is not None:
+            o = self._outside_counts()
+            while True:
+                move = t.steps.thresholds[self.ptr + 1] <= o
+                if not move.any():
+                    break
+                self.ptr += move
 
-    def flip_candidates(self, q: Fraction) -> list[int]:
-        flips = []
-        c = self.c
-        for i in sorted(self.uninf):
-            if q == 0 or c * self.s[i] >= q * self._rhs(i, self.K - self.k[i]):
-                flips.append(i)
-        return flips
+    def _outside_counts(self) -> np.ndarray:
+        # Infected non-neighbours; an infected player does not count itself.
+        return (self.K - 1) - self.k + self.outside
 
-    def apply(self, flips) -> None:
-        for j in flips:
-            self.infected[j] = 1
-            self.uninf.discard(j)
-        self.K += len(flips)
-        for j in flips:
-            for nb in self.adj[j]:
-                self.s[nb] += self.rows[nb][j]
-                self.k[nb] += 1
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        t = self.tables
+        g = self._outside_counts() if t.steps is None else t.steps.values[self.ptr]
+        return t.M * self.S, t.MW - t.a * g
 
-    def max_threshold(self) -> tuple[Fraction, list[int]]:
-        """Exact max of c*s_i/(c*w_i - phi_i) over outsiders, with attainers."""
-        best: Fraction | None = None
-        attainers: list[int] = []
-        c = self.c
-        for i in sorted(self.uninf):
-            rhs = self._rhs(i, self.K - self.k[i])
-            if rhs <= 0:
-                raise InvariantViolationError(
-                    f"player {i} has nonpositive threshold denominator {rhs} "
-                    f"while still outside the set")
-            t = c * self.s[i] / rhs
-            if best is None or t > best:
-                best, attainers = t, [i]
-            elif t == best:
-                attainers.append(i)
-        if best is None:
-            raise InvariantViolationError("no outsiders left to compute a threshold")
-        return best, attainers
-
-
-class FastEngineUnavailable(Exception):
-    """Configuration or size outside the vectorized engine's exact range."""
-
-
-class FastEngine:
-    """Vectorized exact engine for unit weights and parametric global effect.
-
-    With unit weights the deviation condition at q = qn/qd reduces to the
-    integer comparison
-
-        k_i * qd * ad * pool_i  >=  qn * d_i * (ad*pool_i - an*(K - k_i))
-
-    (``alpha = an/ad``; for pool_i = 0 the condition is k_i*qd >= qn*d_i).
-    All products are pre-bounded against int64.
-    """
-
-    def __init__(self, cfg: GameConfig):
-        if not cfg.weights.is_unit or not isinstance(cfg.global_effect,
-                                                     ParametricGlobalEffect):
-            raise FastEngineUnavailable("requires unit weights and parametric effect")
-        alpha = cfg.global_effect.alpha
-        self.an, self.ad = alpha.numerator, alpha.denominator
-        net = cfg.network
-        self.n = net.node_count
-        # Threshold cross-products reach ad*(ad+an)*n^4; stay well inside int64.
-        if self.ad * (self.ad + self.an) * self.n**4 >= _INT64_SAFE:
-            raise FastEngineUnavailable("node count too large for int64 products")
-        self.indptr, self.indices = net.csr
-        self.deg = np.diff(self.indptr)
-        self.pool = self.n - 1 - self.deg
-        self.has_empty_pool = bool((self.pool == 0).any())
-
-    def start(self, initial: frozenset[int]):
-        n = self.n
-        self.infected = np.zeros(n, dtype=bool)
-        if initial:
-            self.infected[list(initial)] = True
-        self.K = int(self.infected.sum())
-        k = np.zeros(n, dtype=np.int64)
-        for j in initial:
-            k[self.indices[self.indptr[j]:self.indptr[j + 1]]] += 1
-        self.ids = np.flatnonzero(~self.infected).astype(np.int64)
-        self.kb = k[self.ids]
-        self.db = self.deg[self.ids]
-        self.poolb = self.pool[self.ids]
-        self.scaled_poolb = self.ad * self.poolb
-        self.pos = np.full(n, -1, dtype=np.int64)
-        self.pos[self.ids] = np.arange(len(self.ids))
-
-    def uninfected_count(self) -> int:
-        return len(self.ids)
-
-    def infected_set(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.flatnonzero(self.infected))
+    def _python_ints(self, *arrays: np.ndarray) -> list[np.ndarray]:
+        if not self._logged_python_ints:
+            self._logged_python_ints = True
+            _log.debug("products exceed int64 (bound %d, n=%d); deciding in Python ints",
+                       self.tables.bound, self.n)
+        return [arr.astype(object) for arr in arrays]
 
     def flip_candidates(self, q: Fraction) -> np.ndarray:
         qn, qd = q.numerator, q.denominator
-        nsq = self.n * self.n
-        if qd * self.ad * nsq >= _INT64_SAFE or \
-                qn * (self.ad + self.an) * nsq >= _INT64_SAFE:
-            return self._flip_candidates_bigint(qn, qd)
-        lhs = self.kb * (qd * self.ad) * self.poolb
-        rhs = qn * self.db * (self.scaled_poolb - self.an * self.K
-                              + self.an * self.kb)
-        mask = lhs >= rhs
-        if self.has_empty_pool:
-            empty = self.poolb == 0
-            mask = np.where(empty, self.kb * qd >= qn * self.db, mask)
-        return self.ids[mask]
-
-    def _flip_candidates_bigint(self, qn: int, qd: int) -> np.ndarray:
-        # Oversized q (huge user-supplied denominator): exact Python ints.
-        flips = []
-        for row, i in enumerate(self.ids.tolist()):
-            k, d, pool = int(self.kb[row]), int(self.db[row]), int(self.poolb[row])
-            if pool == 0:
-                ok = k * qd >= qn * d
-            else:
-                ok = (k * qd * self.ad * pool
-                      >= qn * d * (self.ad * pool - self.an * (self.K - k)))
-            if ok:
-                flips.append(i)
-        return np.asarray(flips, dtype=np.int64)
+        num, den = self._pairs()
+        if max(qn, qd) * self.tables.bound >= _INT64_LIMIT:
+            num, den = self._python_ints(num, den)
+        return np.flatnonzero((num * qd >= qn * den) & self.outside)
 
     def apply(self, flips: np.ndarray) -> None:
-        rows = self.pos[flips]
-        nbr_chunks = [self.indices[self.indptr[j]:self.indptr[j + 1]]
-                      for j in flips.tolist()]
-        if nbr_chunks:
-            touched = self.pos[np.concatenate(nbr_chunks)]
-            touched = touched[touched >= 0]
-            np.add.at(self.kb, touched, 1)
-        self.infected[flips] = True
-        self.K += len(flips)
-        keep = np.ones(len(self.ids), dtype=bool)
-        keep[rows] = False
-        self.ids = self.ids[keep]
-        self.kb = self.kb[keep]
-        self.db = self.db[keep]
-        self.poolb = self.poolb[keep]
-        self.scaled_poolb = self.scaled_poolb[keep]
-        self.pos[:] = -1
-        self.pos[self.ids] = np.arange(len(self.ids))
+        self._add(np.asarray(flips, dtype=np.int64))
 
     def max_threshold(self) -> tuple[Fraction, list[int]]:
-        if len(self.ids) == 0:
+        """Exact max of num_i/den_i over outsiders, with attainers ascending."""
+        rows = np.flatnonzero(self.outside)
+        if len(rows) == 0:
             raise InvariantViolationError("no outsiders left to compute a threshold")
-        inner = self.scaled_poolb - self.an * (self.K - self.kb)
-        num = np.where(self.poolb > 0, self.kb * self.ad * self.poolb, self.kb)
-        den = np.where(self.poolb > 0, self.db * inner, self.db)
+        num, den = self._pairs()
+        num, den = num[rows], den[rows]
         if (den <= 0).any():
-            bad = int(self.ids[int(np.argmax(den <= 0))])
+            bad = int(rows[int(np.argmax(den <= 0))])
             raise InvariantViolationError(
                 f"player {bad} has nonpositive threshold denominator while "
                 f"still outside the set")
+        if self.tables.bound**2 >= _INT64_LIMIT:
+            num, den = self._python_ints(num, den)
         # Float argmax only seeds the search; ordering is settled exactly.
-        guess = int(np.argmax(num / den))
-        better = np.flatnonzero(num * int(den[guess]) > int(num[guess]) * den)
-        best = guess
-        for j in better.tolist():
-            if int(num[j]) * int(den[best]) > int(num[best]) * int(den[j]):
+        best = int(np.argmax(num / den))
+        for j in np.flatnonzero(num * den[best] > num[best] * den).tolist():
+            if num[j] * den[best] > num[best] * den[j]:
                 best = j
-        ties = num * int(den[best]) == int(num[best]) * den
-        attainers = [int(i) for i in self.ids[ties]]
-        g = math.gcd(int(num[best]), int(den[best]))
-        return Fraction(int(num[best]) // g, int(den[best]) // g), attainers
-
-
-def make_engine(cfg: GameConfig):
-    """Pick the fastest engine that is exact for this configuration."""
-    try:
-        return FastEngine(cfg)
-    except FastEngineUnavailable:
-        return ExactEngine(cfg)
+        ties = num * den[best] == num[best] * den
+        return Fraction(int(num[best]), int(den[best])), rows[ties].tolist()

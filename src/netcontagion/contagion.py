@@ -20,14 +20,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
-from ._engines import make_engine
+from ._engines import ExactEngine
 from .errors import (
     InvariantViolationError,
     ParameterError,
     PreconditionError,
     UnsupportedHypothesisError,
 )
-from .game import GameConfig, PlayerSet, has_incentive
+from .game import GameConfig, PlayerSet, _deviates
 from .graphs import Network
 from .rational import as_unit_rational, decimal_render, rational_str
 
@@ -168,9 +168,7 @@ def depth_at(df: DepthFunction, q) -> Fraction:
 
 def _check_start_incentive(cfg: GameConfig, start: PlayerSet, q: Fraction):
     for i in sorted(start):
-        if i in cfg.infected:
-            continue  # exogenously infected players always have the incentive
-        if not has_incentive(cfg, i, start, q):
+        if not _deviates(cfg, i, start, q):
             raise PreconditionError(
                 f"player {i} has no incentive to deviate at q={rational_str(q)} "
                 f"in the starting configuration", i)
@@ -186,7 +184,7 @@ def cascade(cfg: GameConfig, start: Iterable[int], q) -> CascadeResult:
     q = as_unit_rational(q, "q")
     start = cfg.player_set(start)
     _check_start_incentive(cfg, start, q)
-    engine = make_engine(cfg)
+    engine = ExactEngine(cfg)
     initial = start | cfg.infected
     engine.start(initial)
     waves: list[PlayerSet] = []
@@ -216,7 +214,7 @@ def full_contagion_threshold(cfg: GameConfig, start: Iterable[int], *,
     one = Fraction(1)
     start = cfg.player_set(start)
     _check_start_incentive(cfg, start, one)
-    engine = make_engine(cfg)
+    engine = ExactEngine(cfg)
     engine.start(start | cfg.infected)
     n = cfg.network.node_count
     q = one
@@ -272,15 +270,9 @@ def is_nash(cfg: GameConfig, members: Iterable[int], q) -> bool:
     E = cfg.player_set(members)
     if not cfg.infected <= E:
         return False
-    for i in range(cfg.network.node_count):
-        inside = i in E
-        if inside and i not in cfg.infected:
-            if not has_incentive(cfg, i, E, q):
-                return False
-        elif not inside:
-            if has_incentive(cfg, i, E, q):
-                return False
-    return True
+    # Infected players always deviate, so only the rest can break it.
+    return all(_deviates(cfg, i, E, q) == (i in E)
+               for i in range(cfg.network.node_count) if i not in cfg.infected)
 
 
 def coexisting_conventions(cfg: GameConfig, start: Iterable[int], q) -> PlayerSet | None:

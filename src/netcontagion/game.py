@@ -9,8 +9,9 @@ arithmetic: a player deviates exactly when
 
 which is the tie-inclusive deviation condition after clearing denominators
 (ties deviate).  ``q`` is the relative miscoordination cost c/(b+c); the
-engine is parameterized by ``q`` directly and ``b`` is derived only for
-reporting.
+contagion engine (``_engines.ExactEngine``, one exact integer form of this
+condition for every configuration) is parameterized by ``q`` directly and
+``b`` is derived only for reporting.
 """
 
 from __future__ import annotations
@@ -268,7 +269,10 @@ def _check_player(cfg: GameConfig, i: int):
 def local_support(cfg: GameConfig, i: int, members: Iterable[int]) -> Fraction:
     """Weighted count s_i(E) of i's neighbors inside E."""
     _check_player(cfg, i)
-    E = cfg.player_set(members)
+    return _local_support(cfg, i, cfg.player_set(members))
+
+
+def _local_support(cfg: GameConfig, i: int, E: PlayerSet) -> Fraction:
     row = cfg.weights.row(i)
     return sum((row[j] for j in cfg.network.adjacency[i] if j in E), Fraction(0))
 
@@ -279,19 +283,20 @@ def global_share(cfg: GameConfig, i: int, members: Iterable[int]) -> Fraction:
     When the aggregate is over an empty pool (d_i = I - 1) the share is 0.
     """
     _check_player(cfg, i)
-    E = cfg.player_set(members)
-    n = cfg.network.node_count
-    d = cfg.network.degree(i)
-    pool = n - d - 1
+    return _global_share(cfg, i, cfg.player_set(members))
+
+
+def _global_share(cfg: GameConfig, i: int, E: PlayerSet) -> Fraction:
+    nbrs = cfg.network.adjacency[i]
+    pool = cfg.network.node_count - len(nbrs) - 1
     if pool == 0:
         return Fraction(0)
-    nbrs = cfg.network.adjacency[i]
-    inside = sum(1 for j in E if j != i and j not in nbrs)
-    return Fraction(inside, pool)
+    inside_nbrs = sum(1 for j in nbrs if j in E)
+    return Fraction(len(E) - inside_nbrs - (i in E), pool)
 
 
 def _phi_at(cfg: GameConfig, i: int, E: PlayerSet) -> Fraction:
-    return cfg.global_effect.value(i, global_share(cfg, i, E), cfg.c,
+    return cfg.global_effect.value(i, _global_share(cfg, i, E), cfg.c,
                                    cfg.network.degree(i))
 
 
@@ -303,12 +308,17 @@ def has_incentive(cfg: GameConfig, i: int, members: Iterable[int], q) -> bool:
     """
     _check_player(cfg, i)
     q = as_unit_rational(q, "q")
-    if i in cfg.infected:
+    if i in cfg.infected or q == 0:
         return True
-    if q == 0:
+    return _deviates(cfg, i, cfg.player_set(members), q)
+
+
+def _deviates(cfg: GameConfig, i: int, E: PlayerSet, q: Fraction) -> bool:
+    """``has_incentive`` for an in-range player, a ``player_set`` and a
+    unit-interval Fraction q, without validating them again."""
+    if i in cfg.infected or q == 0:
         return True
-    E = cfg.player_set(members)
-    s = local_support(cfg, i, E)
+    s = _local_support(cfg, i, E)
     return cfg.c * s >= q * (cfg.c * cfg.weights.row_sum(i) - _phi_at(cfg, i, E))
 
 
@@ -327,7 +337,7 @@ def switch_threshold(cfg: GameConfig, i: int, members: Iterable[int]) -> Fractio
     if i in cfg.infected:
         raise ParameterError(
             f"player {i} is exogenously infected and has the incentive at every q")
-    s = local_support(cfg, i, E)
+    s = _local_support(cfg, i, E)
     den = cfg.c * cfg.weights.row_sum(i) - _phi_at(cfg, i, E)
     if den <= 0:
         raise InvariantViolationError(

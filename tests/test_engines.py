@@ -1,23 +1,89 @@
-"""The vectorized engine must be indistinguishable from the Fraction engine."""
+"""The integer engine must be indistinguishable from a Fraction reference."""
 
+import logging
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netcontagion._engines import ExactEngine, FastEngine, FastEngineUnavailable, make_engine
+from netcontagion._engines import ExactEngine
+from netcontagion.contagion import full_contagion_threshold
+from netcontagion.errors import InvariantViolationError
 from netcontagion.game import (
     GameConfig,
     InfluenceWeights,
     ParametricGlobalEffect,
     TabularGlobalEffect,
 )
-from netcontagion.graphs import generate_ba
+from netcontagion.graphs import Network, generate_ba
 
 F = Fraction
 
 
-def run_threshold_trace(engine, initial, n):
+class FractionEngine:
+    """Reference engine: the deviation condition per player in Fractions."""
+
+    def __init__(self, cfg: GameConfig):
+        self.cfg = cfg
+        net = cfg.network
+        self.n = net.node_count
+        self.adj = net.adjacency
+        self.rows = [cfg.weights.row(i) for i in range(self.n)]
+        self.c = cfg.c
+        self.cw = [cfg.c * cfg.weights.row_sum(i) for i in range(self.n)]
+        self.pool = [self.n - net.degree(i) - 1 for i in range(self.n)]
+
+    def start(self, initial):
+        self.infected = bytearray(self.n)
+        self.s = [Fraction(0)] * self.n
+        self.K = 0
+        self.k = [0] * self.n
+        self.uninf = set(range(self.n))
+        self.apply(sorted(initial))
+
+    def uninfected_count(self):
+        return len(self.uninf)
+
+    def infected_set(self):
+        return frozenset(i for i in range(self.n) if self.infected[i])
+
+    def _rhs(self, i):
+        # c*w_i - phi_i(p_i) with p_i = outside / pool_i (0 on empty pool).
+        pool = self.pool[i]
+        p = Fraction(0) if pool == 0 else Fraction(self.K - self.k[i], pool)
+        return self.cw[i] - self.cfg.global_effect.value(i, p, self.c, len(self.adj[i]))
+
+    def flip_candidates(self, q):
+        return [i for i in sorted(self.uninf)
+                if q == 0 or self.c * self.s[i] >= q * self._rhs(i)]
+
+    def apply(self, flips):
+        for j in flips:
+            self.infected[j] = 1
+            self.uninf.discard(j)
+        self.K += len(flips)
+        for j in flips:
+            for nb in self.adj[j]:
+                self.s[nb] += self.rows[nb][j]
+                self.k[nb] += 1
+
+    def max_threshold(self):
+        best, attainers = None, []
+        for i in sorted(self.uninf):
+            rhs = self._rhs(i)
+            if rhs <= 0:
+                raise InvariantViolationError(f"player {i} has rhs {rhs}")
+            t = self.c * self.s[i] / rhs
+            if best is None or t > best:
+                best, attainers = t, [i]
+            elif t == best:
+                attainers.append(i)
+        if best is None:
+            raise InvariantViolationError("no outsiders left to compute a threshold")
+        return best, attainers
+
+
+def run_threshold_trace(engine, initial):
     """Drive the stage loop on a raw engine, logging waves and thresholds."""
     trace = []
     q = F(1)
@@ -39,19 +105,70 @@ def run_threshold_trace(engine, initial, n):
         q = t
 
 
+def run_fixed_q(engine, initial, q):
+    """Waves of a cascade at one q, as sorted lists."""
+    engine.start(initial)
+    waves = []
+    while True:
+        flips = sorted(int(i) for i in engine.flip_candidates(q))
+        if not flips:
+            return waves, engine.infected_set()
+        engine.apply(np.asarray(flips, dtype=np.int64))
+        waves.append(flips)
+
+
+def assert_engines_agree(cfg, initial, qs=()):
+    assert run_threshold_trace(ExactEngine(cfg), initial) == \
+        run_threshold_trace(FractionEngine(cfg), initial)
+    for q in qs:
+        assert run_fixed_q(ExactEngine(cfg), initial, q) == \
+            run_fixed_q(FractionEngine(cfg), initial, q)
+
+
+def random_weights(rng, net, zero_directions=False):
+    # Values >= 1 keep the parametric bound alpha*d_i <= w_i automatic.
+    palette = [F(1), F(3, 2), F(2), F(7, 4), F(5, 3), F(7, 6)]
+    rows = []
+    for i, nbrs in enumerate(net.adjacency):
+        row = {j: palette[int(rng.integers(0, len(palette)))] for j in nbrs}
+        if zero_directions and len(nbrs) > 1:
+            row[nbrs[int(rng.integers(0, len(nbrs)))]] = F(0)
+        rows.append(row)
+    return InfluenceWeights(net, rows)
+
+
+def random_tables(rng, net, c, weights):
+    """Step tables rising to at most c*w_i, with assorted breakpoints."""
+    tables = []
+    for i in range(net.node_count):
+        cap = c * weights.row_sum(i)
+        cuts = sorted({F(int(rng.integers(1, 8)), 7) for _ in range(3)})
+        values = sorted(cap * F(int(rng.integers(0, 5)), 4) for _ in cuts)
+        tables.append(((F(0), F(0)),) + tuple(zip(cuts, values)))
+    return TabularGlobalEffect(tuple(tables))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_fast_matches_exact_trace(seed):
+    # Unit, weighted, weighted with zero directions and tabular games, each
+    # against the Fraction reference, staged search and fixed-q cascades.
     rng = np.random.Generator(np.random.PCG64(seed))
     n = int(rng.integers(10, 60))
     net = generate_ba(n, int(rng.integers(1, 4)), seed)
-    alpha = F(int(rng.integers(0, 5)), 4)
+    c = [F(1), F(3, 2), F(2, 5)][seed % 3]
+    kind = ("unit", "weighted", "zero-weight", "tabular")[seed % 4]
+    weights = (InfluenceWeights.unit(net) if kind == "unit"
+               else random_weights(rng, net, zero_directions=kind == "zero-weight"))
+    if kind == "tabular":
+        effect = random_tables(rng, net, c, weights)
+    elif kind == "zero-weight":
+        effect = ParametricGlobalEffect(F(0))
+    else:
+        effect = ParametricGlobalEffect(F(int(rng.integers(0, 5)), 4))
     start = frozenset(int(i) for i in range(n) if rng.random() < 0.2) or frozenset({0})
-    cfg = GameConfig(network=net, global_effect=ParametricGlobalEffect(alpha),
+    cfg = GameConfig(network=net, weights=weights, c=c, global_effect=effect,
                      infected=start)
-    fast = make_engine(cfg)
-    assert isinstance(fast, FastEngine)
-    exact = ExactEngine(cfg)
-    assert run_threshold_trace(fast, start, n) == run_threshold_trace(exact, start, n)
+    assert_engines_agree(cfg, start, qs=[F(0), F(1, 3), F(1, 2), F(5, 7)])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -61,62 +178,131 @@ def test_fast_matches_exact_single_q(seed):
     if seed % 3 == 0:
         # Star: the hub's non-neighbor pool is empty, hitting the engines'
         # degenerate-share branch directly.
-        from netcontagion.graphs import Network
         net = Network.from_edges(n, [(0, i) for i in range(1, n)])
     else:
         net = generate_ba(n, 2, seed)
+    weights = InfluenceWeights.unit(net) if seed % 2 else random_weights(rng, net)
     alpha = F(int(rng.integers(0, 3)), 2)
-    cfg = GameConfig(network=net, global_effect=ParametricGlobalEffect(alpha),
+    effect = (random_tables(rng, net, F(1), weights) if seed % 4 == 1
+              else ParametricGlobalEffect(alpha))
+    cfg = GameConfig(network=net, weights=weights, global_effect=effect,
                      infected=frozenset({0, n - 1}))
     den = int(rng.integers(1, 30))
     q = F(int(rng.integers(0, den + 1)), den)
-    fast, exact = FastEngine(cfg), ExactEngine(cfg)
-    fast.start(cfg.infected)
-    exact.start(cfg.infected)
-    while True:
-        ffast = frozenset(int(i) for i in fast.flip_candidates(q))
-        fexact = frozenset(exact.flip_candidates(q))
-        assert ffast == fexact
-        if not ffast:
-            break
-        fast.apply(np.asarray(sorted(ffast), dtype=np.int64))
-        exact.apply(sorted(fexact))
-    assert fast.infected_set() == exact.infected_set()
+    assert run_fixed_q(ExactEngine(cfg), cfg.infected, q) == \
+        run_fixed_q(FractionEngine(cfg), cfg.infected, q)
 
 
 def test_fast_engine_flags_empty_pool():
-    from netcontagion.graphs import Network
     star = Network.from_edges(6, [(0, i) for i in range(1, 6)])
     cfg = GameConfig(network=star, infected=frozenset({1}))
-    engine = FastEngine(cfg)
-    assert engine.has_empty_pool
+    engine = ExactEngine(cfg)
     engine.start(cfg.infected)
     # At q=1 the hub needs every neighbor (its share pool is empty), while a
     # leaf needs only its single neighbor.
     assert list(engine.flip_candidates(F(1))) == []
-    engine2 = FastEngine(GameConfig(network=star, infected=frozenset({0})))
+    engine2 = ExactEngine(GameConfig(network=star, infected=frozenset({0})))
     engine2.start(frozenset({0}))
     flips = engine2.flip_candidates(F(1))
     assert sorted(int(i) for i in flips) == [1, 2, 3, 4, 5]
 
 
-def test_fast_engine_oversized_q_falls_back_to_bigint():
+@pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(1)])
+def test_star_and_q_zero_match_reference(alpha):
+    star = Network.from_edges(7, [(0, i) for i in range(1, 7)])
+    weights = InfluenceWeights.from_pairs(star, {(0, 3): F(5, 2), (4, 0): F(3)})
+    for tabular in (False, True):
+        effect = (random_tables(np.random.Generator(np.random.PCG64(3)), star, F(1), weights)
+                  if tabular else ParametricGlobalEffect(alpha))
+        for start in (frozenset({0}), frozenset({2, 5}), frozenset()):
+            cfg = GameConfig(network=star, weights=weights, global_effect=effect,
+                             infected=start)
+            assert run_fixed_q(ExactEngine(cfg), start, F(0)) == \
+                run_fixed_q(FractionEngine(cfg), start, F(0))
+            if start:
+                assert_engines_agree(cfg, start, qs=[F(1, 2), F(1)])
+
+
+def test_fast_engine_oversized_q_falls_back_to_bigint(caplog):
     net = generate_ba(30, 2, 0)
     cfg = GameConfig(network=net, infected=frozenset({0, 1, 2}))
-    fast, exact = FastEngine(cfg), ExactEngine(cfg)
-    fast.start(cfg.infected)
-    exact.start(cfg.infected)
     huge_den = 10**30
     q = F(huge_den - 12345, huge_den * 3)
-    assert frozenset(int(i) for i in fast.flip_candidates(q)) == \
-        frozenset(exact.flip_candidates(q))
+    engine = ExactEngine(cfg)
+    with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
+        assert run_fixed_q(engine, cfg.infected, q) == \
+            run_fixed_q(FractionEngine(cfg), cfg.infected, q)
+    # Logged once for the engine, however many calls took the slow path.
+    assert len([r for r in caplog.records if "Python ints" in r.getMessage()]) == 1
+
+
+def test_int64_path_is_silent(caplog):
+    net = generate_ba(30, 2, 0)
+    cfg = GameConfig(network=net, global_effect=ParametricGlobalEffect(F(1, 2)),
+                     infected=frozenset({0, 1, 2}))
+    with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
+        run_threshold_trace(ExactEngine(cfg), cfg.infected)
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_weighted_products_around_int64_limit(side, caplog):
+    # On a 4-cycle with alpha = 0, num_i = S_i = L_i * s_i.  Weight 1/L on
+    # one direction makes player 0's row LCM L, so with both neighbours
+    # infected num_0 = L + 1 = B, and num_0 * qd lands just below or just
+    # above 2^63.
+    net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    L = 2**40 + 15
+    weights = InfluenceWeights.from_pairs(net, {(0, 1): F(1, L)})
+    cfg = GameConfig(network=net, weights=weights, infected=frozenset({1, 3}))
+    engine = ExactEngine(cfg)
+    assert engine.tables.bound == L + 1
+    qd = (2**63 - 1) // engine.tables.bound + (1 if side == "above" else 0)
+    with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
+        for qn in (1, qd // 3, qd - 1, qd):
+            q = F(qn, qd)
+            assert run_fixed_q(ExactEngine(cfg), cfg.infected, q) == \
+                run_fixed_q(FractionEngine(cfg), cfg.infected, q)
+    slow = [r for r in caplog.records if "Python ints" in r.getMessage()]
+    assert bool(slow) == (side == "above")
+    assert_engines_agree(cfg, cfg.infected)
+
+
+def test_tables_beyond_int64_stay_exact():
+    # Row LCMs above 2^63 put every table in Python ints from the start.
+    net = generate_ba(12, 2, 5)
+    rng = np.random.Generator(np.random.PCG64(9))
+    pairs = {(i, j): F(int(rng.integers(1, 9)), 10**20 + int(rng.integers(0, 7)))
+             for i, nbrs in enumerate(net.adjacency) for j in nbrs[:1]}
+    weights = InfluenceWeights.from_pairs(net, pairs)
+    for effect in (ParametricGlobalEffect(F(0)),
+                   random_tables(rng, net, F(1), weights)):
+        cfg = GameConfig(network=net, weights=weights, global_effect=effect,
+                         infected=frozenset({0, 5}))
+        assert ExactEngine(cfg).tables.bound >= 2**63
+        assert_engines_agree(cfg, cfg.infected, qs=[F(1, 3), F(10**30 - 1, 10**30)])
+
+
+@pytest.mark.parametrize("big", [2**31, 10**17])
+def test_max_threshold_settles_float_ties_exactly(big):
+    # Outsiders 0 and 2 of a 4-cycle seeded at 1 have switch thresholds
+    # big/(big+1) < (big+1)/(big+2), which round to the same float; the
+    # larger one belongs to the higher index.  2**31 keeps the cross
+    # products in int64, 10**17 does not.
+    net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    weights = InfluenceWeights.from_pairs(net, {(0, 1): F(big), (2, 1): F(big + 1)})
+    cfg = GameConfig(network=net, weights=weights, infected=frozenset({1}))
+    engine = ExactEngine(cfg)
+    engine.start(cfg.infected)
+    assert len(engine.flip_candidates(F(1))) == 0
+    assert engine.max_threshold() == (F(big + 1, big + 2), [2])
+    assert_engines_agree(cfg, cfg.infected)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_tabular_matching_parametric_gives_identical_dynamics(seed):
     # A per-player step table sampled from alpha*c*d_i*p at every attainable
-    # share must reproduce the parametric run exactly; this also pits the
-    # Fraction engine (tabular) against the vectorized one (parametric).
+    # share must reproduce the parametric run exactly.
     rng = np.random.Generator(np.random.PCG64(40 + seed))
     n = int(rng.integers(8, 16))
     net = generate_ba(n, 2, seed)
@@ -134,9 +320,6 @@ def test_tabular_matching_parametric_gives_identical_dynamics(seed):
     tabular = GameConfig(network=net, c=c,
                          global_effect=TabularGlobalEffect(tuple(tables)),
                          infected=start)
-    assert isinstance(make_engine(parametric), FastEngine)
-    assert isinstance(make_engine(tabular), ExactEngine)
-    from netcontagion.contagion import full_contagion_threshold
     a = full_contagion_threshold(parametric, start)
     b = full_contagion_threshold(tabular, start)
     assert a.q_star == b.q_star
@@ -145,15 +328,14 @@ def test_tabular_matching_parametric_gives_identical_dynamics(seed):
     assert a.subsets_checked == b.subsets_checked
 
 
-def test_engine_selection():
-    net = generate_ba(10, 2, 0)
-    unit = GameConfig(network=net)
-    assert isinstance(make_engine(unit), FastEngine)
-    weighted = GameConfig(network=net,
-                          weights=InfluenceWeights.from_pairs(net, {(0, net.adjacency[0][0]): F(2)}))
-    assert isinstance(make_engine(weighted), ExactEngine)
-    tabular = GameConfig(network=net,
-                         global_effect=TabularGlobalEffect.uniform(((F(0), F(0)),), 10))
-    assert isinstance(make_engine(tabular), ExactEngine)
-    with pytest.raises(FastEngineUnavailable):
-        FastEngine(weighted)
+def test_tables_are_built_once_per_game():
+    net = generate_ba(20, 2, 3)
+    weights = InfluenceWeights.from_pairs(net, {(0, net.adjacency[0][0]): F(3, 2)})
+    effect = ParametricGlobalEffect(F(1, 3))
+    first = ExactEngine(GameConfig(network=net, weights=weights, global_effect=effect))
+    again = ExactEngine(GameConfig(network=net, weights=weights, global_effect=effect,
+                                   infected=frozenset({4})))
+    assert again.tables is first.tables
+    other_c = ExactEngine(GameConfig(network=net, weights=weights, c=F(2),
+                                     global_effect=effect))
+    assert other_c.tables is not first.tables

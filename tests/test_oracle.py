@@ -1,10 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netcontagion import oracle
+from netcontagion.contagion import cascade, full_contagion_threshold
 from netcontagion.errors import SizeGuardError
-from netcontagion.game import GameConfig, InfluenceWeights, ParametricGlobalEffect
+from netcontagion.game import (
+    GameConfig,
+    InfluenceWeights,
+    ParametricGlobalEffect,
+    TabularGlobalEffect,
+    has_incentive,
+)
 from netcontagion.graphs import Network, generate_ba, load_edge_list
 
 F = Fraction
@@ -104,3 +113,45 @@ def test_size_guards():
         oracle.brute_threshold(cfg, {0})
     with pytest.raises(SizeGuardError):
         oracle.brute_uniform_cohesion(net, range(21), F(1, 2))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tabular_games_match_oracle(seed):
+    # Random step-table games (the verify battery draws only parametric
+    # effects): the cascade must reach the smallest containing equilibrium
+    # and the staged search must find the brute-force threshold.
+    rng = np.random.Generator(np.random.PCG64(700 + seed))
+    n = int(rng.integers(4, 13))
+    if seed % 4 == 3:
+        net = Network.from_edges(n, [(0, i) for i in range(1, n)])
+    else:
+        net = generate_ba(n, int(rng.integers(1, 3)), seed)
+    if seed % 2:
+        weights = InfluenceWeights.unit(net)
+    else:
+        weights = InfluenceWeights(net, [
+            {j: F(int(rng.integers(0, 4)), int(rng.integers(1, 4))) or F(1) for j in nbrs}
+            for nbrs in net.adjacency])
+    c = [F(1), F(2, 3), F(5, 2)][seed % 3]
+    tables = []
+    for i in range(n):
+        cap = c * weights.row_sum(i)
+        cuts = sorted({F(int(rng.integers(1, 7)), int(rng.integers(1, 7))) for _ in range(3)}
+                      - {F(0)})
+        cuts = [p for p in cuts if p <= 1]
+        values = sorted(cap * F(int(rng.integers(0, 6)), 5) for _ in cuts)
+        tables.append(((F(0), F(0)),) + tuple(zip(cuts, values)))
+    infected = frozenset(int(i) for i in range(n) if rng.random() < 0.15)
+    cfg = GameConfig(network=net, weights=weights, c=c,
+                     global_effect=TabularGlobalEffect(tuple(tables)), infected=infected)
+    den = int(rng.integers(1, 10))
+    q = F(int(rng.integers(0, den + 1)), den)
+    # Drop members without the incentive until the start is valid at q.
+    start = set(infected) | {int(i) for i in range(n) if rng.random() < 0.3}
+    while bad := {i for i in start if not has_incentive(cfg, i, start, q)}:
+        start -= bad
+    assert cascade(cfg, start, q).final == oracle.smallest_nash_containing(cfg, start, q)
+    seeded = frozenset(start | infected) or frozenset({int(rng.integers(0, n))})
+    cfg_thr = replace(cfg, infected=seeded)
+    assert full_contagion_threshold(cfg_thr, seeded).q_star == \
+        oracle.brute_threshold(cfg_thr, seeded)
