@@ -1,9 +1,11 @@
 """The exact incentive engine behind the contagion algorithms.
 
-``ExactEngine`` maintains an evolving deviating set and answers, for the
-current set, which outsiders have the incentive at a given q and what the
-exact largest outsider switch threshold is.  It holds the deviation
-condition of every player ``i``,
+``ExactEngine`` advances a batch of deviating sets in one game.  Each batch
+row is one starting set; every row shares the game's integer tables, and
+the rows' states (who is outside, supports, infected non-neighbours, step
+pointers) are ``(rows, n)`` arrays.  For each live row the engine answers which outsiders have the
+incentive at that row's q, and what the exact largest outsider switch
+threshold is.  It holds the deviation condition of every player ``i``,
 
     c * s_i  >=  q * (c * w_i - phi_i(o_i / pool_i)),
 
@@ -11,9 +13,9 @@ as one pair of integers ``num_i / den_i`` equal to the switch threshold
 ``c*s_i / (c*w_i - phi_i)``.  Here ``o_i`` counts the infected
 non-neighbours of ``i`` and ``pool_i`` its non-neighbours (the share is 0
 on an empty pool, where ``o_i`` is 0 too; ``pe_i = max(pool_i, 1)``).
-Row ``i`` of the weights is scaled by the LCM ``L_i`` of its denominators,
-giving integer weights, their sum ``W_i = L_i*w_i`` and the support
-``S_i = L_i*s_i``; then
+The weights of player ``i`` are scaled by the LCM ``L_i`` of their
+denominators, giving integer weights, their sum ``W_i = L_i*w_i`` and the
+support ``S_i = L_i*s_i``; then
 
     num_i = M_i * S_i,        den_i = M_i * W_i - a_i * g_i
 
@@ -21,15 +23,26 @@ with, for a parametric effect ``phi = alpha*c*d_i*p`` (``alpha = an/ad``),
 ``M_i = ad*pe_i`` (1 when alpha is 0), ``a_i = an*L_i*d_i`` and
 ``g_i = o_i``; and for a tabular effect (``c = cn/cd``, table values over
 their common denominator ``D_i``) ``M_i = D_i*cn``, ``a_i = L_i*cd`` and
-``g_i`` the numerator of the current step value.  The step is found from integer breakpoints
-``ceil(bp*pe_i)`` on ``o_i``; as ``o_i`` never decreases within a search, a
-per-player step pointer only moves forward.
+``g_i`` the numerator of the current step value.  The step is found from
+integer breakpoints ``ceil(bp*pe_i)`` on ``o_i``; as ``o_i`` never
+decreases within a search, a per-player step pointer only moves forward.
+
+The rows advance together.  ``flip_candidates`` evaluates every live row at
+its own q and returns the deviating outsiders as flat ids
+``position * n + player``, which ``apply`` infects.  A row whose set fills
+the network is retired: its state is dropped, so later waves do not scan
+it, and the live rows after it move up one position.
+``max_threshold`` serves the rows that end a stage: a float argmax per row
+only seeds the search, and exact comparisons, vectorized across the rows,
+settle each row's max and its lowest-indexed attainer.  A single row is
+the case that ``cascade`` and ``full_contagion_threshold`` run.
 
 A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
 ``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
-static bound, so each comparison is decided in int64 when its products fit
-and otherwise in Python ints (object arrays, the same expressions), which
-is logged once per engine at DEBUG.  The integer tables are built lazily,
+static bound, so a call is decided in int64 when its products fit for
+every live row (``max(qn, qd)*B < 2^63``; ``B^2 < 2^63`` for the max) and
+otherwise in Python ints (object arrays, the same expressions), which is
+logged once per engine at DEBUG.  The integer tables are built lazily,
 once per (network, weights, global effect, c).
 """
 
@@ -40,6 +53,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,6 +115,7 @@ class _Steps:
 @dataclass(frozen=True)
 class _Tables:
     indptr: np.ndarray
+    degree: np.ndarray
     indices: np.ndarray
     in_weights: np.ndarray | None
     M: np.ndarray
@@ -140,61 +155,105 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
         M, MW, a = M.astype(np.int64), MW.astype(np.int64), a.astype(np.int64)
         if steps is not None:
             steps = _Steps(steps.thresholds, steps.values.astype(np.int64), steps.first)
-    return _Tables(indptr, indices, wt.in_weights, M, MW, a, steps, bound)
+    # Shaped as one row, so one-row states combine with them without broadcasting.
+    M, MW, a = M.reshape(1, n), MW.reshape(1, n), a.reshape(1, n)
+    return _Tables(indptr, deg, indices, wt.in_weights, M, MW, a, steps, bound)
 
 
 class ExactEngine:
-    """Vectorized exact engine for every configuration (see module docstring)."""
+    """Row-batched exact engine for every configuration (see module docstring).
+
+    ``start`` numbers its initial sets as batch rows ``0..R-1``.  ``live``
+    lists the batch rows that still have outsiders, ascending, and ``K``
+    their infected counts; a live row's index in ``live`` is its position.
+    A flip is the flat id ``position * n + player``.  Positions shift when
+    ``apply`` retires rows, so flips and positions hold until then.  The
+    per-row bookkeeping is in Python lists: batches are small, and one row
+    is the common case.
+    """
 
     def __init__(self, cfg: GameConfig):
         self.n = cfg.network.node_count
         self.tables = _memo(_tables, (cfg.network, cfg.weights, cfg.global_effect), (cfg.c,))
         self._logged_python_ints = False
 
-    def start(self, initial: frozenset[int]):
-        t = self.tables
-        self.outside = np.ones(self.n, dtype=bool)
-        self.K = 0
-        self.k = np.zeros(self.n, dtype=np.int64)
-        self.S = self.k if t.in_weights is None else np.zeros(self.n, dtype=t.in_weights.dtype)
+    def start(self, initials: Sequence[Iterable[int]]) -> list[int]:
+        """One batch row per initial set; return the rows that start full."""
+        t, n, rows = self.tables, self.n, len(initials)
+        self.live = list(range(rows))
+        self.K = [0] * rows
+        self.outside = np.ones((rows, n), dtype=bool)
+        # Supports: infected neighbours, or their integer weights.
+        self.S = np.zeros((rows, n), dtype=np.int64 if t.in_weights is None
+                          else t.in_weights.dtype)
+        # K minus infected neighbours: the infected non-neighbours of every
+        # outsider (an insider's entry counts itself and is never read).
+        self.o = np.zeros((rows, n), dtype=np.int64)
         if t.steps is not None:
-            self.ptr = t.steps.first.copy()
-        self._add(np.fromiter(initial, dtype=np.int64, count=len(initial)))
+            self.ptr = np.tile(t.steps.first, (rows, 1))
+        return self._add(np.concatenate([
+            r * n + np.fromiter(initial, dtype=np.int64, count=len(initial))
+            for r, initial in enumerate(initials)]))
 
     def uninfected_count(self) -> int:
-        return self.n - self.K
+        """Outsiders summed over the live rows."""
+        return self.n * len(self.K) - sum(self.K)
 
-    def infected_set(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(~self.outside).tolist())
+    def infected_set(self, row: int = 0) -> frozenset[int]:
+        if row not in self.live:  # retired rows are full
+            return frozenset(range(self.n))
+        return frozenset(np.flatnonzero(~self.outside[self.live.index(row)]).tolist())
 
-    def _add(self, players: np.ndarray) -> None:
-        t = self.tables
-        self.outside[players] = False
-        self.K += len(players)
-        # CSR slots of every neighbour of every added player.
-        starts = t.indptr[players]
-        lens = t.indptr[players + 1] - starts
+    def _add(self, flips: np.ndarray) -> list[int]:
+        """Infect the flat ids; return the batch rows this filled, now retired."""
+        t, n = self.tables, self.n
+        self._evaluated = None
+        if len(self.K) == 1:  # one live row: the flat ids are its players
+            players, added = flips, len(flips)
+            self.K[0] += added
+        else:
+            pos, players = np.divmod(flips, n)
+            added = np.bincount(pos, minlength=len(self.K))
+            self.K = [k + a for k, a in zip(self.K, added.tolist())]
+            added = added[:, None]
+        self.outside.reshape(-1)[flips] = False
+        # CSR slots of every neighbour of every added player, and the flat
+        # state index of that neighbour in the player's row.
+        starts, lens = t.indptr[players], t.degree[players]
         slots = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-        nbrs = t.indices[slots]
-        self.k += np.bincount(nbrs, minlength=self.n)
-        if self.S is not self.k:
-            np.add.at(self.S, nbrs, t.in_weights[slots])
+        targets = t.indices[slots]
+        if len(self.K) > 1:
+            targets += np.repeat(flips - players, lens)
+        gained = np.bincount(targets, minlength=self.S.size).reshape(self.S.shape)
+        if t.in_weights is None:
+            self.S += gained
+        else:
+            np.add.at(self.S.reshape(-1), targets, t.in_weights[slots])
+        self.o += added
+        self.o -= gained
         if t.steps is not None:
-            o = self._outside_counts()
             while True:
-                move = t.steps.thresholds[self.ptr + 1] <= o
+                move = t.steps.thresholds[self.ptr + 1] <= self.o
                 if not move.any():
                     break
                 self.ptr += move
+        return self._retire() if n in self.K else []
 
-    def _outside_counts(self) -> np.ndarray:
-        # Infected non-neighbours; an infected player does not count itself.
-        return (self.K - 1) - self.k + self.outside
+    def _retire(self) -> list[int]:
+        """Drop the full rows, so later waves do not scan them."""
+        keep = [k < self.n for k in self.K]
+        filled = [r for r, kept in zip(self.live, keep) if not kept]
+        self.live = [r for r, kept in zip(self.live, keep) if kept]
+        self.K = [k for k, kept in zip(self.K, keep) if kept]
+        self.outside, self.S, self.o = self.outside[keep], self.S[keep], self.o[keep]
+        if self.tables.steps is not None:
+            self.ptr = self.ptr[keep]
+        return filled
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _pairs(self, pos=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         t = self.tables
-        g = self._outside_counts() if t.steps is None else t.steps.values[self.ptr]
-        return t.M * self.S, t.MW - t.a * g
+        g = self.o[pos] if t.steps is None else t.steps.values[self.ptr[pos]]
+        return t.M * self.S[pos], t.MW - t.a * g
 
     def _python_ints(self, *arrays: np.ndarray) -> list[np.ndarray]:
         if not self._logged_python_ints:
@@ -203,34 +262,51 @@ class ExactEngine:
                        self.tables.bound, self.n)
         return [arr.astype(object) for arr in arrays]
 
-    def flip_candidates(self, q: Fraction) -> np.ndarray:
-        qn, qd = q.numerator, q.denominator
-        num, den = self._pairs()
-        if max(qn, qd) * self.tables.bound >= _INT64_LIMIT:
+    def flip_candidates(self, q: Sequence[Fraction]) -> np.ndarray:
+        """Flat ids of the outsiders that deviate, at ``q[row]`` in each live row."""
+        pairs = [(q[r].numerator, q[r].denominator) for r in self.live]
+        num, den = self._evaluated = self._pairs()
+        python_ints = max(map(max, pairs), default=0) * self.tables.bound >= _INT64_LIMIT
+        if python_ints:
             num, den = self._python_ints(num, den)
+        if len(pairs) == 1:
+            qn, qd = pairs[0]
+        else:
+            qs = np.array(pairs, dtype=object if python_ints else np.int64).reshape(-1, 2)
+            qn, qd = qs[:, :1], qs[:, 1:]
         return np.flatnonzero((num * qd >= qn * den) & self.outside)
 
-    def apply(self, flips: np.ndarray) -> None:
-        self._add(np.asarray(flips, dtype=np.int64))
+    def apply(self, flips: np.ndarray) -> list[int]:
+        """Infect the flips; return the batch rows they filled."""
+        return self._add(np.asarray(flips, dtype=np.int64))
 
-    def max_threshold(self) -> tuple[Fraction, list[int]]:
-        """Exact max of num_i/den_i over outsiders, with attainers ascending."""
-        rows = np.flatnonzero(self.outside)
-        if len(rows) == 0:
-            raise InvariantViolationError("no outsiders left to compute a threshold")
-        num, den = self._pairs()
-        num, den = num[rows], den[rows]
+    def max_threshold(self, positions: Sequence[int]) -> list[tuple[Fraction, int]]:
+        """Exact max of num_i/den_i over the outsiders of each live row at
+        the given ascending positions, with its lowest-indexed attainer."""
+        pos = slice(None) if len(positions) == len(self.K) else positions
+        # The pairs of the last flip_candidates call hold until the next _add.
+        num, den = (self._pairs(pos) if self._evaluated is None
+                    else (self._evaluated[0][pos], self._evaluated[1][pos]))
+        # Insiders become -1/1, below every outsider's num/den >= 0.
+        outside = self.outside[pos]
+        num, den = np.where(outside, num, -1), np.where(outside, den, 1)
         if (den <= 0).any():
-            bad = int(rows[int(np.argmax(den <= 0))])
             raise InvariantViolationError(
-                f"player {bad} has nonpositive threshold denominator while "
-                f"still outside the set")
+                f"player {int(np.argmax(den <= 0) % self.n)} has nonpositive threshold "
+                f"denominator while still outside the set")
         if self.tables.bound**2 >= _INT64_LIMIT:
             num, den = self._python_ints(num, den)
-        # Float argmax only seeds the search; ordering is settled exactly.
-        best = int(np.argmax(num / den))
-        for j in np.flatnonzero(num * den[best] > num[best] * den).tolist():
-            if num[j] * den[best] > num[best] * den[j]:
-                best = j
-        ties = num * den[best] == num[best] * den
-        return Fraction(int(num[best]), int(den[best])), rows[ties].tolist()
+        # The float argmax only seeds each row; the order is settled exactly,
+        # moving to a strictly larger player until none is left.
+        at = np.arange(len(positions))
+        best = np.argmax(num / den, axis=1)
+        while True:
+            nb, db = num[at, best], den[at, best]
+            lhs, rhs = num * db[:, None], nb[:, None] * den
+            beaten = lhs > rhs
+            if not beaten.any():
+                break
+            best = np.where(beaten.any(axis=1), np.argmax(beaten, axis=1), best)
+        first = np.argmax(lhs == rhs, axis=1)
+        return [(Fraction(int(a), int(b)), int(i))
+                for a, b, i in zip(nb.tolist(), db.tolist(), first.tolist())]

@@ -84,6 +84,8 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
         start = frozenset(int(x) for x in args.seeds.split(","))
     elif getattr(args, "seeds_random", None):
         rng_seed = getattr(args, "seeds_seed", 0) or 0
+        if rng_seed < 0:
+            raise ParameterError(f"--seeds-seed must be nonnegative; got {rng_seed}")
         rng = np.random.Generator(np.random.PCG64(rng_seed))
         start = montecarlo.draw_set(rng, net.node_count, int(args.seeds_random))
     elif doc.get("infected") is not None:
@@ -197,10 +199,8 @@ def _cmd_montecarlo(args) -> int:
     table = montecarlo.average_thresholds(records, grid.q_grid)
     montecarlo.write_threshold_table_csv(table, out / "thresholds_table.csv")
     montecarlo.write_threshold_stats_csv(table, out / "threshold_stats.csv")
-    montecarlo.write_inverse_depth_table_csv(records, grid.q_grid,
-                                             out / "inverse_depth_table.csv")
-    montecarlo.write_depth_curves_csv(records, grid.q_grid,
-                                      out / "depth_curves.csv")
+    montecarlo.write_inverse_depth_table_csv(table, out / "inverse_depth_table.csv")
+    montecarlo.write_depth_curves_csv(table, out / "depth_curves.csv")
     if args.plots:
         plot_dir = out / "plots"
         plot_dir.mkdir(exist_ok=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._engines import ExactEngine
 from .errors import (
@@ -186,16 +186,16 @@ def cascade(cfg: GameConfig, start: Iterable[int], q) -> CascadeResult:
     _check_start_incentive(cfg, start, q)
     engine = ExactEngine(cfg)
     initial = start | cfg.infected
-    engine.start(initial)
+    engine.start([initial])
     waves: list[PlayerSet] = []
     checked = 0
     while engine.uninfected_count() > 0:
-        flips = engine.flip_candidates(q)
+        flips = engine.flip_candidates([q])
         checked += 1
         if len(flips) == 0:
             break
         engine.apply(flips)
-        waves.append(frozenset(int(i) for i in flips))
+        waves.append(frozenset(flips.tolist()))
     return CascadeResult(final=engine.infected_set(), waves=tuple(waves),
                          initial=initial, subsets_checked=checked)
 
@@ -211,43 +211,65 @@ def full_contagion_threshold(cfg: GameConfig, start: Iterable[int], *,
     ``collect_members=False`` keeps only equilibrium sizes, which the
     Monte Carlo harness uses to avoid materializing large member sets.
     """
-    one = Fraction(1)
     start = cfg.player_set(start)
-    _check_start_incentive(cfg, start, one)
-    engine = ExactEngine(cfg)
-    engine.start(start | cfg.infected)
+    _check_start_incentive(cfg, start, Fraction(1))
+    return _staged_search(cfg, [start | cfg.infected], collect_members)[0]
+
+
+def _staged_search(cfg: GameConfig, initials: Sequence[PlayerSet],
+                   collect_members: bool) -> list[ThresholdResult]:
+    """The staged search from every initial set at once, one engine row each.
+
+    ``initials`` are the engine's starting sets (start plus infected); the
+    caller has checked that every member deviates at q = 1.  Rows advance
+    in lockstep: each step evaluates every live row at its own q, applies
+    the rows that flip, and closes a stage on each row that does not.
+    """
     n = cfg.network.node_count
-    q = one
-    stages: list[ThresholdStage] = []
-    marginals: list[int] = []
-    checked = 0
+    rows = len(initials)
+    engine = ExactEngine(cfg)
+    filled = engine.start(initials)
+    q = [Fraction(1)] * rows
+    stages: list[list[ThresholdStage]] = [[] for _ in range(rows)]
+    marginals: list[list[int]] = [[] for _ in range(rows)]
+    # Every live row is evaluated once per step, so a row has been
+    # evaluated as many times as the steps taken before it filled.
+    evaluations = [0] * rows
+    steps = 0
+    full = frozenset(range(n)) if collect_members else None
     while True:
-        first_evaluation = True
-        while engine.uninfected_count() > 0:
-            flips = engine.flip_candidates(q)
-            # The resumed stage re-examines the set whose evaluation ended
-            # the previous stage; it is counted once, not twice.
-            if not (first_evaluation and stages):
-                checked += 1
-            first_evaluation = False
-            if len(flips) == 0:
-                break
-            engine.apply(flips)
-        remaining = engine.uninfected_count()
-        stages.append(ThresholdStage(
-            q=q, size=n - remaining,
-            members=engine.infected_set() if collect_members else None))
-        if remaining == 0:
+        for r in filled:
+            stages[r].append(ThresholdStage(q=q[r], size=n, members=full))
+            evaluations[r] = steps
+        live = engine.live
+        if not live:
             break
-        threshold, attainers = engine.max_threshold()
-        if not threshold < q:
-            raise InvariantViolationError(
-                f"stage threshold {threshold} did not decrease below {q}")
-        marginals.append(attainers[0])
-        q = threshold
-    return ThresholdResult(q_star=q, stages=tuple(stages),
-                           subsets_checked=checked,
-                           marginal_players=tuple(marginals), node_count=n)
+        flips = engine.flip_candidates(q)
+        steps += 1
+        # Positions of the rows without flips; a lone row owns every flip.
+        if len(live) == 1:
+            ended = [] if len(flips) else [0]
+        else:
+            moving = set((flips // n).tolist())
+            ended = [p for p in range(len(live)) if p not in moving]
+        if ended:
+            for p, (threshold, marginal) in zip(ended, engine.max_threshold(ended)):
+                r = live[p]
+                stages[r].append(ThresholdStage(
+                    q=q[r], size=engine.K[p],
+                    members=engine.infected_set(r) if collect_members else None))
+                if not threshold < q[r]:
+                    raise InvariantViolationError(
+                        f"stage threshold {threshold} did not decrease below {q[r]}")
+                marginals[r].append(marginal)
+                q[r] = threshold
+        filled = engine.apply(flips) if len(flips) else []
+    # Each resumed stage re-examines the set whose evaluation ended the
+    # previous stage; it is counted once, not twice.
+    return [ThresholdResult(q_star=q[r], stages=tuple(stages[r]),
+                            subsets_checked=evaluations[r] - len(marginals[r]),
+                            marginal_players=tuple(marginals[r]), node_count=n)
+            for r in range(rows)]
 
 
 def depth_function(cfg: GameConfig, start: Iterable[int]) -> DepthFunction:

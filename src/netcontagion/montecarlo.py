@@ -7,6 +7,15 @@ exogenously (a uniformly random set almost never sustains itself
 endogenously at q = 1) and run the full threshold search once per
 global-effect intensity, reusing the same draw across intensities.
 
+The searches of one (network, set size, intensity) run as one batch: the
+``sets_per_size`` draws are the rows of a single engine state, advanced
+together by the staged search of ``contagion``, so batch size and memory
+(O(rows * n)) follow from the grid.  One ``GameConfig`` serves each
+(network, intensity) without an infected set.  No per-search config or
+start check is needed: every start is seeded exogenously, so every member
+deviates at q = 1, and the engine sees the seeding only through the union
+of start and infected set, which is the start itself.
+
 Every random draw flows from ``master_seed`` through a documented split:
 ``sha256("netcontagion:<master>:<field>:...")`` truncated to 64 bits, so
 records are bit-identical regardless of worker count or scheduling.
@@ -25,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .contagion import DepthFunction, depth_at, full_contagion_threshold
+from .contagion import DepthFunction, _staged_search, depth_at
 from .errors import ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
 from .graphs import generate_ba
@@ -42,12 +51,13 @@ def derive_seed(master_seed: int, *fields) -> int:
 
 def draw_set(rng: np.random.Generator, population: int, size: int) -> frozenset[int]:
     """Uniform subset without replacement via a partial Fisher-Yates pass."""
-    arr = np.arange(population)
-    picks = rng.integers(low=np.arange(size), high=population)
-    for j in range(size):
-        other = picks[j]
+    if not 0 <= size <= population:
+        raise ParameterError(f"cannot draw {size} players from {population}")
+    arr = list(range(population))
+    picks = rng.integers(low=np.arange(size), high=population).tolist()
+    for j, other in enumerate(picks):
         arr[j], arr[other] = arr[other], arr[j]
-    return frozenset(int(x) for x in arr[:size])
+    return frozenset(arr[:size])
 
 
 @dataclass(frozen=True)
@@ -155,20 +165,20 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> list[Run
     net = generate_ba(grid.network_size, m,
                       derive_seed(grid.master_seed, "network", m, network_id))
     weights = InfluenceWeights.unit(net)
-    effects = {alpha: ParametricGlobalEffect(alpha) for alpha in grid.alpha_values}
+    configs = {alpha: GameConfig(network=net, weights=weights,
+                                 global_effect=ParametricGlobalEffect(alpha))
+               for alpha in grid.alpha_values}
     records: list[RunRecord] = []
     for set_size in grid.set_sizes:
+        starts = []
         for replicate in range(grid.sets_per_size):
             seed = derive_seed(grid.master_seed, "set", m, network_id,
                                set_size, replicate)
             rng = np.random.Generator(np.random.PCG64(seed))
-            start = draw_set(rng, grid.network_size, set_size)
-            for alpha in grid.alpha_values:
-                cfg = GameConfig(network=net, weights=weights,
-                                 global_effect=effects[alpha],
-                                 infected=start)
-                result = full_contagion_threshold(cfg, start,
-                                                  collect_members=False)
+            starts.append(draw_set(rng, grid.network_size, set_size))
+        for alpha, cfg in configs.items():
+            results = _staged_search(cfg, starts, collect_members=False)
+            for replicate, result in enumerate(results):
                 records.append(RunRecord(
                     m=m, alpha=alpha, network_id=network_id,
                     set_size=set_size, replicate_id=replicate,
@@ -401,41 +411,41 @@ def write_threshold_stats_csv(table: AggregateTable, path) -> None:
                              f"{cell.sd:.6f}"])
 
 
-def write_inverse_depth_table_csv(records: Sequence[RunRecord], q_grid,
-                                  path, targets=None) -> None:
+def _depth_curves(table: AggregateTable) -> dict[tuple[Fraction, int, Fraction],
+                                                 dict[Fraction, Fraction]]:
+    """The table's mean-depth curves keyed by (q, m, alpha), in the table's
+    order (q as aggregated, then scenario), sizes as network fractions."""
+    curves: dict[tuple[Fraction, int, Fraction], dict[Fraction, Fraction]] = {}
+    for (m, alpha, q, size), mean in table.depth_means.items():
+        curves.setdefault((q, m, alpha), {})[Fraction(size, table.network_size)] = mean
+    return curves
+
+
+def write_inverse_depth_table_csv(table: AggregateTable, path, targets=None) -> None:
     """Wide layout: rows (m, q, alpha), columns depth targets."""
     targets = [Fraction(t, 10) for t in range(1, 11)] if targets is None else \
         [as_rational(t, "target") for t in targets]
-    scenarios = sorted(_group_by_scenario(records))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "q", "alpha"] +
                         [f"depth>={decimal_render(t, 2)}" for t in targets])
-        for q in q_grid:
-            q = as_unit_rational(q, "q")
-            for m, alpha in scenarios:
-                curve = depth_curve([r for r in records
-                                     if r.m == m and r.alpha == alpha], q)
-                row = [m, rational_str(q), rational_str(alpha)]
-                for t in targets:
-                    frac = inverse_depth(curve, t)
-                    row.append("unreachable" if frac is None
-                               else decimal_render(frac, 3))
-                writer.writerow(row)
+        for (q, m, alpha), curve in _depth_curves(table).items():
+            row = [m, rational_str(q), rational_str(alpha)]
+            for t in targets:
+                frac = inverse_depth(curve, t)
+                row.append("unreachable" if frac is None
+                           else decimal_render(frac, 3))
+            writer.writerow(row)
 
 
-def write_depth_curves_csv(records: Sequence[RunRecord], q_grid, path) -> None:
+def write_depth_curves_csv(table: AggregateTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "alpha", "q", "set_size", "size_fraction",
                          "mean_depth"])
-        for q in q_grid:
-            q = as_unit_rational(q, "q")
-            for (m, alpha), recs in sorted(_group_by_scenario(records).items()):
-                curve = depth_curve(recs, q)
-                for size_frac in sorted(curve):
-                    writer.writerow([
-                        m, rational_str(alpha), rational_str(q),
-                        int(size_frac * records[0].network_size),
-                        decimal_render(size_frac, 3),
-                        decimal_render(curve[size_frac])])
+        for (q, m, alpha), curve in _depth_curves(table).items():
+            for size_frac, mean in curve.items():
+                writer.writerow([
+                    m, rational_str(alpha), rational_str(q),
+                    int(size_frac * table.network_size),
+                    decimal_render(size_frac, 3), decimal_render(mean)])

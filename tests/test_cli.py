@@ -89,6 +89,20 @@ def test_threshold_endogenous_precondition_error(cycle_file, capsys):
     assert json.loads(err)["player"] == 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seeds-random", "-1"],
+    ["--seeds-random", "25"],
+    ["--seeds-random", "5", "--seeds-seed", "-3"],
+])
+def test_threshold_random_seed_flags_rejected(tmp_path, capsys, flags):
+    path = tmp_path / "ring.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 20}\n" for i in range(20)))
+    code, out, err = run_cli(capsys, "threshold", "--network", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_depth_report(cycle_file, capsys):
     code, out, _ = run_cli(capsys, "depth", "--network", cycle_file,
                            "--seeds", "0", "--q", "0,3/5,1")

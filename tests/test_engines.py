@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from netcontagion._engines import ExactEngine
-from netcontagion.contagion import full_contagion_threshold
+from netcontagion.contagion import (
+    ThresholdResult,
+    ThresholdStage,
+    _staged_search,
+    full_contagion_threshold,
+)
 from netcontagion.errors import InvariantViolationError
 from netcontagion.game import (
     GameConfig,
@@ -68,19 +73,44 @@ class FractionEngine:
                 self.k[nb] += 1
 
     def max_threshold(self):
-        best, attainers = None, []
+        """The largest switch threshold and its lowest-indexed attainer."""
+        best, first = None, None
         for i in sorted(self.uninf):
             rhs = self._rhs(i)
             if rhs <= 0:
                 raise InvariantViolationError(f"player {i} has rhs {rhs}")
             t = self.c * self.s[i] / rhs
             if best is None or t > best:
-                best, attainers = t, [i]
-            elif t == best:
-                attainers.append(i)
+                best, first = t, i
         if best is None:
             raise InvariantViolationError("no outsiders left to compute a threshold")
-        return best, attainers
+        return best, first
+
+
+class OneRow:
+    """``ExactEngine`` with a single batch row, in the reference's interface."""
+
+    def __init__(self, cfg: GameConfig):
+        self.engine = ExactEngine(cfg)
+
+    def start(self, initial):
+        self.engine.start([initial])
+
+    def uninfected_count(self):
+        return self.engine.uninfected_count()
+
+    def infected_set(self):
+        return self.engine.infected_set(0)
+
+    def flip_candidates(self, q):
+        return self.engine.flip_candidates([q])
+
+    def apply(self, flips):
+        self.engine.apply(flips)
+
+    def max_threshold(self):
+        [(t, first)] = self.engine.max_threshold([0])
+        return t, first
 
 
 def run_threshold_trace(engine, initial):
@@ -97,8 +127,8 @@ def run_threshold_trace(engine, initial):
             trace.append(("wave", frozenset(int(i) for i in flips)))
         if engine.uninfected_count() == 0:
             return trace
-        t, attainers = engine.max_threshold()
-        trace.append(("q", t, tuple(attainers)))
+        t, first = engine.max_threshold()
+        trace.append(("q", t, first))
         if t == 0:
             assert len(engine.flip_candidates(F(0))) == engine.uninfected_count()
             return trace
@@ -117,11 +147,37 @@ def run_fixed_q(engine, initial, q):
         waves.append(flips)
 
 
+def fraction_search(cfg, initial, collect_members):
+    """The staged search over the reference engine, one start at a time."""
+    engine = FractionEngine(cfg)
+    engine.start(initial)
+    n = cfg.network.node_count
+    q, stages, marginals, checked = F(1), [], [], 0
+    while True:
+        first_evaluation = True
+        while engine.uninfected_count() > 0:
+            flips = engine.flip_candidates(q)
+            if not (first_evaluation and stages):
+                checked += 1
+            first_evaluation = False
+            if not flips:
+                break
+            engine.apply(flips)
+        stages.append(ThresholdStage(
+            q=q, size=n - engine.uninfected_count(),
+            members=engine.infected_set() if collect_members else None))
+        if engine.uninfected_count() == 0:
+            return ThresholdResult(q_star=q, stages=tuple(stages), subsets_checked=checked,
+                                   marginal_players=tuple(marginals), node_count=n)
+        q, first = engine.max_threshold()
+        marginals.append(first)
+
+
 def assert_engines_agree(cfg, initial, qs=()):
-    assert run_threshold_trace(ExactEngine(cfg), initial) == \
+    assert run_threshold_trace(OneRow(cfg), initial) == \
         run_threshold_trace(FractionEngine(cfg), initial)
     for q in qs:
-        assert run_fixed_q(ExactEngine(cfg), initial, q) == \
+        assert run_fixed_q(OneRow(cfg), initial, q) == \
             run_fixed_q(FractionEngine(cfg), initial, q)
 
 
@@ -189,7 +245,7 @@ def test_fast_matches_exact_single_q(seed):
                      infected=frozenset({0, n - 1}))
     den = int(rng.integers(1, 30))
     q = F(int(rng.integers(0, den + 1)), den)
-    assert run_fixed_q(ExactEngine(cfg), cfg.infected, q) == \
+    assert run_fixed_q(OneRow(cfg), cfg.infected, q) == \
         run_fixed_q(FractionEngine(cfg), cfg.infected, q)
 
 
@@ -197,13 +253,13 @@ def test_fast_engine_flags_empty_pool():
     star = Network.from_edges(6, [(0, i) for i in range(1, 6)])
     cfg = GameConfig(network=star, infected=frozenset({1}))
     engine = ExactEngine(cfg)
-    engine.start(cfg.infected)
+    engine.start([cfg.infected])
     # At q=1 the hub needs every neighbor (its share pool is empty), while a
     # leaf needs only its single neighbor.
-    assert list(engine.flip_candidates(F(1))) == []
+    assert list(engine.flip_candidates([F(1)])) == []
     engine2 = ExactEngine(GameConfig(network=star, infected=frozenset({0})))
-    engine2.start(frozenset({0}))
-    flips = engine2.flip_candidates(F(1))
+    engine2.start([frozenset({0})])
+    flips = engine2.flip_candidates([F(1)])
     assert sorted(int(i) for i in flips) == [1, 2, 3, 4, 5]
 
 
@@ -217,7 +273,7 @@ def test_star_and_q_zero_match_reference(alpha):
         for start in (frozenset({0}), frozenset({2, 5}), frozenset()):
             cfg = GameConfig(network=star, weights=weights, global_effect=effect,
                              infected=start)
-            assert run_fixed_q(ExactEngine(cfg), start, F(0)) == \
+            assert run_fixed_q(OneRow(cfg), start, F(0)) == \
                 run_fixed_q(FractionEngine(cfg), start, F(0))
             if start:
                 assert_engines_agree(cfg, start, qs=[F(1, 2), F(1)])
@@ -228,7 +284,7 @@ def test_fast_engine_oversized_q_falls_back_to_bigint(caplog):
     cfg = GameConfig(network=net, infected=frozenset({0, 1, 2}))
     huge_den = 10**30
     q = F(huge_den - 12345, huge_den * 3)
-    engine = ExactEngine(cfg)
+    engine = OneRow(cfg)
     with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
         assert run_fixed_q(engine, cfg.infected, q) == \
             run_fixed_q(FractionEngine(cfg), cfg.infected, q)
@@ -241,7 +297,7 @@ def test_int64_path_is_silent(caplog):
     cfg = GameConfig(network=net, global_effect=ParametricGlobalEffect(F(1, 2)),
                      infected=frozenset({0, 1, 2}))
     with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
-        run_threshold_trace(ExactEngine(cfg), cfg.infected)
+        run_threshold_trace(OneRow(cfg), cfg.infected)
     assert not caplog.records
 
 
@@ -261,7 +317,7 @@ def test_weighted_products_around_int64_limit(side, caplog):
     with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
         for qn in (1, qd // 3, qd - 1, qd):
             q = F(qn, qd)
-            assert run_fixed_q(ExactEngine(cfg), cfg.infected, q) == \
+            assert run_fixed_q(OneRow(cfg), cfg.infected, q) == \
                 run_fixed_q(FractionEngine(cfg), cfg.infected, q)
     slow = [r for r in caplog.records if "Python ints" in r.getMessage()]
     assert bool(slow) == (side == "above")
@@ -293,10 +349,38 @@ def test_max_threshold_settles_float_ties_exactly(big):
     weights = InfluenceWeights.from_pairs(net, {(0, 1): F(big), (2, 1): F(big + 1)})
     cfg = GameConfig(network=net, weights=weights, infected=frozenset({1}))
     engine = ExactEngine(cfg)
-    engine.start(cfg.infected)
-    assert len(engine.flip_candidates(F(1))) == 0
-    assert engine.max_threshold() == (F(big + 1, big + 2), [2])
+    engine.start([cfg.infected])
+    assert len(engine.flip_candidates([F(1)])) == 0
+    assert engine.max_threshold([0]) == [(F(big + 1, big + 2), 2)]
     assert_engines_agree(cfg, cfg.infected)
+    # Across rows, the settling moves only the rows whose float argmax was
+    # wrong; the row seeded at 3 has a float-distinct max 1/(big+1) at 0.
+    engine.start([frozenset({1}), frozenset({3}), frozenset({1})])
+    assert len(engine.flip_candidates([F(1)] * 3)) == 0
+    assert engine.max_threshold([0, 1, 2]) == [
+        (F(big + 1, big + 2), 2), (F(1, big + 1), 0), (F(big + 1, big + 2), 2)]
+    assert engine.max_threshold([1, 2]) == [(F(1, big + 1), 0), (F(big + 1, big + 2), 2)]
+
+
+def test_max_threshold_after_apply_sees_the_new_set():
+    # Thresholds read after an apply must come from the grown set, not from
+    # the pairs the preceding flip_candidates call evaluated.
+    # At alpha = 1/2 every outsider's denominator stays positive, so the
+    # max is defined mid-stage too.
+    net = generate_ba(30, 2, 4)
+    rng = np.random.Generator(np.random.PCG64(2))
+    for weights in (InfluenceWeights.unit(net), random_weights(rng, net)):
+        cfg = GameConfig(network=net, weights=weights,
+                         global_effect=ParametricGlobalEffect(F(1, 2)))
+        engine, reference = ExactEngine(cfg), FractionEngine(cfg)
+        engine.start([frozenset({0, 1, 2})])
+        reference.start(frozenset({0, 1, 2}))
+        flips = engine.flip_candidates([F(1, 3)])
+        assert len(flips)
+        engine.apply(flips)
+        reference.apply(flips.tolist())
+        [(t, first)] = engine.max_threshold([0])
+        assert (t, first) == reference.max_threshold()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -339,3 +423,56 @@ def test_tables_are_built_once_per_game():
     other_c = ExactEngine(GameConfig(network=net, weights=weights, c=F(2),
                                      global_effect=effect))
     assert other_c.tables is not first.tables
+
+
+def row_axis_game(kind):
+    """A game and batch rows: a whole-network row, duplicates, and starts
+    that need very different numbers of stages."""
+    if kind == "python-ints":
+        # The row LCM of test_weighted_products_around_int64_limit: every
+        # stage threshold has a denominator near 2^40, so both phases
+        # decide in Python ints.
+        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        weights = InfluenceWeights.from_pairs(net, {(0, 1): F(1, 2**40 + 15)})
+        rows = [frozenset({1, 3}), frozenset({0}), frozenset(range(4)),
+                frozenset({1, 3}), frozenset({2}), frozenset()]
+        return GameConfig(network=net, weights=weights), rows
+    if kind == "beyond-int64":
+        # The weights of test_tables_beyond_int64_stay_exact: tables, supports
+        # and every stage q exceed int64.
+        net = generate_ba(12, 2, 5)
+        rng = np.random.Generator(np.random.PCG64(9))
+        pairs = {(i, j): F(int(rng.integers(1, 9)), 10**20 + int(rng.integers(0, 7)))
+                 for i, nbrs in enumerate(net.adjacency) for j in nbrs[:1]}
+        rows = [frozenset({0, 5}), frozenset(range(12)), frozenset({3}),
+                frozenset({0, 5}), frozenset(range(1, 12, 2))]
+        return GameConfig(network=net, weights=InfluenceWeights.from_pairs(net, pairs)), rows
+    rng = np.random.Generator(np.random.PCG64(77))
+    net = generate_ba(40, 2, 8)
+    weights = InfluenceWeights.unit(net) if kind == "unit" else random_weights(rng, net)
+    effect = (random_tables(rng, net, F(1), weights) if kind == "tabular"
+              else ParametricGlobalEffect(F(1, 2)))
+    rows = [frozenset({39}), frozenset(range(40)), frozenset(range(0, 40, 2)),
+            frozenset({39}), frozenset(range(3, 40)),
+            frozenset(int(i) for i in rng.choice(40, 6, replace=False))]
+    return GameConfig(network=net, weights=weights, global_effect=effect), rows
+
+
+@pytest.mark.parametrize("kind", ["unit", "weighted", "tabular", "python-ints", "beyond-int64"])
+def test_row_batch_matches_single_rows_and_reference(kind, caplog):
+    cfg, rows = row_axis_game(kind)
+    with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
+        for collect_members in (True, False):
+            batch = _staged_search(cfg, rows, collect_members)
+            single = [_staged_search(cfg, [row], collect_members)[0] for row in rows]
+            reference = [fraction_search(cfg, row, collect_members) for row in rows]
+            # Equal results compare q*, every stage (members included when
+            # collected), subsets_checked and the marginal players.
+            assert batch == single == reference
+    stages = [len(result.stages) for result in batch]
+    assert stages[rows.index(frozenset(range(cfg.network.node_count)))] == 1
+    if kind in ("unit", "weighted", "tabular"):
+        # Rows retire while others still have several stages to go.
+        assert max(stages) - min(stages) >= 3
+    slow = [r for r in caplog.records if "Python ints" in r.getMessage()]
+    assert bool(slow) == (kind in ("python-ints", "beyond-int64"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netcontagion.contagion import depth_at, full_contagion_threshold
+from netcontagion.contagion import DepthFunction, depth_at, full_contagion_threshold
 from netcontagion.errors import ParameterError
 from netcontagion.game import GameConfig, ParametricGlobalEffect
 from netcontagion.graphs import generate_ba
@@ -20,9 +20,12 @@ from netcontagion.montecarlo import (
     regularized_curve,
     run_grid,
     singularity_interval,
+    write_depth_curves_csv,
+    write_inverse_depth_table_csv,
     write_records_csv,
     write_records_jsonl,
 )
+from netcontagion.rational import decimal_render, rational_str
 
 F = Fraction
 
@@ -79,20 +82,59 @@ def test_draw_set_uniform_and_exact_size():
     assert counts.min() > 0.8 * counts.max()  # roughly uniform
 
 
+@pytest.mark.parametrize("seed, population, size, first, second", [
+    (0, 20, 5, [7, 8, 11, 13, 17], [0, 1, 2, 5, 17]),
+    (1, 300, 10, [14, 47, 80, 99, 141, 154, 227, 247, 284, 285],
+     [17, 33, 80, 83, 125, 127, 168, 195, 248, 260]),
+    (7, 10, 10, list(range(10)), list(range(10))),
+    (12345, 40, 1, [27], [9]),
+])
+def test_draw_set_pinned_draws(seed, population, size, first, second):
+    # Two consecutive draws per generator, as recorded before the swaps moved
+    # from numpy scalars to a Python list: the draws and the generator state
+    # they leave behind are part of every sweep's output.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assert sorted(draw_set(rng, population, size)) == first
+    assert sorted(draw_set(rng, population, size)) == second
+
+
+@pytest.mark.parametrize("size", [-1, 21, 25])
+def test_draw_set_rejects_sizes_outside_population(size):
+    rng = np.random.Generator(np.random.PCG64(0))
+    with pytest.raises(ParameterError):
+        draw_set(rng, 20, size)
+
+
+def test_draw_set_empty_and_whole_population():
+    rng = np.random.Generator(np.random.PCG64(0))
+    assert draw_set(rng, 20, 0) == frozenset()
+    assert draw_set(rng, 20, 20) == frozenset(range(20))
+
+
 def test_records_consistent_with_direct_run():
-    grid = tiny_grid()
+    # Two set sizes, three replicates and three alphas: each (size, alpha)
+    # runs as one batch whose rows fill at different stages.
+    grid = ExperimentGrid(
+        network_size=40, m_values=(2,), alpha_values=(F(0), F(1, 2), F(1)),
+        networks_per_m=1, sets_per_size=3, set_sizes=(2, 6, 25),
+        q_grid=(F(1, 2),), master_seed=7)
     records = run_grid(grid)
+    assert len(records) == 27
     net = generate_ba(40, 2, derive_seed(grid.master_seed, "network", 2, 0))
-    rng = np.random.Generator(np.random.PCG64(
-        derive_seed(grid.master_seed, "set", 2, 0, 6, 0)))
-    start = draw_set(rng, 40, 6)
+    stage_counts = set()
     for rec in records:
+        rng = np.random.Generator(np.random.PCG64(
+            derive_seed(grid.master_seed, "set", 2, 0, rec.set_size, rec.replicate_id)))
+        start = draw_set(rng, 40, rec.set_size)
         cfg = GameConfig(network=net,
                          global_effect=ParametricGlobalEffect(rec.alpha),
                          infected=start)
         direct = full_contagion_threshold(cfg, start, collect_members=False)
         assert rec.q_star == direct.q_star
+        assert rec.depth == DepthFunction.from_threshold(direct)
         assert rec.subsets_checked == direct.subsets_checked
+        stage_counts.add(len(direct.stages))
+    assert len(stage_counts) >= 3
 
 
 def test_per_record_depth_dominates_seed_fraction():
@@ -143,6 +185,33 @@ def test_average_thresholds_grouping_and_mean():
     # Full-ish seed sets drive the mean up.
     assert table.thresholds[(2, F(0), 29)].mean >= cell.mean
     assert (2, F(0), F(1, 2), 5) in table.depth_means
+
+
+def test_depth_writers_use_the_table_curves(tmp_path):
+    qs = (F(1, 4), F(3, 4))
+    records = run_grid(ExperimentGrid(
+        network_size=30, m_values=(2, 3), alpha_values=(F(0), F(1)),
+        networks_per_m=1, sets_per_size=2, set_sizes=(3, 12, 24),
+        q_grid=qs, master_seed=4))
+    table = average_thresholds(records, qs)
+    write_depth_curves_csv(table, tmp_path / "curves.csv")
+    write_inverse_depth_table_csv(table, tmp_path / "inverse.csv")
+    with open(tmp_path / "curves.csv") as fh:
+        curve_rows = list(csv.reader(fh))[1:]
+    with open(tmp_path / "inverse.csv") as fh:
+        inverse_rows = list(csv.reader(fh))[1:]
+    want_curves, want_inverse = [], []
+    for q in qs:
+        for m, alpha in [(2, F(0)), (2, F(1)), (3, F(0)), (3, F(1))]:
+            curve = depth_curve([r for r in records if (r.m, r.alpha) == (m, alpha)], q)
+            want_curves += [[str(m), rational_str(alpha), rational_str(q),
+                             str(int(frac * 30)), decimal_render(frac, 3),
+                             decimal_render(mean)] for frac, mean in curve.items()]
+            fracs = [inverse_depth(curve, F(t, 10)) for t in range(1, 11)]
+            want_inverse.append([str(m), rational_str(q), rational_str(alpha)] + [
+                "unreachable" if f is None else decimal_render(f, 3) for f in fracs])
+    assert curve_rows == want_curves
+    assert inverse_rows == want_inverse
 
 
 def test_depth_curve_q_zero_all_ones():
