@@ -157,13 +157,16 @@ class DepthFunction:
 
 def depth_at(df: DepthFunction, q) -> Fraction:
     """Evaluate the depth step function, honoring (q_{n+1}, q_n] intervals."""
-    q = as_unit_rational(q, "q")
+    return Fraction(_reached(df, as_unit_rational(q, "q")), df.node_count)
+
+
+def _reached(df: DepthFunction, q: Fraction) -> int:
+    """Players reached at a validated q: the numerator of ``depth_at``."""
     if q <= df.q_star:
-        return Fraction(1)
+        return df.node_count
     # q is in some (q_{n+1}, q_n]; locate q_n as the smallest breakpoint >= q.
     j = bisect_left(df._ascending, q)
-    n = len(df.breakpoints) - 1 - j
-    return Fraction(df.interval_sizes[n], df.node_count)
+    return df.interval_sizes[len(df.breakpoints) - 1 - j]
 
 
 def _check_start_incentive(cfg: GameConfig, start: PlayerSet, q: Fraction):

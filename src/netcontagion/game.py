@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     ConnectivityError,
     InvariantViolationError,
@@ -76,13 +78,15 @@ class InfluenceWeights:
     @classmethod
     def unit(cls, network: Network) -> "InfluenceWeights":
         """Uniform unit weights: w[i][j] = 1, so w_i = d_i."""
-        for i, nbrs in enumerate(network.adjacency):
-            if not nbrs:
-                raise ParameterError(f"node {i} is isolated, so w_{i} would be 0")
+        degrees = np.diff(network.csr[0]).tolist()
+        if 0 in degrees:
+            i = degrees.index(0)
+            raise ParameterError(f"node {i} is isolated, so w_{i} would be 0")
         one = Fraction(1)
+        row_sum = {d: Fraction(d) for d in set(degrees)}
         self = cls.__new__(cls)
-        self._rows = tuple({j: one for j in nbrs} for nbrs in network.adjacency)
-        self._row_sums = tuple(Fraction(len(nbrs)) for nbrs in network.adjacency)
+        self._rows = tuple(dict.fromkeys(nbrs, one) for nbrs in network.adjacency)
+        self._row_sums = tuple(map(row_sum.__getitem__, degrees))
         self.is_unit = True
         self.node_count = network.node_count
         return self

@@ -1,5 +1,11 @@
 """Undirected simple graphs: representation, scale-free generation, and I/O.
 
+A :class:`Network` keeps its neighbour lists as tuples and, next to them,
+the CSR arrays ``(indptr, indices)`` that its one vectorized validation
+builds.  :meth:`Network.from_edges` and :func:`load_edge_list` work on numpy
+arrays of endpoints too, so building a graph costs a few array passes, not a
+Python loop per edge.
+
 Randomness convention: every generator in this package draws from
 ``numpy.random.Generator(numpy.random.PCG64(seed))`` and uses only
 ``Generator.integers``, so a seed pins the produced graph bit-for-bit.
@@ -7,61 +13,125 @@ Randomness convention: every generator in this package draws from
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EdgeListParseError, ParameterError
 
+# Largest node count whose packed edge keys ``u * n + v`` fit in int64.
+_MAX_NODES = math.isqrt(2**63 - 1)
+# The line boundaries of ``str.splitlines``; ``\r\n`` is ``\r`` then ``\n``.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(f"#[^{_LINE_BREAKS}]*")
+
+
+def _flat_ints(rows: Iterable[Iterable[int]], count: int) -> np.ndarray:
+    """The integers of ``rows``, flattened into int64.
+
+    An integer beyond int64 keeps the whole array as Python ints (object);
+    no valid node id is that large, so only an error message reads them.
+    """
+    try:
+        return np.fromiter(map(operator.index, chain.from_iterable(rows)),
+                           dtype=np.int64, count=count)
+    except OverflowError:
+        return np.fromiter(map(operator.index, chain.from_iterable(rows)),
+                           dtype=object, count=count)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
 
 @dataclass(frozen=True)
 class Network:
     """Immutable undirected simple graph over nodes ``0..node_count-1``.
 
-    ``adjacency[i]`` is the sorted tuple of neighbors of node ``i``;
-    symmetry, absence of self-loops, and absence of duplicates are enforced
-    at construction.
+    ``adjacency[i]`` is the sorted tuple of neighbors of node ``i``.
+    Construction validates it in one vectorized pass: every row is sorted
+    and unique, no node is its own neighbor, every neighbor is in range,
+    and every edge appears in both rows.  That pass builds ``csr``, the
+    read-only ``(indptr, indices)`` arrays of the same lists, which the
+    engines traverse.
     """
 
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
     meta: dict = field(default_factory=dict, compare=False, repr=False)
+    csr: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.node_count
         if n < 1:
             raise ParameterError(f"node_count must be positive; got {n}")
+        if n > _MAX_NODES:
+            raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {n}")
         if len(self.adjacency) != n:
             raise ParameterError("adjacency length must equal node_count")
-        seen = set()
-        for i, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
+        degree = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        indices = _flat_ints(self.adjacency, int(indptr[-1]))
+        row = np.repeat(np.arange(n), degree)
+        # Checked node by node as the lists read: a row out of order is
+        # reported at its first slot, before any bad neighbor in it.
+        steps_down = 1 + np.flatnonzero((np.diff(indices) <= 0) & (row[1:] == row[:-1]))
+        unordered = np.zeros(len(indices), dtype=bool)
+        unordered[indptr[row[steps_down]]] = True
+        bad = _first(unordered | (indices == row) | (indices < 0) | (indices >= n))
+        if bad is not None:
+            i, j = int(row[bad]), int(indices[bad])
+            if unordered[bad]:
                 raise ParameterError(f"neighbor list of {i} is not sorted/unique")
-            for j in nbrs:
-                if j == i:
-                    raise ParameterError(f"self-loop at node {i}")
-                if not 0 <= j < n:
-                    raise ParameterError(f"neighbor {j} of node {i} out of range")
-                seen.add((min(i, j), max(i, j)))
-        for u, v in seen:
-            if u not in self.adjacency[v] or v not in self.adjacency[u]:
-                raise ParameterError(f"edge {u}-{v} is not symmetric")
+            if j == i:
+                raise ParameterError(f"self-loop at node {i}")
+            raise ParameterError(f"neighbor {j} of node {i} out of range")
+        # Rows sorted, unique and in range make the packed keys i*n + j of
+        # the CSR strictly increasing; the graph is symmetric iff they equal
+        # the sorted keys j*n + i of the mirrored pairs.  At the first
+        # difference, the smaller key is a pair without its mirror.
+        key = row * n + indices
+        mirrored = np.sort(indices * n + row)
+        at = _first(mirrored != key)
+        if at is not None:
+            u, v = sorted(divmod(min(int(key[at]), int(mirrored[at])), n))
+            raise ParameterError(f"edge {u}-{v} is not symmetric")
+        indptr.flags.writeable = indices.flags.writeable = False
+        object.__setattr__(self, "csr", (indptr, indices))
 
     @classmethod
-    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]],
+    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                    meta: dict | None = None) -> "Network":
-        adj: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in edges:
-            if u == v:
-                raise ParameterError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ParameterError(f"edge {u}-{v} out of range")
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(node_count, tuple(tuple(sorted(s)) for s in adj),
+        """The network on ``node_count`` nodes with the given undirected edges.
+
+        ``edges`` is an iterable of ``(u, v)`` pairs or an ``(E, 2)`` integer
+        array; repeated and reversed pairs collapse into one edge.
+        """
+        ends = _endpoints(edges)
+        u, v = ends[:, 0], ends[:, 1]
+        bad = _first((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= node_count))
+        if bad is not None:
+            a, b = ends[bad].tolist()
+            raise ParameterError(f"self-loop at node {a}" if a == b
+                                 else f"edge {a}-{b} out of range")
+        if node_count > _MAX_NODES:
+            raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {node_count}")
+        n = node_count
+        key = np.sort(np.concatenate([u * n + v, v * n + u]))
+        rows, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+        # One int object per node, shared by every row that lists it.
+        flat = np.arange(n).astype(object)[indices].tolist()
+        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        return cls(n, tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
                    meta or {})
 
     def neighbors(self, i: int) -> tuple[int, ...]:
@@ -72,18 +142,18 @@ class Network:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+        return tuple(np.diff(self.csr[0]).tolist())
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.csr[1]) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, lexicographically."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        indptr, indices = self.csr
+        row = np.repeat(np.arange(self.node_count), np.diff(indptr))
+        upper = row < indices
+        return zip(row[upper].tolist(), indices[upper].tolist())
 
     @cached_property
     def _connected(self) -> bool:
@@ -101,16 +171,17 @@ class Network:
                     queue.append(v)
         return count == n
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) arrays for vectorized traversal."""
-        degs = np.fromiter((len(a) for a in self.adjacency), dtype=np.int64,
-                           count=self.node_count)
-        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        flat = [j for nbrs in self.adjacency for j in nbrs]
-        indices = np.asarray(flat, dtype=np.int64)
-        return indptr, indices
+
+def _endpoints(edges) -> np.ndarray:
+    """``edges`` as an ``(E, 2)`` array of endpoints."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind == "i":
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ParameterError(f"an edge array must have shape (E, 2); got {edges.shape}")
+        return edges.astype(np.int64, copy=False)
+    pairs = list(edges)
+    if set(map(len, pairs)) - {2}:
+        raise ParameterError("every edge must be a (u, v) pair")
+    return _flat_ints(pairs, 2 * len(pairs)).reshape(-1, 2)
 
 
 def generate_ba(n: int, m: int, seed: int) -> Network:
@@ -167,32 +238,52 @@ def load_edge_list(text: str) -> Network:
 
     Lines hold whitespace-separated ``u v`` integer pairs; blank lines and
     ``#`` comments are ignored.  Nodes are ``0..max_index``; duplicate edges
-    collapse; self-loops, negative indices, and non-integer tokens raise
+    collapse; self-loops, negative indices, indices that no network can
+    hold (see ``_MAX_NODES``) and non-integer tokens raise
     :class:`EdgeListParseError` with the 1-based line number.
+
+    The whole document is tokenized at once and its tokens parsed with
+    ``int`` into one array.  Only a document found bad is scanned line by
+    line, to word the error.
     """
-    edges: set[tuple[int, int]] = set()
-    max_index = -1
+    body = _COMMENT.sub("", text)
+    if not set(map(len, map(str.split, body.splitlines()))) <= {0, 2}:
+        raise _first_error(text)
+    tokens = body.split()
+    try:
+        ends = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+    except (ValueError, OverflowError):
+        raise _first_error(text) from None
+    del tokens
+    ends = ends.reshape(-1, 2)
+    if (not len(ends) or (ends < 0).any() or ends.max() >= _MAX_NODES
+            or (ends[:, 0] == ends[:, 1]).any()):
+        raise _first_error(text)
+    return Network.from_edges(int(ends.max()) + 1, ends)
+
+
+def _first_error(text: str) -> EdgeListParseError:
+    """The error of the first bad line of a document ``load_edge_list`` rejected."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise EdgeListParseError(
+            return EdgeListParseError(
                 f"expected two tokens, got {len(tokens)}: {raw!r}", lineno)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise EdgeListParseError(f"non-integer token in {raw!r}", lineno)
+            return EdgeListParseError(f"non-integer token in {raw!r}", lineno)
         if u < 0 or v < 0:
-            raise EdgeListParseError(f"negative node index in {raw!r}", lineno)
+            return EdgeListParseError(f"negative node index in {raw!r}", lineno)
+        if max(u, v) >= _MAX_NODES:
+            return EdgeListParseError(
+                f"node index above {_MAX_NODES - 1} in {raw!r}", lineno)
         if u == v:
-            raise EdgeListParseError(f"self-loop {u}-{v}", lineno)
-        edges.add((min(u, v), max(u, v)))
-        max_index = max(max_index, u, v)
-    if max_index < 0:
-        raise EdgeListParseError("document contains no edges", 1)
-    return Network.from_edges(max_index + 1, edges)
+            return EdgeListParseError(f"self-loop {u}-{v}", lineno)
+    return EdgeListParseError("document contains no edges", 1)
 
 
 def dump_edge_list(net: Network, header: bool = False) -> str:

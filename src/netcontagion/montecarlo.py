@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .contagion import DepthFunction, _staged_search, depth_at
+from .contagion import DepthFunction, _reached, _staged_search
 from .errors import ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
 from .graphs import generate_ba
@@ -276,12 +276,18 @@ def depth_curve(records: Sequence[RunRecord], q) -> dict[Fraction, Fraction]:
     q = as_unit_rational(q, "q")
     if not records:
         raise ParameterError("no records")
-    sums: dict[Fraction, list] = {}
+    # Each depth is reached/node_count: sum the integer numerators per
+    # network size, and divide once.
+    sums: dict[tuple[Fraction, int], list[int]] = {}
     for rec in records:
-        cell = sums.setdefault(rec.size_fraction, [Fraction(0), 0])
-        cell[0] += depth_at(rec.depth, q)
+        cell = sums.setdefault((rec.size_fraction, rec.depth.node_count), [0, 0])
+        cell[0] += _reached(rec.depth, q)
         cell[1] += 1
-    return {frac: total / count for frac, (total, count) in sorted(sums.items())}
+    curve: dict[Fraction, tuple[Fraction, int]] = {}
+    for (frac, nodes), (reached, count) in sorted(sums.items()):
+        total, seen = curve.get(frac, (Fraction(0), 0))
+        curve[frac] = (total + Fraction(reached, nodes), seen + count)
+    return {frac: total / count for frac, (total, count) in curve.items()}
 
 
 def _isotonic(values: list[Fraction]) -> list[Fraction]:

@@ -261,6 +261,18 @@ def test_weights_validation():
     assert not asym.is_unit
 
 
+def test_unit_weights_equal_the_general_constructor():
+    net = generate_ba(200, 3, 9)
+    unit = InfluenceWeights.unit(net)
+    general = InfluenceWeights(net, [{j: 1 for j in nbrs} for nbrs in net.adjacency])
+    assert unit == general and unit.is_unit and general.is_unit
+    assert all(unit.row(i) == general.row(i) and list(unit.row(i)) == list(net.adjacency[i])
+               and unit.row_sum(i) == general.row_sum(i) == net.degree(i)
+               and type(unit.row_sum(i)) is F for i in range(net.node_count))
+    with pytest.raises(ParameterError, match="node 2 is isolated"):
+        InfluenceWeights.unit(Network.from_edges(4, [(0, 1), (1, 3)]))
+
+
 def test_unidirectional_zero_weight_allowed():
     # Node 1 ignores node 0 entirely while 0 still listens to 1.
     net = load_edge_list("0 1\n1 2")

@@ -1,7 +1,11 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from netcontagion.errors import EdgeListParseError, ParameterError
 from netcontagion.graphs import (
+    _LINE_BREAKS,
     Network,
     dump_edge_list,
     generate_ba,
@@ -113,3 +117,314 @@ def test_network_validation():
         Network.from_edges(2, [(0, 5)])
     with pytest.raises(ParameterError):
         Network(0, ())
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: the graph layer as it was written before it moved to numpy
+# arrays, kept here to check the vectorized code against.
+
+
+def reference_validate(n, adjacency):
+    """Raise ParameterError as the per-node loop validation did (edges sorted)."""
+    if n < 1:
+        raise ParameterError(f"node_count must be positive; got {n}")
+    if len(adjacency) != n:
+        raise ParameterError("adjacency length must equal node_count")
+    seen = set()
+    for i, nbrs in enumerate(adjacency):
+        if list(nbrs) != sorted(set(nbrs)):
+            raise ParameterError(f"neighbor list of {i} is not sorted/unique")
+        for j in nbrs:
+            if j == i:
+                raise ParameterError(f"self-loop at node {i}")
+            if not 0 <= j < n:
+                raise ParameterError(f"neighbor {j} of node {i} out of range")
+            seen.add((min(i, j), max(i, j)))
+    for u, v in sorted(seen):
+        if u not in adjacency[v] or v not in adjacency[u]:
+            raise ParameterError(f"edge {u}-{v} is not symmetric")
+
+
+def reference_from_edges(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise ParameterError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParameterError(f"edge {u}-{v} out of range")
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def reference_load(text):
+    """(node_count, adjacency) of a document, or the per-line loop's error."""
+    edges = set()
+    max_index = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(
+                f"expected two tokens, got {len(tokens)}: {raw!r}", lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(f"non-integer token in {raw!r}", lineno)
+        if u < 0 or v < 0:
+            raise EdgeListParseError(f"negative node index in {raw!r}", lineno)
+        if u == v:
+            raise EdgeListParseError(f"self-loop {u}-{v}", lineno)
+        edges.add((min(u, v), max(u, v)))
+        max_index = max(max_index, u, v)
+    if max_index < 0:
+        raise EdgeListParseError("document contains no edges", 1)
+    return max_index + 1, reference_from_edges(max_index + 1, edges)
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (EdgeListParseError, ParameterError) as err:
+        return type(err), getattr(err, "line", None), str(err)
+    if isinstance(result, Network):
+        return result.node_count, result.adjacency
+    return result
+
+
+SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", "　"]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0c", " "]
+BAD_LINES = ["7", "1 2 3", "x 1", "1.5 2", "1 -2", "4 4", "1 2 3 # three", "0x1 2"]
+
+
+def random_token(rng, value):
+    style = rng.integers(0, 6)
+    if style == 1:
+        return f"+{value}"
+    if style == 2:
+        return f"00{value}"
+    if style == 3 and value >= 1000:
+        return f"{value:_}"
+    if style == 4 and value < 10:
+        return "٠١٢٣٤٥٦٧٨٩"[value]  # Arabic-Indic digits parse as int() does
+    return str(value)
+
+
+def random_document(rng):
+    n = int(rng.integers(2, 30))
+    lines = []
+    for _ in range(int(rng.integers(0, 25))):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append("")
+        elif kind < 0.2:
+            lines.append(f"# comment {int(rng.integers(0, 99))} 1 2 3")
+        elif kind < 0.25:
+            lines.append(" \t ")
+        else:
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            if rng.random() < 0.05:  # an isolated run of high indices
+                u, v = u + 1000, v + 1000
+            sep = SEPARATORS[int(rng.integers(0, len(SEPARATORS)))]
+            line = f"{random_token(rng, u)}{sep}{random_token(rng, v)}"
+            if rng.random() < 0.2:
+                line = f"{sep}{line}{sep}# trailing note"
+            lines.append(line)
+            if rng.random() < 0.1:
+                lines.append(f"{v} {u}")  # the same edge reversed
+    if lines and rng.random() < 0.35:
+        lines.insert(int(rng.integers(0, len(lines) + 1)),
+                     BAD_LINES[int(rng.integers(0, len(BAD_LINES)))])
+    return "".join(line + LINE_ENDS[int(rng.integers(0, len(LINE_ENDS)))]
+                   for line in lines)
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_load_matches_reference_loop(chunk):
+    rng = np.random.default_rng([2026, chunk])
+    for _ in range(25):
+        text = random_document(rng)
+        assert outcome(load_edge_list, text) == outcome(reference_load, text), repr(text)
+
+
+def test_random_documents_cover_both_outcomes():
+    rng = np.random.default_rng([2026, 0])
+    kinds = [outcome(reference_load, random_document(rng))[0] for _ in range(25)]
+    assert EdgeListParseError in kinds and any(isinstance(k, int) for k in kinds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_network_validation_matches_reference_loop(seed):
+    rng = np.random.default_rng([7, seed])
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        adj = [list(row) for row in reference_from_edges(
+            n, [tuple(rng.choice(n, 2, replace=False)) for _ in range(n)] if n > 1 else [])]
+        for _ in range(int(rng.integers(0, 3))):
+            i = int(rng.integers(0, n))
+            edit = int(rng.integers(0, 5))
+            if edit == 0 and len(adj[i]) > 1:
+                adj[i].reverse()
+            elif edit == 1:
+                adj[i].append(adj[i][-1] if adj[i] else i)
+            elif edit == 2 and adj[i]:
+                adj[i].pop(int(rng.integers(0, len(adj[i]))))
+            elif edit == 3:
+                adj[i] = sorted(adj[i] + [int(rng.choice([-1, n, n + 3]))])
+            else:
+                adj[i] = sorted(set(adj[i]) | {int(rng.integers(0, n))})
+        adjacency = tuple(tuple(row) for row in adj)
+        want = outcome(reference_validate, n, adjacency)
+        got = outcome(Network, n, adjacency)
+        assert got == (want if want is not None else (n, adjacency)), adjacency
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_edges_matches_reference_loop(seed):
+    rng = np.random.default_rng([11, seed])
+    for _ in range(50):
+        n = int(rng.integers(1, 15))
+        edges = [tuple(int(x) for x in rng.integers(-1, n + 1, size=2))
+                 for _ in range(int(rng.integers(0, 20)))]
+        if rng.random() < 0.7:  # mostly valid lists
+            edges = [(u, v) for u, v in edges if u != v and 0 <= min(u, v) and max(u, v) < n]
+        want = outcome(reference_from_edges, n, edges)
+        if not isinstance(want[0], type):
+            want = (n, want)
+        assert outcome(Network.from_edges, n, edges) == want, edges
+        assert outcome(Network.from_edges, n, np.array(edges, dtype=np.int64).reshape(-1, 2)) == want
+
+
+def test_generate_ba_pinned_digest():
+    # Recorded from the per-edge loop implementation of the graph layer.
+    text = dump_edge_list(generate_ba(1000, 5, 42))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a3b3e48db6499de3659839dea37deba1d5fc2796aab8cae3886baddf76cf1640")
+
+
+def test_round_trip_30k_nodes():
+    net = generate_ba(30000, 5, 3)
+    again = load_edge_list(dump_edge_list(net, header=True))
+    assert again == net
+    assert again.edge_count == net.edge_count == 5 * (30000 - 5) + 10
+    for a, b in zip(again.csr, net.csr):
+        assert np.array_equal(a, b)
+
+
+def test_csr_matches_adjacency_and_is_read_only():
+    net = load_edge_list("0 3\n3 1\n1 2\n2 3\n5 4")
+    indptr, indices = net.csr
+    assert indptr.tolist() == [0, 1, 3, 5, 8, 9, 10]
+    assert indices.tolist() == [3, 2, 3, 1, 3, 0, 1, 2, 5, 4]
+    with pytest.raises(ValueError):
+        indices[0] = 1
+    assert net.degrees == (1, 2, 2, 3, 1, 1)
+    assert list(net.edges()) == [(0, 3), (1, 2), (1, 3), (2, 3), (4, 5)]
+
+
+@pytest.mark.parametrize("adjacency, n, message", [
+    (((2, 1), (0,), (0,)), 3, "neighbor list of 0 is not sorted/unique"),
+    (((1, 1), (0,)), 2, "neighbor list of 0 is not sorted/unique"),
+    (((1,), (0, 1)), 2, "self-loop at node 1"),
+    (((-1, 1), (0,)), 2, "neighbor -1 of node 0 out of range"),
+    (((1,), (0, 2)), 2, "neighbor 2 of node 1 out of range"),
+    (((1, 2), (0,), ()), 3, "edge 0-2 is not symmetric"),
+    (((1,), (0,)), 3, "adjacency length must equal node_count"),
+    ((), 0, "node_count must be positive"),
+], ids=["unsorted", "duplicate", "self-loop", "minus-one", "equal-to-n",
+        "asymmetric", "wrong-length", "no-nodes"])
+def test_network_rejects(adjacency, n, message):
+    with pytest.raises(ParameterError, match=message):
+        Network(n, adjacency)
+
+
+def test_network_reports_first_offending_node():
+    # Node 1's bad order comes before node 2's self-loop; a later row's
+    # range error does not hide an earlier row's order error.
+    with pytest.raises(ParameterError, match="neighbor list of 1 "):
+        Network(3, ((), (2, 0), (2,)))
+    with pytest.raises(ParameterError, match="neighbor 7 of node 0 out of range"):
+        Network(3, ((7,), (2, 0), ()))
+    with pytest.raises(ParameterError, match="neighbor 99999999999999999999 of node 1"):
+        Network(2, ((), (99999999999999999999,)))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2)], "self-loop at node 2"),
+    ([(0, 1), (1, 3)], "edge 1-3 out of range"),
+    ([(0, 1), (-1, 2)], "edge -1-2 out of range"),
+    ([(0, 1), (0, 2**70)], f"edge 0-{2**70} out of range"),
+], ids=["self-loop", "out-of-range", "negative", "beyond-int64"])
+def test_from_edges_rejects(edges, message):
+    with pytest.raises(ParameterError, match=message):
+        Network.from_edges(3, edges)
+    if max(map(max, edges)) < 2**63:
+        with pytest.raises(ParameterError, match=message):
+            Network.from_edges(3, np.array(edges))
+
+
+def test_from_edges_accepts_arrays_and_rejects_non_pairs():
+    want = Network.from_edges(4, [(0, 1), (2, 1), (1, 0), (3, 2)])
+    for dtype in (np.int64, np.int32, np.int8):
+        assert Network.from_edges(4, np.array([[0, 1], [2, 1], [1, 0], [3, 2]], dtype=dtype)) == want
+    assert Network.from_edges(4, iter([(0, 1), (2, 1), (1, 0), (3, 2)])) == want
+    with pytest.raises(ParameterError):
+        Network.from_edges(4, [(0, 1, 2)])
+    with pytest.raises(ParameterError):
+        Network.from_edges(4, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(TypeError):
+        Network.from_edges(4, [(0, 1.5)])
+
+
+def test_node_count_beyond_packed_keys_is_rejected():
+    from netcontagion.graphs import _MAX_NODES
+
+    assert _MAX_NODES**2 < 2**63 <= (_MAX_NODES + 1)**2
+    with pytest.raises(ParameterError, match="at most"):
+        Network(_MAX_NODES + 1, ())
+    with pytest.raises(ParameterError, match="at most"):
+        Network.from_edges(_MAX_NODES + 1, [(0, 1)])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("5", "expected two tokens, got 1"),
+    ("1 2 3", "expected two tokens, got 3"),
+    ("1 a", "non-integer token"),
+    ("1 -2", "negative node index"),
+    ("3 3", "self-loop 3-3"),
+], ids=["one-token", "three-tokens", "non-integer", "negative", "self-loop"])
+def test_load_error_lines_count_comments_and_blanks(bad, message):
+    text = f"# header\n\n0 1\n{bad}  # note\n1 2\n"
+    with pytest.raises(EdgeListParseError, match=message) as err:
+        load_edge_list(text)
+    assert err.value.line == 4
+    with pytest.raises(EdgeListParseError) as err:
+        load_edge_list(text.replace("\n", "\r\n"))
+    assert err.value.line == 4
+
+
+def test_load_rejects_index_beyond_int64():
+    with pytest.raises(EdgeListParseError, match="node index") as err:
+        load_edge_list("0 1\n0 99999999999999999999")
+    assert err.value.line == 2
+    with pytest.raises(EdgeListParseError) as err:
+        load_edge_list("0 1\n\n9223372036854775807 0\n")
+    assert err.value.line == 3
+
+
+def test_load_rejects_documents_without_edges():
+    for text in ("", "# only a comment\n", "\n \t\n"):
+        with pytest.raises(EdgeListParseError, match="no edges") as err:
+            load_edge_list(text)
+        assert err.value.line == 1
+
+
+def test_comment_stripping_stops_at_every_line_break():
+    breaks = "".join(c for c in map(chr, range(0x110000))
+                     if len(f"a{c}b".splitlines()) == 2)
+    assert set(breaks) == set(_LINE_BREAKS)
+    for brk in breaks:
+        text = f"0 1 # note{brk}1 2"
+        assert load_edge_list(text).degrees == (1, 2, 1)

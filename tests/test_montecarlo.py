@@ -12,6 +12,7 @@ from netcontagion.graphs import generate_ba
 from netcontagion.montecarlo import (
     RUN_CSV_COLUMNS,
     ExperimentGrid,
+    RunRecord,
     average_thresholds,
     depth_curve,
     derive_seed,
@@ -212,6 +213,23 @@ def test_depth_writers_use_the_table_curves(tmp_path):
                 "unreachable" if f is None else decimal_render(f, 3) for f in fracs])
     assert curve_rows == want_curves
     assert inverse_rows == want_inverse
+
+
+def test_depth_curve_sums_exactly_across_network_sizes():
+    # Records of two network sizes share the size fraction 1/10; the curve
+    # is the plain mean of their depth_at values.
+    def record(size, nodes, sizes):
+        df = DepthFunction((F(1), F(1, 2), F(1, 3)), sizes, nodes)
+        return RunRecord(m=2, alpha=F(0), network_id=0, set_size=size, replicate_id=0,
+                         q_star=df.q_star, depth=df, subsets_checked=0, network_size=nodes)
+
+    records = [record(2, 20, (3, 7)), record(3, 30, (5, 11)), record(3, 30, (4, 4)),
+               record(4, 20, (9, 13))]
+    for q in (F(0), F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1)):
+        want = {}
+        for rec in records:
+            want.setdefault(rec.size_fraction, []).append(depth_at(rec.depth, q))
+        assert depth_curve(records, q) == {f: sum(v) / len(v) for f, v in sorted(want.items())}
 
 
 def test_depth_curve_q_zero_all_ones():
