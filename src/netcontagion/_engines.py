@@ -64,6 +64,9 @@ from .graphs import Network
 _log = logging.getLogger(__name__)
 
 _INT64_LIMIT = 2**63
+# CSR slots that one piece of ``ExactEngine._add`` expands at most, which
+# bounds its scratch arrays whatever the batch size.
+_SLOTS = 2**14
 
 # Tables built from immutable inputs, keyed by the identity of those inputs
 # and dropped when any of them is garbage collected.
@@ -167,9 +170,10 @@ class ExactEngine:
     lists the batch rows that still have outsiders, ascending, and ``K``
     their infected counts; a live row's index in ``live`` is its position.
     A flip is the flat id ``position * n + player``.  Positions shift when
-    ``apply`` retires rows, so flips and positions hold until then.  The
-    per-row bookkeeping is in Python lists: batches are small, and one row
-    is the common case.
+    ``apply`` retires rows, so flips and positions hold until then.  A batch
+    may hold a hundred rows or more (the Monte Carlo sweep batches several
+    set sizes), so the per-row bookkeeping is in arrays too, and ``_add`` expands
+    the added players' CSR slots in pieces of at most ``_SLOTS``.
     """
 
     def __init__(self, cfg: GameConfig):
@@ -178,10 +182,11 @@ class ExactEngine:
         self._logged_python_ints = False
 
     def start(self, initials: Sequence[Iterable[int]]) -> list[int]:
-        """One batch row per initial set; return the rows that start full."""
+        """One batch row per initial set (a collection of players, or an
+        int64 array of distinct players); return the rows that start full."""
         t, n, rows = self.tables, self.n, len(initials)
-        self.live = list(range(rows))
-        self.K = [0] * rows
+        self.live = np.arange(rows)
+        self.K = np.zeros(rows, dtype=np.int64)
         self.outside = np.ones((rows, n), dtype=bool)
         # Supports: infected neighbours, or their integer weights.
         self.S = np.zeros((rows, n), dtype=np.int64 if t.in_weights is None
@@ -191,69 +196,92 @@ class ExactEngine:
         self.o = np.zeros((rows, n), dtype=np.int64)
         if t.steps is not None:
             self.ptr = np.tile(t.steps.first, (rows, 1))
+        # flip_candidates' pairs and products, for int64 tables: allocated
+        # once per search, as arrays this large allocated anew on every step
+        # cost more in page faults than in arithmetic.
+        self._work = np.empty((4, rows, n), dtype=np.int64) if t.bound < _INT64_LIMIT else None
         return self._add(np.concatenate([
-            r * n + np.fromiter(initial, dtype=np.int64, count=len(initial))
+            r * n + (initial if isinstance(initial, np.ndarray)
+                     else np.fromiter(initial, dtype=np.int64, count=len(initial)))
             for r, initial in enumerate(initials)]))
 
     def uninfected_count(self) -> int:
         """Outsiders summed over the live rows."""
-        return self.n * len(self.K) - sum(self.K)
+        return int(self.n * len(self.K) - self.K.sum())
 
     def infected_set(self, row: int = 0) -> frozenset[int]:
-        if row not in self.live:  # retired rows are full
+        at = np.flatnonzero(self.live == row)
+        if not len(at):  # retired rows are full
             return frozenset(range(self.n))
-        return frozenset(np.flatnonzero(~self.outside[self.live.index(row)]).tolist())
+        return frozenset(np.flatnonzero(~self.outside[at[0]]).tolist())
 
     def _add(self, flips: np.ndarray) -> list[int]:
         """Infect the flat ids; return the batch rows this filled, now retired."""
         t, n = self.tables, self.n
         self._evaluated = None
         if len(self.K) == 1:  # one live row: the flat ids are its players
-            players, added = flips, len(flips)
-            self.K[0] += added
+            players, base, added = flips, None, len(flips)
         else:
             pos, players = np.divmod(flips, n)
-            added = np.bincount(pos, minlength=len(self.K))
-            self.K = [k + a for k, a in zip(self.K, added.tolist())]
-            added = added[:, None]
+            base, added = flips - players, np.bincount(pos, minlength=len(self.K))
+        self.K += added
         self.outside.reshape(-1)[flips] = False
-        # CSR slots of every neighbour of every added player, and the flat
-        # state index of that neighbour in the player's row.
+        self.o += added if base is None else added[:, None]
+        S, o = self.S.reshape(-1), self.o.reshape(-1)
+        # The CSR slots of the added players' neighbours, in pieces of at
+        # most _SLOTS; the updates are sums, so pieces may go in any order.
         starts, lens = t.indptr[players], t.degree[players]
-        slots = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-        targets = t.indices[slots]
-        if len(self.K) > 1:
-            targets += np.repeat(flips - players, lens)
-        gained = np.bincount(targets, minlength=self.S.size).reshape(self.S.shape)
-        if t.in_weights is None:
-            self.S += gained
-        else:
-            np.add.at(self.S.reshape(-1), targets, t.in_weights[slots])
-        self.o += added
-        self.o -= gained
+        ends = np.cumsum(lens)
+        begins = ends - lens
+        total = int(ends[-1]) if len(ends) else 0
+        for lo in range(0, total, _SLOTS):
+            hi = min(lo + _SLOTS, total)
+            if hi - lo == total:
+                a, b, counts = 0, len(players), lens
+            else:  # the players whose slots overlap [lo, hi), clipped to it
+                a, b = np.searchsorted(ends, lo, "right"), np.searchsorted(begins, hi)
+                counts = np.minimum(ends[a:b], hi) - np.maximum(begins[a:b], lo)
+            slots = np.repeat(starts[a:b] - begins[a:b], counts) + np.arange(lo, hi)
+            # Each neighbour's index in the window of state rows the piece
+            # touches: flips come row by row, so rows first..last.
+            targets, window = t.indices[slots], slice(0, n)
+            if base is not None:
+                first, last = int(base[a]), int(base[b - 1])
+                targets += np.repeat(base[a:b] - first, counts)
+                window = slice(first, last + n)
+            gained = np.bincount(targets, minlength=window.stop - window.start)
+            if t.in_weights is None:
+                S[window] += gained
+            else:
+                np.add.at(S[window], targets, t.in_weights[slots])
+            o[window] -= gained
         if t.steps is not None:
             while True:
                 move = t.steps.thresholds[self.ptr + 1] <= self.o
                 if not move.any():
                     break
                 self.ptr += move
-        return self._retire() if n in self.K else []
+        return self._retire() if (self.K == n).any() else []
 
     def _retire(self) -> list[int]:
         """Drop the full rows, so later waves do not scan them."""
-        keep = [k < self.n for k in self.K]
-        filled = [r for r, kept in zip(self.live, keep) if not kept]
-        self.live = [r for r, kept in zip(self.live, keep) if kept]
-        self.K = [k for k, kept in zip(self.K, keep) if kept]
+        keep = self.K < self.n
+        filled = self.live[~keep].tolist()
+        self.live, self.K = self.live[keep], self.K[keep]
         self.outside, self.S, self.o = self.outside[keep], self.S[keep], self.o[keep]
         if self.tables.steps is not None:
             self.ptr = self.ptr[keep]
         return filled
 
-    def _pairs(self, pos=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    def _pairs(self, pos=slice(None), out=None) -> tuple[np.ndarray, np.ndarray]:
         t = self.tables
         g = self.o[pos] if t.steps is None else t.steps.values[self.ptr[pos]]
-        return t.M * self.S[pos], t.MW - t.a * g
+        if out is None:
+            return t.M * self.S[pos], t.MW - t.a * g
+        num, den = out
+        np.multiply(t.M, self.S[pos], out=num)
+        np.subtract(t.MW, np.multiply(t.a, g, out=den), out=den)
+        return num, den
 
     def _python_ints(self, *arrays: np.ndarray) -> list[np.ndarray]:
         if not self._logged_python_ints:
@@ -262,22 +290,41 @@ class ExactEngine:
                        self.tables.bound, self.n)
         return [arr.astype(object) for arr in arrays]
 
-    def flip_candidates(self, q: Sequence[Fraction]) -> np.ndarray:
-        """Flat ids of the outsiders that deviate, at ``q[row]`` in each live row."""
-        pairs = [(q[r].numerator, q[r].denominator) for r in self.live]
-        num, den = self._evaluated = self._pairs()
-        python_ints = max(map(max, pairs), default=0) * self.tables.bound >= _INT64_LIMIT
+    def flip_candidates(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
+        """Flat ids of the outsiders that deviate, at ``q[row]`` in each live row.
+
+        ``q`` holds a Fraction per batch row, or is the ``(rows, 2)`` object
+        array of their numerators and denominators, which a caller that
+        evaluates many rows keeps to skip the per-row conversion.
+        """
+        rows = len(self.live)
+        if rows == 1:  # plain ints: array calls would cost more than the row
+            row = q[self.live[0]]
+            qn, qd = row.as_integer_ratio() if isinstance(row, Fraction) else map(int, row)
+            top = max(qn, qd)
+        else:
+            qs = q[self.live] if isinstance(q, np.ndarray) else np.array(
+                [(q[r].numerator, q[r].denominator) for r in self.live], dtype=object)
+            qs = qs.reshape(-1, 2)
+            top = qs.max(initial=0)
+        # Tables beyond int64 (no work arrays) make every call Python ints.
+        work = None if self._work is None else self._work[:, :rows]
+        python_ints = work is None or top * self.tables.bound >= _INT64_LIMIT
+        num, den = self._evaluated = self._pairs(out=None if work is None else work[:2])
+        if rows != 1:
+            qs = qs if python_ints else qs.astype(np.int64)
+            qn, qd = qs[:, :1], qs[:, 1:]
         if python_ints:
             num, den = self._python_ints(num, den)
-        if len(pairs) == 1:
-            qn, qd = pairs[0]
+            lhs, rhs = num * qd, qn * den
         else:
-            qs = np.array(pairs, dtype=object if python_ints else np.int64).reshape(-1, 2)
-            qn, qd = qs[:, :1], qs[:, 1:]
-        return np.flatnonzero((num * qd >= qn * den) & self.outside)
+            lhs = np.multiply(num, qd, out=work[2])
+            rhs = np.multiply(den, qn, out=work[3])
+        return np.flatnonzero((lhs >= rhs) & self.outside)
 
     def apply(self, flips: np.ndarray) -> list[int]:
-        """Infect the flips; return the batch rows they filled."""
+        """Infect the flips, row by row as ``flip_candidates`` gives them;
+        return the batch rows they filled."""
         return self._add(np.asarray(flips, dtype=np.int64))
 
     def max_threshold(self, positions: Sequence[int]) -> list[tuple[Fraction, int]]:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ._engines import ExactEngine
 from .errors import (
     InvariantViolationError,
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .game import GameConfig, PlayerSet, _deviates
 from .graphs import Network
-from .rational import as_unit_rational, decimal_render, rational_str
+from .rational import as_unit_rational, rational_json, rational_str
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,7 @@ class ThresholdStage:
 
     def to_dict(self, include_members: bool = False) -> dict:
         out = {
-            "q": {"num": self.q.numerator, "den": self.q.denominator,
-                  "decimal": decimal_render(self.q)},
+            "q": rational_json(self.q),
             "equilibrium_size": self.size,
         }
         if include_members and self.members is not None:
@@ -106,9 +107,7 @@ class ThresholdResult:
 
     def to_dict(self, include_members: bool = False) -> dict:
         return {
-            "q_star": {"num": self.q_star.numerator,
-                       "den": self.q_star.denominator,
-                       "decimal": decimal_render(self.q_star)},
+            "q_star": rational_json(self.q_star),
             "stages": [st.to_dict(include_members) for st in self.stages],
             "subsets_checked": self.subsets_checked,
             "marginal_players": list(self.marginal_players),
@@ -219,7 +218,7 @@ def full_contagion_threshold(cfg: GameConfig, start: Iterable[int], *,
     return _staged_search(cfg, [start | cfg.infected], collect_members)[0]
 
 
-def _staged_search(cfg: GameConfig, initials: Sequence[PlayerSet],
+def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
                    collect_members: bool) -> list[ThresholdResult]:
     """The staged search from every initial set at once, one engine row each.
 
@@ -233,6 +232,7 @@ def _staged_search(cfg: GameConfig, initials: Sequence[PlayerSet],
     engine = ExactEngine(cfg)
     filled = engine.start(initials)
     q = [Fraction(1)] * rows
+    pairs = np.ones((rows, 2), dtype=object)  # (numerator, denominator) of q
     stages: list[list[ThresholdStage]] = [[] for _ in range(rows)]
     marginals: list[list[int]] = [[] for _ in range(rows)]
     # Every live row is evaluated once per step, so a row has been
@@ -245,27 +245,30 @@ def _staged_search(cfg: GameConfig, initials: Sequence[PlayerSet],
             stages[r].append(ThresholdStage(q=q[r], size=n, members=full))
             evaluations[r] = steps
         live = engine.live
-        if not live:
+        if not len(live):
             break
-        flips = engine.flip_candidates(q)
+        flips = engine.flip_candidates(pairs)
         steps += 1
         # Positions of the rows without flips; a lone row owns every flip.
         if len(live) == 1:
             ended = [] if len(flips) else [0]
         else:
-            moving = set((flips // n).tolist())
-            ended = [p for p in range(len(live)) if p not in moving]
+            moving = np.zeros(len(live), dtype=bool)
+            moving[flips // n] = True
+            ended = np.flatnonzero(~moving).tolist()
         if ended:
-            for p, (threshold, marginal) in zip(ended, engine.max_threshold(ended)):
-                r = live[p]
+            for r, size, (threshold, marginal) in zip(
+                    live[ended].tolist(), engine.K[ended].tolist(),
+                    engine.max_threshold(ended)):
                 stages[r].append(ThresholdStage(
-                    q=q[r], size=engine.K[p],
+                    q=q[r], size=size,
                     members=engine.infected_set(r) if collect_members else None))
                 if not threshold < q[r]:
                     raise InvariantViolationError(
                         f"stage threshold {threshold} did not decrease below {q[r]}")
                 marginals[r].append(marginal)
                 q[r] = threshold
+                pairs[r] = threshold.numerator, threshold.denominator
         filled = engine.apply(flips) if len(flips) else []
     # Each resumed stage re-examines the set whose evaluation ended the
     # previous stage; it is counted once, not twice.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -157,19 +156,25 @@ class Network:
 
     @cached_property
     def _connected(self) -> bool:
-        n = self.node_count
-        seen = bytearray(n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        return count == n
+        # Breadth-first from node 0, one array gather per level: the CSR
+        # slots of the frontier's lists, then their unseen neighbours.
+        indptr, indices = self.csr
+        seen = np.zeros(self.node_count, dtype=bool)
+        seen[0] = True
+        # A node reached several times keeps the one position that its
+        # scattered write in ``slot`` left, whichever write that was.
+        slot = np.empty(self.node_count, dtype=np.int64)
+        frontier = np.zeros(1, dtype=np.int64)
+        while len(frontier):
+            starts, lens = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+            slots = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+            reached = indices[slots]
+            reached = reached[~seen[reached]]
+            order = np.arange(len(reached))
+            slot[reached] = order
+            frontier = reached[slot[reached] == order]
+            seen[frontier] = True
+        return bool(seen.all())
 
 
 def _endpoints(edges) -> np.ndarray:

@@ -7,14 +7,17 @@ exogenously (a uniformly random set almost never sustains itself
 endogenously at q = 1) and run the full threshold search once per
 global-effect intensity, reusing the same draw across intensities.
 
-The searches of one (network, set size, intensity) run as one batch: the
-``sets_per_size`` draws are the rows of a single engine state, advanced
-together by the staged search of ``contagion``, so batch size and memory
-(O(rows * n)) follow from the grid.  One ``GameConfig`` serves each
-(network, intensity) without an infected set.  No per-search config or
-start check is needed: every start is seeded exogenously, so every member
-deviates at q = 1, and the engine sees the seeding only through the union
-of start and infected set, which is the start itself.
+The searches of one network and intensity run in batches of consecutive
+set sizes: every draw of a size group is a row of a single engine state,
+advanced together by the staged search of ``contagion``.  A group holds as
+many whole sizes (at least one) as keep ``rows * network_size`` within
+``_BATCH_ELEMENTS``, which bounds the engine's memory whatever the grid;
+draws, seeds and the record order do not depend on the grouping.  One
+``GameConfig`` serves each (network, intensity) without an infected set.
+No per-search config or start check is needed: every start is seeded
+exogenously, so every member deviates at q = 1, and the engine sees the
+seeding only through the union of start and infected set, which is the
+start itself.
 
 Every random draw flows from ``master_seed`` through a documented split:
 ``sha256("netcontagion:<master>:<field>:...")`` truncated to 64 bits, so
@@ -38,7 +41,12 @@ from .contagion import DepthFunction, _reached, _staged_search
 from .errors import ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
 from .graphs import generate_ba
-from .rational import as_rational, as_unit_rational, decimal_render, rational_str
+from .rational import as_rational, as_unit_rational, decimal_render, rational_json, rational_str
+
+
+# Engine state elements (rows * network size) that one batch of a network
+# task may hold; a set size whose replicates alone exceed it runs alone.
+_BATCH_ELEMENTS = 2**15
 
 
 def derive_seed(master_seed: int, *fields) -> int:
@@ -161,6 +169,14 @@ class RunRecord:
                 self.alpha)
 
 
+def _size_groups(grid: ExperimentGrid) -> list[tuple[int, ...]]:
+    """Consecutive set sizes, each group as many whole sizes (at least one)
+    as keep its ``rows * network_size`` within ``_BATCH_ELEMENTS``."""
+    per_size = grid.sets_per_size * grid.network_size
+    width = max(1, _BATCH_ELEMENTS // per_size)
+    return [grid.set_sizes[i:i + width] for i in range(0, len(grid.set_sizes), width)]
+
+
 def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> list[RunRecord]:
     net = generate_ba(grid.network_size, m,
                       derive_seed(grid.master_seed, "network", m, network_id))
@@ -168,24 +184,32 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> list[Run
     configs = {alpha: GameConfig(network=net, weights=weights,
                                  global_effect=ParametricGlobalEffect(alpha))
                for alpha in grid.alpha_values}
+    reps = grid.sets_per_size
     records: list[RunRecord] = []
-    for set_size in grid.set_sizes:
+    for sizes in _size_groups(grid):
         starts = []
-        for replicate in range(grid.sets_per_size):
-            seed = derive_seed(grid.master_seed, "set", m, network_id,
-                               set_size, replicate)
-            rng = np.random.Generator(np.random.PCG64(seed))
-            starts.append(draw_set(rng, grid.network_size, set_size))
+        for set_size in sizes:
+            for replicate in range(reps):
+                seed = derive_seed(grid.master_seed, "set", m, network_id,
+                                   set_size, replicate)
+                rng = np.random.Generator(np.random.PCG64(seed))
+                # An array holds a drawn set in 4-9x less memory than a frozenset.
+                starts.append(np.fromiter(draw_set(rng, grid.network_size, set_size),
+                                          dtype=np.int64, count=set_size))
+        # Records go out by set size, then intensity, then replicate.
+        batches = []
         for alpha, cfg in configs.items():
             results = _staged_search(cfg, starts, collect_members=False)
-            for replicate, result in enumerate(results):
-                records.append(RunRecord(
-                    m=m, alpha=alpha, network_id=network_id,
-                    set_size=set_size, replicate_id=replicate,
-                    q_star=result.q_star,
-                    depth=DepthFunction.from_threshold(result),
-                    subsets_checked=result.subsets_checked,
-                    network_size=grid.network_size))
+            batches.append([RunRecord(
+                m=m, alpha=alpha, network_id=network_id,
+                set_size=sizes[row // reps], replicate_id=row % reps,
+                q_star=result.q_star,
+                depth=DepthFunction.from_threshold(result),
+                subsets_checked=result.subsets_checked,
+                network_size=grid.network_size) for row, result in enumerate(results)])
+        for k in range(0, len(starts), reps):
+            for batch in batches:
+                records.extend(batch[k:k + reps])
     return records
 
 
@@ -376,9 +400,7 @@ def write_records_jsonl(records: Sequence[RunRecord], path) -> None:
                 "network_id": rec.network_id,
                 "set_size": rec.set_size,
                 "replicate": rec.replicate_id,
-                "q_star": {"num": rec.q_star.numerator,
-                           "den": rec.q_star.denominator,
-                           "decimal": decimal_render(rec.q_star)},
+                "q_star": rational_json(rec.q_star),
                 "subsets_checked": rec.subsets_checked,
                 "network_size": rec.network_size,
                 "depth": rec.depth.to_dict(),

@@ -56,6 +56,11 @@ def decimal_render(value: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
+def rational_json(value: Fraction) -> dict:
+    """JSON form ``{num, den, decimal}``: the exact pair and its rendering."""
+    return {"num": value.numerator, "den": value.denominator, "decimal": decimal_render(value)}
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical ``num/den`` (or bare integer) string form."""
     if value.denominator == 1:

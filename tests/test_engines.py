@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netcontagion import _engines
 from netcontagion._engines import ExactEngine
 from netcontagion.contagion import (
     ThresholdResult,
@@ -458,8 +459,46 @@ def row_axis_game(kind):
     return GameConfig(network=net, weights=weights, global_effect=effect), rows
 
 
-@pytest.mark.parametrize("kind", ["unit", "weighted", "tabular", "python-ints", "beyond-int64"])
+ROW_AXIS_KINDS = ["unit", "weighted", "tabular", "python-ints", "beyond-int64"]
+
+
+@pytest.mark.parametrize("kind", ROW_AXIS_KINDS)
 def test_row_batch_matches_single_rows_and_reference(kind, caplog):
+    check_row_batch(kind, caplog)
+
+
+@pytest.mark.parametrize("slots", [1, 7])
+@pytest.mark.parametrize("kind", ROW_AXIS_KINDS)
+def test_row_batch_in_slot_pieces_matches_reference(kind, slots, caplog, monkeypatch):
+    monkeypatch.setattr(_engines, "_SLOTS", slots)
+    check_row_batch(kind, caplog)
+
+
+def test_start_pieces_span_rows_and_players(monkeypatch):
+    """A start whose slots split inside a hub's list and whose pieces cover
+    several rows builds the state of one unsplit expansion."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    net = generate_ba(40, 2, 8)
+    hub = int(np.argmax(net.degrees))
+    assert net.degree(hub) > 5
+    rows = [frozenset({hub}), frozenset({1, 2}), frozenset(), frozenset({hub, 0, 39}),
+            frozenset(int(i) for i in rng.choice(40, 9, replace=False)), frozenset({7})]
+    for weights in (InfluenceWeights.unit(net), random_weights(rng, net)):
+        cfg = GameConfig(network=net, weights=weights,
+                         global_effect=ParametricGlobalEffect(F(1, 3)))
+        whole = ExactEngine(cfg)
+        whole.start(rows)
+        monkeypatch.setattr(_engines, "_SLOTS", 5)
+        pieces = ExactEngine(cfg)
+        pieces.start(rows)
+        for name in ("K", "outside", "S", "o"):
+            assert np.array_equal(getattr(pieces, name), getattr(whole, name)), name
+        assert _staged_search(cfg, rows, True) == [
+            fraction_search(cfg, row, True) for row in rows]
+        monkeypatch.undo()
+
+
+def check_row_batch(kind, caplog):
     cfg, rows = row_axis_game(kind)
     with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
         for collect_members in (True, False):

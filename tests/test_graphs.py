@@ -1,4 +1,5 @@
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -184,6 +185,18 @@ def reference_load(text):
     return max_index + 1, reference_from_edges(max_index + 1, edges)
 
 
+def reference_connected(adjacency):
+    """The breadth-first loop over neighbour tuples that is_connected ran."""
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for v in adjacency[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(adjacency)
+
+
 def outcome(fn, *args):
     try:
         result = fn(*args)
@@ -279,6 +292,24 @@ def test_network_validation_matches_reference_loop(seed):
         want = outcome(reference_validate, n, adjacency)
         got = outcome(Network, n, adjacency)
         assert got == (want if want is not None else (n, adjacency)), adjacency
+
+
+def test_connectivity_matches_reference_loop():
+    rng = np.random.Generator(np.random.PCG64(21))
+    networks = [Network(1, ((),)), Network(2, ((), ())), Network.from_edges(2, [(0, 1)]),
+                Network.from_edges(5, [(1, 2), (2, 3), (3, 4)]),  # node 0 isolated
+                Network.from_edges(5, [(0, 1), (1, 2), (2, 3)]),  # node 4 isolated
+                generate_ba(300, 1, 4)]
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        # Sparse to dense: from many components down to a single one.
+        count = int(rng.integers(0, 2 * n + 1))
+        pairs = rng.integers(0, n, size=(count, 2))
+        networks.append(Network.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+    answers = [is_connected(net) for net in networks]
+    assert answers == [reference_connected(net.adjacency) for net in networks]
+    assert answers[:6] == [True, False, True, False, False, True]
+    assert 50 < sum(answers) < len(answers) - 50
 
 
 @pytest.mark.parametrize("seed", range(4))

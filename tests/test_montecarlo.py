@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netcontagion import montecarlo
 from netcontagion.contagion import DepthFunction, depth_at, full_contagion_threshold
 from netcontagion.errors import ParameterError
 from netcontagion.game import GameConfig, ParametricGlobalEffect
@@ -13,11 +14,16 @@ from netcontagion.montecarlo import (
     RUN_CSV_COLUMNS,
     ExperimentGrid,
     RunRecord,
+    _run_network_task,
+    _size_groups,
     average_thresholds,
     depth_curve,
     derive_seed,
+    desk_grid,
     draw_set,
+    full_grid,
     inverse_depth,
+    m5_benchmark_grid,
     regularized_curve,
     run_grid,
     singularity_interval,
@@ -58,6 +64,37 @@ def test_run_grid_worker_count_invariant():
         networks_per_m=2, sets_per_size=2, set_sizes=(4, 10),
         q_grid=(F(1, 2),), master_seed=3)
     assert run_grid(grid, workers=1) == run_grid(grid, workers=3)
+
+
+def test_size_batches_match_one_size_per_batch(monkeypatch):
+    grid = ExperimentGrid(
+        network_size=30, m_values=(1, 3), alpha_values=(F(0), F(1, 2), F(1)),
+        networks_per_m=2, sets_per_size=3, set_sizes=(2, 5, 9, 14, 20, 25, 29),
+        q_grid=(F(1, 2),), master_seed=11)
+    per_size = grid.sets_per_size * grid.network_size
+    outcomes = []
+    # One size per batch, uneven groups of three, and every size in one batch.
+    for budget, widths in [(1, [1] * 7), (3 * per_size + 1, [3, 3, 1]),
+                           (10**9, [7])]:
+        monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
+        assert [len(group) for group in _size_groups(grid)] == widths
+        outcomes.append([_run_network_task(grid, m, network_id)
+                         for m in grid.m_values for network_id in range(2)])
+    # Records compare equal field by field: q*, depth, subsets_checked, and
+    # the order (set size, then intensity, then replicate).
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    first = outcomes[0][0]
+    assert [(r.set_size, r.alpha, r.replicate_id) for r in first] == [
+        (size, alpha, rep) for size in grid.set_sizes
+        for alpha in grid.alpha_values for rep in range(3)]
+    assert len({r.q_star for task in outcomes[0] for r in task}) > 5
+
+
+def test_presets_batch_sizes_within_the_element_budget():
+    assert [len(g) for g in _size_groups(desk_grid())] == [10, 10, 9]
+    # 20 and 50 rows of 1000 players: one size per batch.
+    assert {len(g) for g in _size_groups(m5_benchmark_grid())} == {1}
+    assert {len(g) for g in _size_groups(full_grid())} == {1}
 
 
 def test_derive_seed_stable_golden():

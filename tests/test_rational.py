@@ -7,6 +7,7 @@ from netcontagion.rational import (
     as_rational,
     as_unit_rational,
     decimal_render,
+    rational_json,
     rational_str,
 )
 
@@ -50,3 +51,9 @@ def test_rational_str():
     assert rational_str(F(1, 2)) == "1/2"
     assert rational_str(F(4, 2)) == "2"
     assert rational_str(F(0)) == "0"
+
+
+def test_rational_json():
+    assert rational_json(F(1, 3)) == {"num": 1, "den": 3, "decimal": "0.333333"}
+    assert rational_json(F(2**70, 3)) == {"num": 2**70, "den": 3,
+                                          "decimal": decimal_render(F(2**70, 3))}
