@@ -3,14 +3,14 @@
 ``ExactEngine`` advances a batch of deviating sets in one game.  Each batch
 row is one starting set; every row shares the game's integer tables, and
 the rows' states (who is outside, supports, infected non-neighbours, step
-pointers) are ``(rows, n)`` arrays.  For each live row the engine answers which outsiders have the
-incentive at that row's q, and what the exact largest outsider switch
-threshold is.  It holds the deviation condition of every player ``i``,
+pointers) are ``(rows, n)`` arrays.  For each live row the engine answers
+which players deviate at that row's q, and what the exact largest outsider
+switch threshold is.  It holds the deviation condition of every player ``i``,
 
     c * s_i  >=  q * (c * w_i - phi_i(o_i / pool_i)),
 
 as one pair of integers ``num_i / den_i`` equal to the switch threshold
-``c*s_i / (c*w_i - phi_i)``.  Here ``o_i`` counts the infected
+``c*s_i / (c*w_i - phi_i)``.  Here ``o_i`` counts the other infected
 non-neighbours of ``i`` and ``pool_i`` its non-neighbours (the share is 0
 on an empty pool, where ``o_i`` is 0 too; ``pe_i = max(pool_i, 1)``).
 The weights of player ``i`` are scaled by the LCM ``L_i`` of their
@@ -27,19 +27,21 @@ their common denominator ``D_i``) ``M_i = D_i*cn``, ``a_i = L_i*cd`` and
 integer breakpoints ``ceil(bp*pe_i)`` on ``o_i``; as ``o_i`` never
 decreases within a search, a per-player step pointer only moves forward.
 
-The rows advance together.  ``flip_candidates`` evaluates every live row at
-its own q and returns the deviating outsiders as flat ids
-``position * n + player``, which ``apply`` infects.  A row whose set fills
-the network is retired: its state is dropped, so later waves do not scan
-it, and the live rows after it move up one position.
+The rows advance together.  ``deviating`` evaluates every player of every
+live row at that row's q; ``flip_candidates`` keeps its deviating outsiders
+as flat ids ``position * n + player``, which ``apply`` infects.  A row
+whose set fills the network is retired: its state is dropped, so later
+waves do not scan it, and the live rows after it move up one position.
 ``max_threshold`` serves the rows that end a stage: a float argmax per row
 only seeds the search, and exact comparisons, vectorized across the rows,
 settle each row's max and its lowest-indexed attainer.  A single row is
-the case that ``cascade`` and ``full_contagion_threshold`` run.
+the case that ``cascade``, ``full_contagion_threshold`` and ``is_nash`` run.
 
 A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
 ``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
-static bound, so a call is decided in int64 when its products fit for
+static bound (building the tables enforces ``phi_i <= c*w_i`` as
+``den_i >= 0`` at the largest ``g_i``: ``pe_i``, even on an empty pool, or
+the last table value), so a call is decided in int64 when its products fit for
 every live row (``max(qn, qd)*B < 2^63``; ``B^2 < 2^63`` for the max) and
 otherwise in Python ints (object arrays, the same expressions), which is
 logged once per engine at DEBUG.  The integer tables are built lazily,
@@ -57,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
 from .graphs import Network
 
@@ -139,13 +141,15 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
         an, ad = effect.alpha.numerator, effect.alpha.denominator
         M = ad * pe if an else np.ones(n, dtype=object)
         a = an * wt.L * deg.astype(object)
+        top = pe
     else:
-        D, thresholds, values, first = [], [], [], []
+        D, thresholds, values, first, top = [], [], [], [], []
         for i, table in enumerate(effect.tables):
             D.append(math.lcm(*(v.denominator for _, v in table)))
             first.append(len(thresholds))
             thresholds.extend(math.ceil(bp * pe[i]) for bp, _ in table)
             values.extend(int(v * D[i]) for _, v in table)
+            top.append(values[-1])
             thresholds.append(n + 1)
             values.append(0)
         M = np.array(D, dtype=object) * c.numerator
@@ -153,6 +157,10 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
         steps = _Steps(np.array(thresholds, dtype=np.int64), np.array(values, dtype=object),
                        np.array(first, dtype=np.int64))
     MW = M * wt.W
+    over = np.flatnonzero(MW < a * np.array(top, dtype=object))  # den_i < 0 at the largest g_i
+    if len(over):
+        raise ParameterError(f"global effect of player {over[0]} exceeds "
+                             f"c*w_i = {c * weights.row_sum(over[0])}")
     bound = int(MW.max())
     if bound < _INT64_LIMIT:
         M, MW, a = M.astype(np.int64), MW.astype(np.int64), a.astype(np.int64)
@@ -168,12 +176,12 @@ class ExactEngine:
 
     ``start`` numbers its initial sets as batch rows ``0..R-1``.  ``live``
     lists the batch rows that still have outsiders, ascending, and ``K``
-    their infected counts; a live row's index in ``live`` is its position.
-    A flip is the flat id ``position * n + player``.  Positions shift when
-    ``apply`` retires rows, so flips and positions hold until then.  A batch
-    may hold a hundred rows or more (the Monte Carlo sweep batches several
-    set sizes), so the per-row bookkeeping is in arrays too, and ``_add`` expands
-    the added players' CSR slots in pieces of at most ``_SLOTS``.
+    their infected counts; a live row's index in ``live`` is its position,
+    which indexes the rows of ``deviating``'s answer and the flat ids
+    ``position * n + player`` of flips, until ``apply`` retires rows.  A
+    batch may hold a hundred rows or more (the Monte Carlo sweep batches
+    several set sizes), so the per-row bookkeeping is in arrays too, and
+    ``_add`` expands the added players' CSR slots in pieces of at most ``_SLOTS``.
     """
 
     def __init__(self, cfg: GameConfig):
@@ -191,12 +199,11 @@ class ExactEngine:
         # Supports: infected neighbours, or their integer weights.
         self.S = np.zeros((rows, n), dtype=np.int64 if t.in_weights is None
                           else t.in_weights.dtype)
-        # K minus infected neighbours: the infected non-neighbours of every
-        # outsider (an insider's entry counts itself and is never read).
+        # K minus infected neighbours and self: the infected non-neighbours.
         self.o = np.zeros((rows, n), dtype=np.int64)
         if t.steps is not None:
             self.ptr = np.tile(t.steps.first, (rows, 1))
-        # flip_candidates' pairs and products, for int64 tables: allocated
+        # deviating's pairs and products, for int64 tables: allocated
         # once per search, as arrays this large allocated anew on every step
         # cost more in page faults than in arithmetic.
         self._work = np.empty((4, rows, n), dtype=np.int64) if t.bound < _INT64_LIMIT else None
@@ -228,6 +235,7 @@ class ExactEngine:
         self.outside.reshape(-1)[flips] = False
         self.o += added if base is None else added[:, None]
         S, o = self.S.reshape(-1), self.o.reshape(-1)
+        o[flips] -= 1
         # The CSR slots of the added players' neighbours, in pieces of at
         # most _SLOTS; the updates are sums, so pieces may go in any order.
         starts, lens = t.indptr[players], t.degree[players]
@@ -290,8 +298,8 @@ class ExactEngine:
                        self.tables.bound, self.n)
         return [arr.astype(object) for arr in arrays]
 
-    def flip_candidates(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
-        """Flat ids of the outsiders that deviate, at ``q[row]`` in each live row.
+    def deviating(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
+        """A ``(live rows, n)`` bool array: whether each player deviates at ``q[row]``.
 
         ``q`` holds a Fraction per batch row, or is the ``(rows, 2)`` object
         array of their numerators and denominators, which a caller that
@@ -320,7 +328,11 @@ class ExactEngine:
         else:
             lhs = np.multiply(num, qd, out=work[2])
             rhs = np.multiply(den, qn, out=work[3])
-        return np.flatnonzero((lhs >= rhs) & self.outside)
+        return lhs >= rhs
+
+    def flip_candidates(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
+        """Flat ids of the outsiders that deviate, at ``q[row]`` in each live row."""
+        return np.flatnonzero(self.deviating(q) & self.outside)
 
     def apply(self, flips: np.ndarray) -> list[int]:
         """Infect the flips, row by row as ``flip_candidates`` gives them;
@@ -331,7 +343,7 @@ class ExactEngine:
         """Exact max of num_i/den_i over the outsiders of each live row at
         the given ascending positions, with its lowest-indexed attainer."""
         pos = slice(None) if len(positions) == len(self.K) else positions
-        # The pairs of the last flip_candidates call hold until the next _add.
+        # The pairs of the last deviating call hold until the next _add.
         num, den = (self._pairs(pos) if self._evaluated is None
                     else (self._evaluated[0][pos], self._evaluated[1][pos]))
         # Insiders become -1/1, below every outsider's num/den >= 0.

@@ -37,9 +37,59 @@ def _load_json(path: str) -> dict:
         raise ParameterError(f"cannot read JSON document {path}: {exc}") from exc
 
 
+def _load_config(path: str) -> dict:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path} must hold a JSON object")
+    return doc
+
+
+def _field(doc, key: str, what: str):
+    """``doc[key]``, where ``doc`` must be a JSON object named ``what``."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{what} must be a JSON object; got {doc!r}")
+    if key not in doc:
+        raise ParameterError(f"{what} has no {key!r} field")
+    return doc[key]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParameterError(f"{what} must be a list; got {value!r}")
+    return value
+
+
+def _entries(value, size: int, what: str) -> list:
+    """A JSON list of ``size``-element lists."""
+    for entry in _list(value, what):
+        if not (isinstance(entry, list) and len(entry) == size):
+            raise ParameterError(f"{what} entries must be lists of {size}; got {entry!r}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """An integer given as a JSON integer or a decimal string; nothing is rounded."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParameterError(f"{what} must be an integer; got {value!r}")
+
+
+def _read_network(path: str):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParameterError(f"cannot read network file {path}: {exc}") from exc
+    return load_edge_list(text)
+
+
 def _network_from_args(args, doc: dict):
     if getattr(args, "network", None):
-        return load_edge_list(Path(args.network).read_text())
+        return _read_network(args.network)
     if getattr(args, "generate", None):
         try:
             n, m, seed = (int(x) for x in args.generate.split(","))
@@ -48,10 +98,11 @@ def _network_from_args(args, doc: dict):
         return generate_ba(n, m, seed)
     net_spec = doc.get("network")
     if isinstance(net_spec, dict) and "path" in net_spec:
-        return load_edge_list(Path(net_spec["path"]).read_text())
+        return _read_network(net_spec["path"])
     if isinstance(net_spec, dict) and "generate" in net_spec:
         gen = net_spec["generate"]
-        return generate_ba(int(gen["n"]), int(gen["m"]), int(gen.get("seed", 0)))
+        n, m = (_int(_field(gen, key, "network.generate"), key) for key in ("n", "m"))
+        return generate_ba(n, m, _int(gen.get("seed", 0), "seed"))
     raise ParameterError("no network given; use --network, --generate, or a config file")
 
 
@@ -64,16 +115,16 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
         weights = InfluenceWeights.unit(net)
     else:
         pairs = {}
-        for entry in weights_spec:
-            i, j, w = entry
-            pairs[(int(i), int(j))] = as_rational(w, "weight")
+        for i, j, w in _entries(weights_spec, 3, "weights"):
+            pairs[(_int(i, "weight i"), _int(j, "weight j"))] = as_rational(w, "weight")
         weights = InfluenceWeights.from_pairs(net, pairs)
     alpha = args.alpha if getattr(args, "alpha", None) is not None \
         else doc.get("alpha", "0")
     if "global_tables" in doc and getattr(args, "alpha", None) is None:
         tables = tuple(
-            tuple((as_unit_rational(p, "p"), as_rational(v, "phi")) for p, v in table)
-            for table in doc["global_tables"])
+            tuple((as_unit_rational(p, "p"), as_rational(v, "phi"))
+                  for p, v in _entries(table, 2, "global table"))
+            for table in _list(doc["global_tables"], "global_tables"))
         effect = TabularGlobalEffect(tables)
     else:
         effect = ParametricGlobalEffect(as_unit_rational(alpha, "alpha"))
@@ -81,7 +132,7 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
                     else doc.get("c", "1"), "c")
 
     if getattr(args, "seeds", None):
-        start = frozenset(int(x) for x in args.seeds.split(","))
+        start = frozenset(_int(x, "--seeds entry") for x in args.seeds.split(","))
     elif getattr(args, "seeds_random", None):
         rng_seed = getattr(args, "seeds_seed", 0) or 0
         if rng_seed < 0:
@@ -89,7 +140,7 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
         rng = np.random.Generator(np.random.PCG64(rng_seed))
         start = montecarlo.draw_set(rng, net.node_count, int(args.seeds_random))
     elif doc.get("infected") is not None:
-        start = frozenset(int(x) for x in doc["infected"])
+        start = frozenset(_int(x, "infected entry") for x in _list(doc["infected"], "infected"))
     else:
         raise ParameterError("no starting set; use --seeds or --seeds-random")
 
@@ -105,7 +156,7 @@ def _q_list(args, doc: dict) -> list[Fraction]:
         raise ParameterError("no q values; pass --q")
     if isinstance(raw, str):
         raw = raw.split(",")
-    return [as_unit_rational(part, "q") for part in raw]
+    return [as_unit_rational(part, "q") for part in _list(raw, "q")]
 
 
 def _cmd_generate(args) -> int:
@@ -119,7 +170,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
+    doc = _load_config(args.config) if args.config else {}
     cfg, start = _game_from_args(args, doc)
     result = full_contagion_threshold(cfg, start)
     if args.json:
@@ -140,7 +191,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_depth(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
+    doc = _load_config(args.config) if args.config else {}
     cfg, start = _game_from_args(args, doc)
     qs = _q_list(args, doc)
     df = depth_function(cfg, start)
@@ -166,18 +217,33 @@ def _cmd_depth(args) -> int:
 
 
 def _grid_from_doc(doc: dict) -> ExperimentGrid:
-    sizes = doc["set_sizes"]
+    def get(key):
+        return _field(doc, key, "grid document")
+
+    def ints(key):
+        return tuple(_int(x, f"{key} entry") for x in _list(get(key), key))
+
+    sizes = get("set_sizes")
     if isinstance(sizes, dict):
-        sizes = range(int(sizes["start"]), int(sizes["stop"]), int(sizes.get("step", 10)))
+        start, stop = (_int(_field(sizes, key, "set_sizes"), f"set_sizes {key}")
+                       for key in ("start", "stop"))
+        step = _int(sizes.get("step", 10), "set_sizes step")
+        if step == 0:
+            raise ParameterError("set_sizes step must not be 0")
+        sizes = tuple(range(start, stop, step))
+    else:
+        sizes = ints("set_sizes")
     return ExperimentGrid(
-        network_size=int(doc["network_size"]),
-        m_values=tuple(int(m) for m in doc["m_values"]),
-        alpha_values=tuple(as_unit_rational(a, "alpha") for a in doc["alpha_values"]),
-        networks_per_m=int(doc["networks_per_m"]),
-        sets_per_size=int(doc["sets_per_size"]),
-        set_sizes=tuple(sizes),
-        q_grid=tuple(as_unit_rational(q, "q") for q in doc.get("q_grid", ["1/4", "1/2", "3/4"])),
-        master_seed=int(doc.get("master_seed", 42)))
+        network_size=_int(get("network_size"), "network_size"),
+        m_values=ints("m_values"),
+        alpha_values=tuple(as_unit_rational(a, "alpha")
+                           for a in _list(get("alpha_values"), "alpha_values")),
+        networks_per_m=_int(get("networks_per_m"), "networks_per_m"),
+        sets_per_size=_int(get("sets_per_size"), "sets_per_size"),
+        set_sizes=sizes,
+        q_grid=tuple(as_unit_rational(q, "q")
+                     for q in _list(doc.get("q_grid", ["1/4", "1/2", "3/4"]), "q_grid")),
+        master_seed=_int(doc.get("master_seed", 42), "master_seed"))
 
 
 def _cmd_montecarlo(args) -> int:
@@ -185,7 +251,7 @@ def _cmd_montecarlo(args) -> int:
         grid = PRESETS[args.preset]() if args.master_seed is None \
             else PRESETS[args.preset](args.master_seed)
     elif args.config:
-        doc = _load_json(args.config)
+        doc = _load_config(args.config)
         if args.master_seed is not None:
             doc = {**doc, "master_seed": args.master_seed}
         grid = _grid_from_doc(doc)

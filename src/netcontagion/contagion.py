@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     UnsupportedHypothesisError,
 )
-from .game import GameConfig, PlayerSet, _deviates
+from .game import GameConfig, PlayerSet
 from .graphs import Network
 from .rational import as_unit_rational, rational_json, rational_str
 
@@ -168,9 +168,20 @@ def _reached(df: DepthFunction, q: Fraction) -> int:
     return df.interval_sizes[len(df.breakpoints) - 1 - j]
 
 
+def _deviators(cfg: GameConfig, members: PlayerSet, q: Fraction) -> np.ndarray:
+    """Whether each player deviates when ``members`` deviate, at q."""
+    engine = ExactEngine(cfg)
+    if engine.start([members]):  # full: s_i = w_i, so all deviate at any q <= 1
+        return np.ones(cfg.network.node_count, dtype=bool)
+    deviates = engine.deviating([q])[0]
+    deviates[list(cfg.infected)] = True
+    return deviates
+
+
 def _check_start_incentive(cfg: GameConfig, start: PlayerSet, q: Fraction):
+    deviates = _deviators(cfg, start, q)
     for i in sorted(start):
-        if not _deviates(cfg, i, start, q):
+        if not deviates[i]:
             raise PreconditionError(
                 f"player {i} has no incentive to deviate at q={rational_str(q)} "
                 f"in the starting configuration", i)
@@ -293,14 +304,10 @@ def virality(cfg: GameConfig, start: Iterable[int], q) -> Fraction:
 
 
 def is_nash(cfg: GameConfig, members: Iterable[int], q) -> bool:
-    """Direct equilibrium check: infected inside, insiders willing, outsiders not."""
+    """Direct equilibrium check: exactly the members deviate at q (infected players always do)."""
     q = as_unit_rational(q, "q")
     E = cfg.player_set(members)
-    if not cfg.infected <= E:
-        return False
-    # Infected players always deviate, so only the rest can break it.
-    return all(_deviates(cfg, i, E, q) == (i in E)
-               for i in range(cfg.network.node_count) if i not in cfg.infected)
+    return np.flatnonzero(_deviators(cfg, E, q)).tolist() == sorted(E)
 
 
 def coexisting_conventions(cfg: GameConfig, start: Iterable[int], q) -> PlayerSet | None:

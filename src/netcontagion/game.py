@@ -8,10 +8,10 @@ arithmetic: a player deviates exactly when
     c * s_i(E)  >=  q * (c * w_i - phi_i(p_i(E)))
 
 which is the tie-inclusive deviation condition after clearing denominators
-(ties deviate).  ``q`` is the relative miscoordination cost c/(b+c); the
-contagion engine (``_engines.ExactEngine``, one exact integer form of this
-condition for every configuration) is parameterized by ``q`` directly and
-``b`` is derived only for reporting.
+(ties deviate).  ``q`` is the relative miscoordination cost c/(b+c); ``b``
+is derived only for reporting.  The functions here are the Fraction spec of
+this condition; production decisions (searches, cascades, ``is_nash``, the
+start check, the effect bound) use ``_engines.ExactEngine``'s integer form.
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ class ParametricGlobalEffect:
     def value(self, i: int, p: Fraction, c: Fraction, degree: int) -> Fraction:
         return self.alpha * c * degree * p
 
-    def upper_bound(self, i: int, c: Fraction, degree: int) -> Fraction:
-        return self.alpha * c * degree
-
     @property
     def is_zero(self) -> bool:
         return self.alpha == 0
@@ -181,9 +178,6 @@ class TabularGlobalEffect:
             else:
                 break
         return result
-
-    def upper_bound(self, i: int, c: Fraction, degree: int) -> Fraction:
-        return self.tables[i][-1][1]
 
     @property
     def is_zero(self) -> bool:
@@ -240,18 +234,12 @@ class GameConfig:
 
     def _check_effect_bound(self):
         # Global effects must never make deviation dominant on their own:
-        # phi_i(p) <= c * w_i for all p.
+        # phi_i(p) <= c * w_i for all p, which building the engine's tables checks.
+        from ._engines import ExactEngine
         ge = self.global_effect
-        if isinstance(ge, ParametricGlobalEffect):
-            if self.weights.is_unit:
-                return  # bound is alpha * c * d_i <= c * d_i, automatic
-        elif len(ge.tables) != self.network.node_count:
+        if isinstance(ge, TabularGlobalEffect) and len(ge.tables) != self.network.node_count:
             raise ParameterError("one global-effect table per player is required")
-        for i in range(self.network.node_count):
-            cap = self.c * self.weights.row_sum(i)
-            if ge.upper_bound(i, self.c, self.network.degree(i)) > cap:
-                raise ParameterError(
-                    f"global effect of player {i} exceeds c*w_i = {cap}")
+        ExactEngine(self)
 
     @property
     def node_count(self) -> int:
@@ -314,14 +302,7 @@ def has_incentive(cfg: GameConfig, i: int, members: Iterable[int], q) -> bool:
     q = as_unit_rational(q, "q")
     if i in cfg.infected or q == 0:
         return True
-    return _deviates(cfg, i, cfg.player_set(members), q)
-
-
-def _deviates(cfg: GameConfig, i: int, E: PlayerSet, q: Fraction) -> bool:
-    """``has_incentive`` for an in-range player, a ``player_set`` and a
-    unit-interval Fraction q, without validating them again."""
-    if i in cfg.infected or q == 0:
-        return True
+    E = cfg.player_set(members)
     s = _local_support(cfg, i, E)
     return cfg.c * s >= q * (cfg.c * cfg.weights.row_sum(i) - _phi_at(cfg, i, E))
 

@@ -103,6 +103,46 @@ def test_threshold_random_seed_flags_rejected(tmp_path, capsys, flags):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+GRID = {"network_size": 30, "m_values": [2], "alpha_values": ["0"], "networks_per_m": 1,
+        "sets_per_size": 1, "set_sizes": [5]}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["threshold", "--generate", "30,2,1", "--seeds", "1,a"], {}),
+    (["threshold", "--network", "@missing.edges", "--seeds", "0"], {}),
+    (["threshold", "--generate", "30,2,1", "--seeds", "0", "--weights", "@w.json"],
+     {"w.json": [[0, 1]]}),
+    (["threshold", "--config", "@game.json"],
+     {"game.json": {"network": {"generate": {"n": 30}}, "infected": [0]}}),
+    (["threshold", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0, "x"]}}),
+    (["threshold", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0, 1.5]}}),
+    (["threshold", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0], "global_tables": [[[0]]]}}),
+    (["depth", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0], "q": 5}}),
+    (["montecarlo", "--config", "@grid.json", "--out", "@out"],
+     {"grid.json": {"network_size": 30}}),
+    (["montecarlo", "--config", "@grid.json", "--out", "@out"],
+     {"grid.json": {**GRID, "m_values": 2}}),
+    (["montecarlo", "--config", "@grid.json", "--out", "@out"],
+     {"grid.json": {**GRID, "set_sizes": {"start": 5, "stop": 20, "step": 0}}}),
+], ids=["seeds", "missing-network", "weights-arity", "generate-without-m",
+        "infected-string", "infected-fraction", "table-entry", "q-number", "grid-missing-field", "grid-mistyped-field",
+        "grid-zero-step"])
+def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, files):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    # "@name" is a path in tmp_path; only the listed files exist.
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, _, err = run_cli(capsys, "--json-errors", *argv)
+    assert code == 2 and json.loads(err)["error"] == "ParameterError"
+
+
 def test_depth_report(cycle_file, capsys):
     code, out, _ = run_cli(capsys, "depth", "--network", cycle_file,
                            "--seeds", "0", "--q", "0,3/5,1")

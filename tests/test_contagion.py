@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netcontagion import oracle
 from netcontagion.contagion import (
     DepthFunction,
+    _deviators,
     cascade,
     coexisting_conventions,
     cohesiveness,
@@ -20,7 +22,13 @@ from netcontagion.errors import (
     PreconditionError,
     UnsupportedHypothesisError,
 )
-from netcontagion.game import GameConfig, InfluenceWeights, ParametricGlobalEffect
+from netcontagion.game import (
+    GameConfig,
+    InfluenceWeights,
+    ParametricGlobalEffect,
+    TabularGlobalEffect,
+    has_incentive,
+)
 from netcontagion.graphs import Network, generate_ba, load_edge_list
 
 F = Fraction
@@ -188,6 +196,82 @@ def test_is_nash_matches_enumeration(cycle4):
         for mask in range(16):
             E = frozenset(i for i in range(4) if mask >> i & 1)
             assert is_nash(cfg, E, q) == (E in listed)
+
+
+def spec_game(kind, seed):
+    """A small game of the given kind; some players have an empty pool."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = 14
+    # A hub joined to everyone (empty pool) on top of a scale-free graph.
+    edges = {tuple(sorted(e)) for e in generate_ba(n, 2, seed).edges()}
+    net = Network.from_edges(n, sorted(edges | {(0, j) for j in range(1, n)}))
+    infected = frozenset(int(i) for i in rng.choice(n, int(rng.integers(0, 3)), replace=False))
+    if kind == "unit":
+        return GameConfig(network=net, global_effect=ParametricGlobalEffect(F(2, 3)),
+                          infected=infected)
+    # Weights with zero-weight directions; alpha keeps alpha*d_i <= w_i.
+    palette = [F(0), F(1, 3), F(1), F(2), F(5, 2)]
+    rows = []
+    for nbrs in net.adjacency:
+        row = {j: palette[int(rng.integers(0, len(palette)))] for j in nbrs}
+        row[nbrs[0]] = F(1, 7)  # a positive row sum
+        rows.append(row)
+    weights = InfluenceWeights(net, rows)
+    c = F(3, 2)
+    if kind == "tabular":
+        tables = []
+        for i in range(n):
+            cap = c * weights.row_sum(i)
+            cuts = sorted({F(int(rng.integers(1, 10)), 9) for _ in range(3)})
+            values = sorted(cap * F(int(rng.integers(0, 5)), 4) for _ in cuts)
+            tables.append(((F(0), F(0)),) + tuple(zip(cuts, values)))
+        effect = TabularGlobalEffect(tuple(tables))
+    else:
+        alpha = min(weights.row_sum(i) / net.degree(i) for i in range(n))
+        effect = ParametricGlobalEffect(min(alpha, 1) * F(int(rng.integers(1, 4)), 3))
+    return GameConfig(network=net, weights=weights, c=c, global_effect=effect,
+                      infected=infected)
+
+
+@pytest.mark.parametrize("kind", ["unit", "weighted", "tabular", "beyond-int64"])
+@pytest.mark.parametrize("seed", range(3))
+def test_deviators_and_is_nash_match_the_spec(kind, seed):
+    # The engine's whole-set answers against has_incentive, player by player.
+    cfg = spec_game("weighted" if kind == "beyond-int64" else kind, seed)
+    n = cfg.network.node_count
+    rng = np.random.Generator(np.random.PCG64(100 + seed))
+    if kind == "beyond-int64":  # every decision goes through Python ints
+        qs = [F(int(rng.integers(0, 10**9)) * 10**16 + 1, 10**25 + 3) for _ in range(4)]
+    else:
+        qs = [F(0), F(1), F(1, 2)] + [F(int(rng.integers(1, 30)), 30) for _ in range(3)]
+    sets = [frozenset(), frozenset(range(n)), cfg.infected,
+            frozenset(range(n)) - cfg.infected]
+    sets += [frozenset(int(i) for i in rng.choice(n, int(rng.integers(1, n)), replace=False))
+             for _ in range(12)]
+    equilibria = 0
+    for q in qs:
+        # Cascades from the infected end in equilibria, so is_nash is also true.
+        for E in sets + [cascade(cfg, cfg.infected, q).final]:
+            spec = [has_incentive(cfg, i, E, q) for i in range(n)]
+            assert _deviators(cfg, E, q).tolist() == spec
+            nash = is_nash(cfg, E, q)
+            assert nash == all(spec[i] == (i in E) for i in range(n))
+            equilibria += nash
+    assert 0 < equilibria < len(qs) * (len(sets) + 1)
+
+
+@pytest.mark.parametrize("check", ["threshold", "cascade"])
+def test_start_check_names_the_lowest_lacking_player(cycle4, check):
+    # In {0, 1, 3} on the 4-cycle, 0 has both neighbours inside and 1 and 3
+    # one of two each, so at q = 3/4 (and q = 1) both 1 and 3 lack it.
+    cfg = GameConfig(network=cycle4)
+    with pytest.raises(PreconditionError) as err:
+        if check == "threshold":
+            full_contagion_threshold(cfg, {3, 1, 0})
+        else:
+            cascade(cfg, {3, 1, 0}, F(3, 4))
+    assert err.value.player == 1
+    cascade(cfg, {3, 1, 0}, F(1, 2))  # all three have it at q = 1/2
 
 
 def test_coexisting_conventions(cycle4_seeded):

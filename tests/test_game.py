@@ -221,7 +221,6 @@ def test_tabular_effect_lookup_and_bounds():
     assert effect.value(0, F(49, 100), one, 3) == 0
     assert effect.value(0, F(1, 2), one, 3) == 1
     assert effect.value(0, F(1), one, 3) == F(3, 2)
-    assert effect.upper_bound(0, one, 3) == F(3, 2)
     assert not effect.is_zero
     assert TabularGlobalEffect.uniform(((F(0), F(0)),), 2).is_zero
     # Monotone violation and missing (0,0) anchor are rejected.
@@ -246,6 +245,34 @@ def test_parametric_bound_with_small_weights():
         GameConfig(network=net, weights=weights,
                    global_effect=ParametricGlobalEffect(F(1)))
     GameConfig(network=net, weights=weights)  # no global effect: fine
+
+
+def test_effect_bound_is_inclusive_and_names_the_first_offender():
+    path = load_edge_list("0 1\n1 2\n2 3")  # w_i = d_i: 1, 2, 2, 1
+    c = F(3, 2)
+
+    def tabular(tops):
+        return TabularGlobalEffect(tuple(((F(0), F(0)), (F(1, 2), top)) for top in tops))
+
+    caps = [c * d for d in (1, 2, 2, 1)]
+    GameConfig(network=path, c=c, global_effect=tabular(caps))  # phi_i == c*w_i
+    over = F(1, 10**30)
+    with pytest.raises(ParameterError, match=r"^global effect of player 1 exceeds c\*w_i = 3$"):
+        GameConfig(network=path, c=c,
+                   global_effect=tabular([caps[0], caps[1] + over, caps[2] + over, caps[3]]))
+    # Parametric: alpha*d_i <= w_i, at equality too.  Player 2 has w_2 = 1/2.
+    weights = InfluenceWeights.from_pairs(path, {(2, 1): F(1, 4), (2, 3): F(1, 4)})
+    GameConfig(network=path, weights=weights, c=c, global_effect=ParametricGlobalEffect(F(1, 4)))
+    with pytest.raises(ParameterError, match=r"^global effect of player 2 exceeds c\*w_i = 3/4$"):
+        GameConfig(network=path, weights=weights, c=c,
+                   global_effect=ParametricGlobalEffect(F(1, 4) + over))
+    # A complete graph leaves every pool empty, but alpha*d_i > w_i is refused.
+    triangle = load_edge_list("0 1\n1 2\n0 2")
+    light = InfluenceWeights.from_pairs(triangle, {(1, 0): F(1, 4), (1, 2): F(1, 4)})
+    with pytest.raises(ParameterError, match=r"^global effect of player 1 exceeds c\*w_i = 1/2$"):
+        GameConfig(network=triangle, weights=light, global_effect=ParametricGlobalEffect(F(1)))
+    with pytest.raises(ParameterError, match="one global-effect table per player"):
+        GameConfig(network=path, global_effect=tabular(caps[:3]))
 
 
 def test_weights_validation():
