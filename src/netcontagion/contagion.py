@@ -34,6 +34,11 @@ from .graphs import Network
 from .rational import as_unit_rational, rational_json, rational_str
 
 
+def _below(a: Fraction, b: Fraction) -> bool:
+    """``a < b`` by integer cross-products, without Fraction's generic comparison."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
 @dataclass(frozen=True)
 class CascadeResult:
     """Trace of one cascade: C_0, the flip waves, and the reached equilibrium."""
@@ -95,7 +100,7 @@ class ThresholdResult:
         if not self.stages or self.stages[0].q != 1:
             raise InvariantViolationError("stage sequence must start at q_0 = 1")
         for a, b in zip(self.stages, self.stages[1:]):
-            if not (b.q < a.q and b.size > a.size):
+            if not (_below(b.q, a.q) and b.size > a.size):
                 raise InvariantViolationError(
                     "q must strictly decrease and equilibria strictly grow")
         if self.stages[-1].size != self.node_count:
@@ -274,7 +279,7 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
                 stages[r].append(ThresholdStage(
                     q=q[r], size=size,
                     members=engine.infected_set(r) if collect_members else None))
-                if not threshold < q[r]:
+                if not _below(threshold, q[r]):
                     raise InvariantViolationError(
                         f"stage threshold {threshold} did not decrease below {q[r]}")
                 marginals[r].append(marginal)

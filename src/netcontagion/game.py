@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -77,19 +78,29 @@ class InfluenceWeights:
 
     @classmethod
     def unit(cls, network: Network) -> "InfluenceWeights":
-        """Uniform unit weights: w[i][j] = 1, so w_i = d_i."""
+        """Uniform unit weights: w[i][j] = 1, so w_i = d_i.
+
+        Built from the network's degrees alone; the engine reads only
+        ``is_unit`` and those degrees.  The per-node rows are built from
+        ``network.adjacency`` on the first ``row``, ``weight`` or ``==``.
+        """
         degrees = np.diff(network.csr[0]).tolist()
         if 0 in degrees:
             i = degrees.index(0)
             raise ParameterError(f"node {i} is isolated, so w_{i} would be 0")
-        one = Fraction(1)
         row_sum = {d: Fraction(d) for d in set(degrees)}
         self = cls.__new__(cls)
-        self._rows = tuple(dict.fromkeys(nbrs, one) for nbrs in network.adjacency)
+        self._network = network
         self._row_sums = tuple(map(row_sum.__getitem__, degrees))
         self.is_unit = True
         self.node_count = network.node_count
         return self
+
+    @cached_property
+    def _rows(self) -> tuple[dict[int, Fraction], ...]:
+        # Only unit weights get here; the general constructor stores its rows.
+        one = Fraction(1)
+        return tuple(dict.fromkeys(nbrs, one) for nbrs in self._network.adjacency)
 
     @classmethod
     def from_pairs(cls, network: Network, pairs: Mapping[tuple[int, int], object],

@@ -1,10 +1,11 @@
 """Undirected simple graphs: representation, scale-free generation, and I/O.
 
-A :class:`Network` keeps its neighbour lists as tuples and, next to them,
-the CSR arrays ``(indptr, indices)`` that its one vectorized validation
-builds.  :meth:`Network.from_edges` and :func:`load_edge_list` work on numpy
-arrays of endpoints too, so building a graph costs a few array passes, not a
-Python loop per edge.
+A :class:`Network` stores its neighbour lists as the CSR arrays
+``(indptr, indices)`` and validates them in one vectorized pass; the lists
+as Python tuples are built only when a caller first reads ``adjacency``.
+:meth:`Network.from_edges` and :func:`load_edge_list` work on numpy arrays of
+endpoints, so loading a graph costs a few array passes, not a Python object
+per node or per edge.
 
 Randomness convention: every generator in this package draws from
 ``numpy.random.Generator(numpy.random.PCG64(seed))`` and uses only
@@ -16,10 +17,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,61 +52,91 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-@dataclass(frozen=True)
+def _check_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise ParameterError unless the CSR holds a simple undirected graph.
+
+    ``indptr`` has one entry per node plus one; row ``i`` is
+    ``indices[indptr[i]:indptr[i+1]]``.  Every row must be sorted and
+    unique, hold no self-loop and only nodes in range, and every edge must
+    appear in both rows.  The first offending node is reported, as the rows
+    read.
+    """
+    if n < 1:
+        raise ParameterError(f"node_count must be positive; got {n}")
+    if n > _MAX_NODES:
+        raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {n}")
+    if len(indptr) != n + 1:
+        raise ParameterError("adjacency length must equal node_count")
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    # Checked node by node as the lists read: a row out of order is
+    # reported at its first slot, before any bad neighbor in it.
+    steps_down = 1 + np.flatnonzero((np.diff(indices) <= 0) & (row[1:] == row[:-1]))
+    unordered = np.zeros(len(indices), dtype=bool)
+    unordered[indptr[row[steps_down]]] = True
+    bad = _first(unordered | (indices == row) | (indices < 0) | (indices >= n))
+    if bad is not None:
+        i, j = int(row[bad]), int(indices[bad])
+        if unordered[bad]:
+            raise ParameterError(f"neighbor list of {i} is not sorted/unique")
+        if j == i:
+            raise ParameterError(f"self-loop at node {i}")
+        raise ParameterError(f"neighbor {j} of node {i} out of range")
+    # Rows sorted, unique and in range make the packed keys i*n + j of
+    # the CSR strictly increasing; the graph is symmetric iff they equal
+    # the sorted keys j*n + i of the mirrored pairs.  At the first
+    # difference, the smaller key is a pair without its mirror.
+    key = row * n + indices
+    mirrored = np.sort(indices * n + row)
+    at = _first(mirrored != key)
+    if at is not None:
+        u, v = sorted(divmod(min(int(key[at]), int(mirrored[at])), n))
+        raise ParameterError(f"edge {u}-{v} is not symmetric")
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Network:
     """Immutable undirected simple graph over nodes ``0..node_count-1``.
 
-    ``adjacency[i]`` is the sorted tuple of neighbors of node ``i``.
-    Construction validates it in one vectorized pass: every row is sorted
-    and unique, no node is its own neighbor, every neighbor is in range,
-    and every edge appears in both rows.  That pass builds ``csr``, the
-    read-only ``(indptr, indices)`` arrays of the same lists, which the
-    engines traverse.
+    Its state is ``csr``, the read-only ``(indptr, indices)`` arrays of the
+    sorted neighbour lists, which the engines traverse.  ``Network(n,
+    adjacency)`` takes the lists as sequences and flattens them;
+    :meth:`from_edges` builds the arrays directly.  Either way one
+    vectorized pass validates them: every row is sorted and unique, no node
+    is its own neighbor, every neighbor is in range, and every edge appears
+    in both rows.  ``adjacency``, the lists as tuples, is built on first
+    read.  Two networks are equal when their node counts and neighbour
+    lists are; ``meta`` does not count.
     """
 
     node_count: int
-    adjacency: tuple[tuple[int, ...], ...]
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
-    csr: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+    csr: tuple[np.ndarray, np.ndarray]
+    meta: dict
 
-    def __post_init__(self):
-        n = self.node_count
-        if n < 1:
-            raise ParameterError(f"node_count must be positive; got {n}")
-        if n > _MAX_NODES:
-            raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {n}")
-        if len(self.adjacency) != n:
-            raise ParameterError("adjacency length must equal node_count")
-        degree = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+    def __init__(self, node_count: int, adjacency: Sequence[Sequence[int]],
+                 meta: dict | None = None):
+        degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
+        indptr = np.zeros(len(degree) + 1, dtype=np.int64)
         np.cumsum(degree, out=indptr[1:])
-        indices = _flat_ints(self.adjacency, int(indptr[-1]))
-        row = np.repeat(np.arange(n), degree)
-        # Checked node by node as the lists read: a row out of order is
-        # reported at its first slot, before any bad neighbor in it.
-        steps_down = 1 + np.flatnonzero((np.diff(indices) <= 0) & (row[1:] == row[:-1]))
-        unordered = np.zeros(len(indices), dtype=bool)
-        unordered[indptr[row[steps_down]]] = True
-        bad = _first(unordered | (indices == row) | (indices < 0) | (indices >= n))
-        if bad is not None:
-            i, j = int(row[bad]), int(indices[bad])
-            if unordered[bad]:
-                raise ParameterError(f"neighbor list of {i} is not sorted/unique")
-            if j == i:
-                raise ParameterError(f"self-loop at node {i}")
-            raise ParameterError(f"neighbor {j} of node {i} out of range")
-        # Rows sorted, unique and in range make the packed keys i*n + j of
-        # the CSR strictly increasing; the graph is symmetric iff they equal
-        # the sorted keys j*n + i of the mirrored pairs.  At the first
-        # difference, the smaller key is a pair without its mirror.
-        key = row * n + indices
-        mirrored = np.sort(indices * n + row)
-        at = _first(mirrored != key)
-        if at is not None:
-            u, v = sorted(divmod(min(int(key[at]), int(mirrored[at])), n))
-            raise ParameterError(f"edge {u}-{v} is not symmetric")
+        self.__post_init__(node_count, indptr, _flat_ints(adjacency, int(indptr[-1])), meta)
+
+    def __post_init__(self, node_count: int, indptr: np.ndarray, indices: np.ndarray,
+                      meta: dict | None):
+        # Every constructor ends here, so every network is validated.
+        _check_csr(node_count, indptr, indices)
         indptr.flags.writeable = indices.flags.writeable = False
+        object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "csr", (indptr, indices))
+        object.__setattr__(self, "meta", {} if meta is None else meta)
+
+    @classmethod
+    def _from_csr(cls, node_count: int, indptr: np.ndarray, indices: np.ndarray,
+                  meta: dict | None) -> "Network":
+        net = cls.__new__(cls)
+        net.__post_init__(node_count, indptr, indices, meta)
+        return net
+
+    def __reduce__(self):
+        return self._from_csr, (self.node_count, *self.csr, self.meta)
 
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray,
@@ -127,11 +158,28 @@ class Network:
         n = node_count
         key = np.sort(np.concatenate([u * n + v, v * n + u]))
         rows, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+        return cls._from_csr(n, np.searchsorted(rows, np.arange(n + 1)), indices, meta)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[i]`` is the sorted tuple of neighbors of node ``i``."""
+        indptr, indices = self.csr
         # One int object per node, shared by every row that lists it.
-        flat = np.arange(n).astype(object)[indices].tolist()
-        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-        return cls(n, tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
-                   meta or {})
+        flat = np.arange(self.node_count).astype(object)[indices].tolist()
+        bounds = indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.node_count == other.node_count
+                and all(map(np.array_equal, self.csr, other.csr)))
+
+    def __hash__(self):
+        return hash((self.node_count, *(a.tobytes() for a in self.csr)))
+
+    def __repr__(self):
+        return f"Network(node_count={self.node_count!r}, adjacency={self.adjacency!r})"
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
@@ -202,6 +250,8 @@ def generate_ba(n: int, m: int, seed: int) -> Network:
         raise ParameterError(f"m must be at least 1; got {m}")
     if m >= n:
         raise ParameterError(f"m must be smaller than n; got m={m}, n={n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative; got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     edges: list[tuple[int, int]] = [(i, j) for i in range(m) for j in range(i + 1, m)]

@@ -215,9 +215,11 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> list[Run
 
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[RunRecord]:
     """Execute the grid; the record list is identical for any worker count."""
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1; got {workers}")
     tasks = [(m, net_id) for m in grid.m_values
              for net_id in range(grid.networks_per_m)]
-    if workers <= 1:
+    if workers == 1:
         chunks = [_run_network_task(grid, m, net_id) for m, net_id in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

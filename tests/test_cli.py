@@ -3,6 +3,8 @@ import json
 import pytest
 
 from netcontagion.cli import main
+from netcontagion.game import InfluenceWeights
+from netcontagion.graphs import Network, load_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -128,9 +130,18 @@ GRID = {"network_size": 30, "m_values": [2], "alpha_values": ["0"], "networks_pe
      {"grid.json": {**GRID, "m_values": 2}}),
     (["montecarlo", "--config", "@grid.json", "--out", "@out"],
      {"grid.json": {**GRID, "set_sizes": {"start": 5, "stop": 20, "step": 0}}}),
+    (["generate", "-n", "30", "-m", "2", "--seed", "-1"], {}),
+    (["threshold", "--generate", "30,2,-1", "--seeds", "1"], {}),
+    (["threshold", "--config", "@game.json"],
+     {"game.json": {"network": {"generate": {"n": 30, "m": 2, "seed": -1}}, "infected": [0]}}),
+    (["montecarlo", "--config", "@grid.json", "--out", "@out", "--workers", "0"],
+     {"grid.json": GRID}),
+    (["montecarlo", "--config", "@grid.json", "--out", "@out", "--workers", "-2"],
+     {"grid.json": GRID}),
 ], ids=["seeds", "missing-network", "weights-arity", "generate-without-m",
         "infected-string", "infected-fraction", "table-entry", "q-number", "grid-missing-field", "grid-mistyped-field",
-        "grid-zero-step"])
+        "grid-zero-step", "generate-negative-seed", "generate-flag-negative-seed",
+        "config-negative-seed", "no-workers", "negative-workers"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, files):
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -141,6 +152,31 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, files):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     code, _, err = run_cli(capsys, "--json-errors", *argv)
     assert code == 2 and json.loads(err)["error"] == "ParameterError"
+
+
+def test_queries_on_a_loaded_network_build_no_per_node_objects(tmp_path, capsys, monkeypatch):
+    # threshold and depth read only the CSR arrays and the degrees: neither
+    # the neighbour tuples nor the unit-weight rows are ever built.
+    path = tmp_path / "net.edges"
+    assert main(["generate", "-n", "400", "-m", "3", "--seed", "2", "-o", str(path)]) == 0
+    reads = []
+    for cls, name in ((Network, "adjacency"), (InfluenceWeights, "_rows")):
+        build = vars(cls)[name].func
+        monkeypatch.setattr(cls, name, property(
+            lambda self, build=build, name=name: reads.append(name) or build(self)))
+    queries = [["threshold", "--network", str(path), "--seeds", "0,5,9,200", "--json"],
+               ["threshold", "--network", str(path), "--seeds-random", "40", "--alpha", "1/2"],
+               ["depth", "--network", str(path), "--seeds-random", "60", "--seeds-seed", "3",
+                "--alpha", "1", "--q", "1/4,1/2", "--json"]]
+    for argv in queries:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+    assert reads == []
+    # The counters see a read when there is one.
+    weights = InfluenceWeights.unit(load_edge_list(path.read_text()))
+    assert reads == []
+    weights.row(0)
+    assert reads == ["_rows", "adjacency"]
 
 
 def test_depth_report(cycle_file, capsys):

@@ -6,6 +6,8 @@ import pytest
 from netcontagion import oracle
 from netcontagion.contagion import (
     DepthFunction,
+    ThresholdResult,
+    ThresholdStage,
     _deviators,
     cascade,
     coexisting_conventions,
@@ -18,6 +20,7 @@ from netcontagion.contagion import (
     virality,
 )
 from netcontagion.errors import (
+    InvariantViolationError,
     ParameterError,
     PreconditionError,
     UnsupportedHypothesisError,
@@ -381,3 +384,37 @@ def test_cascade_result_validation():
     with pytest.raises(InvariantViolationError):
         CascadeResult(final=frozenset({0, 1, 2}), waves=(frozenset({1}),),
                       initial=frozenset({0}), subsets_checked=1)  # union short
+
+
+def stage_list(*pairs):
+    return tuple(ThresholdStage(q=F(q), size=size) for q, size in pairs)
+
+
+GOOD_STAGES = stage_list((1, 1), ("1/2", 3), ("1/3", 4))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"stages": stage_list(("9/10", 1), ("1/3", 4)), "marginal_players": (1,)},
+     "must start at q_0 = 1"),
+    ({"stages": (), "marginal_players": ()}, "must start at q_0 = 1"),
+    ({"stages": stage_list((1, 1), ("1/2", 3), ("1/2", 4))},
+     "q must strictly decrease"),
+    ({"stages": stage_list((1, 1), ("2/3", 3), ("5/7", 4))},
+     "q must strictly decrease"),
+    ({"stages": stage_list((1, 1), ("1/2", 1), ("1/3", 4))},
+     "equilibria strictly grow"),
+    ({"stages": stage_list((1, 1), ("1/2", 3), ("1/3", 3)), "node_count": 3},
+     "equilibria strictly grow"),
+    ({"node_count": 5}, "last equilibrium must be the full set"),
+    ({"q_star": F(1, 4)}, "q_star must equal the last stage q"),
+    ({"q_star": F(2, 6) + F(1, 10**30)}, "q_star must equal the last stage q"),
+    ({"marginal_players": (2,)}, "one marginal player per stage descent"),
+    ({"marginal_players": (2, 3, 0)}, "one marginal player per stage descent"),
+], ids=["first-q", "no-stages", "q-flat", "q-rising", "size-flat", "size-flat-at-end",
+        "last-not-full", "q-star", "q-star-near", "marginals-short", "marginals-long"])
+def test_threshold_result_rejects_malformed_stages(changes, message):
+    fields = dict(q_star=F(1, 3), stages=GOOD_STAGES, subsets_checked=4,
+                  marginal_players=(2, 3), node_count=4)
+    ThresholdResult(**fields)
+    with pytest.raises(InvariantViolationError, match=message):
+        ThresholdResult(**{**fields, **changes})

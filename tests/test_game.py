@@ -290,9 +290,17 @@ def test_weights_validation():
 
 def test_unit_weights_equal_the_general_constructor():
     net = generate_ba(200, 3, 9)
-    unit = InfluenceWeights.unit(net)
     general = InfluenceWeights(net, [{j: 1 for j in nbrs} for nbrs in net.adjacency])
-    assert unit == general and unit.is_unit and general.is_unit
+    # Unit rows are built on the first comparison, from either side.
+    for unit_first in (True, False):
+        unit = InfluenceWeights.unit(net)
+        assert "_rows" not in vars(unit)
+        assert (unit == general) if unit_first else (general == unit)
+        assert "_rows" in vars(unit)
+        assert unit == general and general == unit
+    other = InfluenceWeights.unit(generate_ba(200, 3, 10))
+    assert unit != other and other != unit and other != general
+    assert unit.is_unit and general.is_unit
     assert all(unit.row(i) == general.row(i) and list(unit.row(i)) == list(net.adjacency[i])
                and unit.row_sum(i) == general.row_sum(i) == net.degree(i)
                and type(unit.row_sum(i)) is F for i in range(net.node_count))

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import pickle
 from collections import deque
 
 import numpy as np
@@ -326,6 +328,12 @@ def test_from_edges_matches_reference_loop(seed):
             want = (n, want)
         assert outcome(Network.from_edges, n, edges) == want, edges
         assert outcome(Network.from_edges, n, np.array(edges, dtype=np.int64).reshape(-1, 2)) == want
+        if isinstance(want[0], int):
+            net, ref = Network.from_edges(n, edges), Network(n, want[1])
+            assert net == ref and hash(net) == hash(ref)
+            assert net.adjacency == ref.adjacency and net.degrees == ref.degrees
+            assert list(net.edges()) == list(ref.edges())
+            assert all(map(np.array_equal, net.csr, ref.csr))
 
 
 def test_generate_ba_pinned_digest():
@@ -342,6 +350,32 @@ def test_round_trip_30k_nodes():
     assert again.edge_count == net.edge_count == 5 * (30000 - 5) + 10
     for a, b in zip(again.csr, net.csr):
         assert np.array_equal(a, b)
+
+
+def test_network_value_semantics():
+    net = Network.from_edges(4, [(0, 1), (1, 2), (3, 2)], {"source": "test"})
+    same = Network(4, ((1,), (0, 2), (1, 3), (2,)), {"source": "other"})
+    assert net == same and hash(net) == hash(same) and net.meta != same.meta
+    assert net != Network(4, ((1,), (0,), (3,), (2,))) and net != Network(5, net.adjacency + ((),))
+    assert repr(net) == "Network(node_count=4, adjacency=((1,), (0, 2), (1, 3), (2,)))"
+    for attr, value in (("node_count", 5), ("csr", same.csr), ("adjacency", ()), ("meta", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net, attr, value)
+    again = pickle.loads(pickle.dumps(net))
+    assert again == net and again.meta == net.meta
+    assert not any(a.flags.writeable for a in again.csr)
+
+
+def test_adjacency_is_built_once_on_first_read():
+    net = generate_ba(500, 3, 8)
+    assert "adjacency" not in vars(net)
+    adjacency = net.adjacency
+    assert net.adjacency is adjacency
+    indptr, indices = net.csr
+    assert adjacency == tuple(tuple(indices[a:b].tolist()) for a, b in zip(indptr, indptr[1:]))
+    assert all(type(j) is int for row in adjacency for j in row)
+    # One int object per node, shared by every row that lists it.
+    assert len({id(j) for row in adjacency for j in row}) == net.node_count
 
 
 def test_csr_matches_adjacency_and_is_read_only():
