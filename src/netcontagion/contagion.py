@@ -184,8 +184,12 @@ def _deviators(cfg: GameConfig, members: PlayerSet, q: Fraction) -> np.ndarray:
 
 
 def _check_start_incentive(cfg: GameConfig, start: PlayerSet, q: Fraction):
+    # Infected players always deviate, so only the others are evaluated.
+    others = sorted(start - cfg.infected)
+    if not others:
+        return
     deviates = _deviators(cfg, start, q)
-    for i in sorted(start):
+    for i in others:
         if not deviates[i]:
             raise PreconditionError(
                 f"player {i} has no incentive to deviate at q={rational_str(q)} "

@@ -3,13 +3,18 @@
 A :class:`Network` stores its neighbour lists as the CSR arrays
 ``(indptr, indices)`` and validates them in one vectorized pass; the lists
 as Python tuples are built only when a caller first reads ``adjacency``.
-:meth:`Network.from_edges` and :func:`load_edge_list` work on numpy arrays of
-endpoints, so loading a graph costs a few array passes, not a Python object
-per node or per edge.
+:meth:`Network.from_edges` works on numpy arrays of endpoints, and
+:func:`load_edge_list` parses a plain-ASCII document as one byte array, so
+loading a graph costs a few array passes, not a Python object per node,
+edge or token.
 
 Randomness convention: every generator in this package draws from
-``numpy.random.Generator(numpy.random.PCG64(seed))`` and uses only
-``Generator.integers``, so a seed pins the produced graph bit-for-bit.
+``numpy.random.Generator(numpy.random.PCG64(seed))``, so a seed pins the
+produced graph bit-for-bit.  :func:`generate_ba` takes the bit generator's
+raw outputs in blocks and makes each pick as ``Generator.integers(0, k)``
+does, by numpy's bounded-integer method (Lemire's).  numpy promises no
+stable stream across versions (NEP 19); the tests compare it with one
+``Generator.integers`` call per draw and pin a digest, so a change shows.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +36,14 @@ _MAX_NODES = math.isqrt(2**63 - 1)
 # The line boundaries of ``str.splitlines``; ``\r\n`` is ``\r`` then ``\n``.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = re.compile(f"#[^{_LINE_BREAKS}]*")
+# Byte classes for _parse_plain: a digit's value, a blank, a line break,
+# or any other byte, the other ASCII line breaks (\x0b, \x0c, \x1c-\x1e)
+# included.
+_BLANK, _BREAK, _OTHER = 16, 32, 255
+_BYTE_CLASS = bytes(c - 48 if 48 <= c <= 57 else _BLANK if c in b" \t"
+                    else _BREAK if c in b"\n\r" else _OTHER for c in range(256))
+# 64-bit words that generate_ba draws at a time.
+_DRAW_BLOCK = 1024
 
 
 def _flat_ints(rows: Iterable[Iterable[int]], count: int) -> np.ndarray:
@@ -237,6 +250,13 @@ def _endpoints(edges) -> np.ndarray:
     return _flat_ints(pairs, 2 * len(pairs)).reshape(-1, 2)
 
 
+def _uint32_halves(bitgen: np.random.BitGenerator) -> list[int]:
+    """The next block of ``bitgen``'s 32-bit outputs: each 64-bit word split
+    into its halves, low half first, as ``Generator.integers`` consumes them."""
+    words = bitgen.random_raw(_DRAW_BLOCK)
+    return np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel().tolist()
+
+
 def generate_ba(n: int, m: int, seed: int) -> Network:
     """Grow a scale-free network by preferential attachment.
 
@@ -245,6 +265,12 @@ def generate_ba(n: int, m: int, seed: int) -> Network:
     probability proportional to current degree (repeated uniform draws from
     a degree-weighted endpoint list, rejecting duplicates).  Identical
     ``(n, m, seed)`` always produce the identical edge set.
+
+    Each uniform draw over the ``k`` endpoints is the one that
+    ``Generator.integers(0, k)`` makes for ``k <= 2**32`` (any endpoint list
+    that fits in memory): Lemire's method on the next 32-bit output ``x``,
+    whose pick is ``(x*k) >> 32``, redrawn while ``(x*k) mod 2**32 < 2**32
+    mod k``.  The outputs are drawn in blocks, not one call per draw.
     """
     if m < 1:
         raise ParameterError(f"m must be at least 1; got {m}")
@@ -253,25 +279,32 @@ def generate_ba(n: int, m: int, seed: int) -> Network:
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative; got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    # The generator is local, so drawing ahead of the picks is invisible.
+    halves = chain.from_iterable(map(_uint32_halves, repeat(rng.bit_generator)))
 
-    edges: list[tuple[int, int]] = [(i, j) for i in range(m) for j in range(i + 1, m)]
     # Endpoint list: node id repeated once per unit of degree.
     repeated: list[int] = [i for i in range(m) for _ in range(m - 1)]
-    for v in range(m, n):
-        if v == m:
-            # Only m nodes exist, so the m distinct targets are forced.
-            targets = list(range(m))
-        else:
-            chosen: set[int] = set()
-            while len(chosen) < m:
-                pick = repeated[int(rng.integers(0, len(repeated)))]
-                chosen.add(pick)
-            targets = sorted(chosen)
-        for t in targets:
-            edges.append((t, v))
-        repeated.extend(targets)
+    # Node m's targets are forced: only m nodes exist.
+    targets: list[int] = list(range(m))
+    repeated.extend(targets)
+    repeated.extend([m] * m)
+    for v in range(m + 1, n):
+        k = len(repeated)
+        reject = 2**32 % k
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            x = next(halves) * k
+            if x & 0xFFFFFFFF >= reject:
+                chosen.add(repeated[x >> 32])
+        picked = sorted(chosen)
+        targets.extend(picked)
+        repeated.extend(picked)
         repeated.extend([v] * m)
 
+    core = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = np.concatenate([
+        np.array(core, dtype=np.int64).reshape(-1, 2),
+        np.column_stack((targets, np.repeat(np.arange(m, n), m)))])
     meta = {
         "generator": "preferential-attachment",
         "n": n,
@@ -297,48 +330,94 @@ def load_edge_list(text: str) -> Network:
     hold (see ``_MAX_NODES``) and non-integer tokens raise
     :class:`EdgeListParseError` with the 1-based line number.
 
-    The whole document is tokenized at once and its tokens parsed with
-    ``int`` into one array.  Only a document found bad is scanned line by
-    line, to word the error.
+    A document whose text outside comments is only ASCII digits, spaces,
+    tabs, ``\n`` and ``\r``, in lines of two tokens of at most 18 digits,
+    is parsed as one byte array (:func:`_parse_plain`).  Every other
+    document, and one whose endpoints fail a check, goes through the
+    per-line loop (:func:`_parse_lines`), which parses what ``int``
+    accepts and raises at the first bad line.
     """
-    body = _COMMENT.sub("", text)
-    if not set(map(len, map(str.split, body.splitlines()))) <= {0, 2}:
-        raise _first_error(text)
-    tokens = body.split()
-    try:
-        ends = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
-    except (ValueError, OverflowError):
-        raise _first_error(text) from None
-    del tokens
-    ends = ends.reshape(-1, 2)
-    if (not len(ends) or (ends < 0).any() or ends.max() >= _MAX_NODES
-            or (ends[:, 0] == ends[:, 1]).any()):
-        raise _first_error(text)
+    ends = _parse_plain(_COMMENT.sub("", text))
+    if ends is None or ends.max() >= _MAX_NODES or (ends[:, 0] == ends[:, 1]).any():
+        ends = _parse_lines(text)
     return Network.from_edges(int(ends.max()) + 1, ends)
 
 
-def _first_error(text: str) -> EdgeListParseError:
-    """The error of the first bad line of a document ``load_edge_list`` rejected."""
+def _parse_plain(body: str) -> np.ndarray | None:
+    """The ``(E, 2)`` endpoints of a comment-free plain-ASCII document.
+
+    None when ``body`` holds any other character, no token, a line of
+    other than two tokens, or a token of more than 18 digits; the per-line
+    loop parses those.  The bytes are classified first, then the work is on token
+    positions, not on strings.
+    """
+    if not body.isascii():
+        return None
+    # Padded by a blank on each side: every digit run has a non-digit
+    # byte before and after it.  ``translate`` classifies in one C pass
+    # and keeps one byte per byte.
+    classes = f" {body} ".encode("ascii").translate(_BYTE_CLASS)
+    if bytes((_OTHER,)) in classes:
+        return None
+    cls = np.frombuffer(classes, np.uint8)
+    digit = cls < 10
+    # Alternating: the non-digit byte before each digit run, then its last
+    # digit; copied apart, as the passes below run faster on contiguous rows.
+    runs = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    before, last = runs.reshape(-1, 2).T.copy()
+    width = int((last - before).max(initial=0))
+    if not width or len(before) % 2 or width > 18:
+        return None
+    # Exactly two tokens per line: the gap before each odd-indexed token
+    # holds no line break, and the gap before each later even-indexed
+    # one holds at least one.  A break in the gap before token j sorts
+    # after every earlier token's bytes and not after token j's ``before``.
+    gap_breaks = np.zeros(len(before) + 1, dtype=bool)
+    gap_breaks[np.searchsorted(before, np.flatnonzero(cls == _BREAK))] = True
+    if gap_breaks[1::2].any() or not gap_breaks[2:-1:2].all():
+        return None
+    # Digit columns, left-aligned to the widest token.  Until its digits
+    # begin, a shorter token reads its ``before`` byte, a blank or a break,
+    # which ``& 15`` turns into 0.
+    value = np.zeros(len(before), dtype=np.int64)
+    column = last - (width - 1)
+    at = np.empty_like(column)
+    for _ in range(width):
+        np.maximum(column, before, out=at)
+        value *= 10
+        value += cls[at] & 15
+        column += 1
+    return value.reshape(-1, 2)
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """The ``(E, 2)`` endpoints of a document, line by line; raises
+    :class:`EdgeListParseError` at the first bad line, or when it has no edge."""
+    ends: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            return EdgeListParseError(
+            raise EdgeListParseError(
                 f"expected two tokens, got {len(tokens)}: {raw!r}", lineno)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            return EdgeListParseError(f"non-integer token in {raw!r}", lineno)
+            raise EdgeListParseError(f"non-integer token in {raw!r}", lineno) from None
         if u < 0 or v < 0:
-            return EdgeListParseError(f"negative node index in {raw!r}", lineno)
+            raise EdgeListParseError(f"negative node index in {raw!r}", lineno)
         if max(u, v) >= _MAX_NODES:
-            return EdgeListParseError(
+            raise EdgeListParseError(
                 f"node index above {_MAX_NODES - 1} in {raw!r}", lineno)
         if u == v:
-            return EdgeListParseError(f"self-loop {u}-{v}", lineno)
-    return EdgeListParseError("document contains no edges", 1)
+            raise EdgeListParseError(f"self-loop {u}-{v}", lineno)
+        ends.append((u, v))
+    if not ends:
+        raise EdgeListParseError("document contains no edges", 1)
+    return np.array(ends, dtype=np.int64)
 
 
 def dump_edge_list(net: Network, header: bool = False) -> str:

@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netcontagion import contagion as contagion_module
 from netcontagion import oracle
+from netcontagion._engines import ExactEngine
 from netcontagion.contagion import (
     DepthFunction,
     ThresholdResult,
@@ -275,6 +277,29 @@ def test_start_check_names_the_lowest_lacking_player(cycle4, check):
             cascade(cfg, {3, 1, 0}, F(3, 4))
     assert err.value.player == 1
     cascade(cfg, {3, 1, 0}, F(1, 2))  # all three have it at q = 1/2
+
+
+@pytest.mark.parametrize("check", ["threshold", "cascade"])
+def test_start_check_skips_infected_players(cycle4, check, monkeypatch):
+    # With 1 infected, 3 is the one starting player left to lack it.
+    cfg = GameConfig(network=cycle4, infected={1})
+    with pytest.raises(PreconditionError) as err:
+        if check == "threshold":
+            full_contagion_threshold(cfg, {3, 1, 0})
+        else:
+            cascade(cfg, {3, 1, 0}, F(3, 4))
+    assert err.value.player == 3
+    # A start that is all infected cannot fail the check, so only the
+    # engine that runs the query is built.
+    engines = []
+    monkeypatch.setattr(contagion_module, "ExactEngine",
+                        lambda cfg: engines.append(cfg) or ExactEngine(cfg))
+    cfg = GameConfig(network=cycle4, infected={0, 1})
+    if check == "threshold":
+        full_contagion_threshold(cfg, {0, 1})
+    else:
+        cascade(cfg, {0}, F(1, 2))
+    assert len(engines) == 1
 
 
 def test_coexisting_conventions(cycle4_seeded):

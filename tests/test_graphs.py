@@ -8,8 +8,11 @@ import pytest
 
 from netcontagion.errors import EdgeListParseError, ParameterError
 from netcontagion.graphs import (
+    _COMMENT,
     _LINE_BREAKS,
+    _MAX_NODES,
     Network,
+    _parse_plain,
     dump_edge_list,
     generate_ba,
     is_connected,
@@ -178,6 +181,8 @@ def reference_load(text):
             raise EdgeListParseError(f"non-integer token in {raw!r}", lineno)
         if u < 0 or v < 0:
             raise EdgeListParseError(f"negative node index in {raw!r}", lineno)
+        if max(u, v) >= _MAX_NODES:
+            raise EdgeListParseError(f"node index above {_MAX_NODES - 1} in {raw!r}", lineno)
         if u == v:
             raise EdgeListParseError(f"self-loop {u}-{v}", lineno)
         edges.add((min(u, v), max(u, v)))
@@ -185,6 +190,25 @@ def reference_load(text):
     if max_index < 0:
         raise EdgeListParseError("document contains no edges", 1)
     return max_index + 1, reference_from_edges(max_index + 1, edges)
+
+
+def reference_generate_ba(n, m, seed):
+    """The preferential-attachment loop with one ``rng.integers`` call per draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    repeated = [i for i in range(m) for _ in range(m - 1)]
+    for v in range(m, n):
+        if v == m:
+            targets = list(range(m))
+        else:
+            chosen = set()
+            while len(chosen) < m:
+                chosen.add(repeated[int(rng.integers(0, len(repeated)))])
+            targets = sorted(chosen)
+        edges.extend((t, v) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([v] * m)
+    return Network.from_edges(n, edges)
 
 
 def reference_connected(adjacency):
@@ -270,6 +294,74 @@ def test_random_documents_cover_both_outcomes():
     assert EdgeListParseError in kinds and any(isinstance(k, int) for k in kinds)
 
 
+PLAIN_SEPARATORS = [" ", "  ", "\t", " \t "]
+PLAIN_LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
+PLAIN_BAD_LINES = ["7", "1 2 3", "4 4", "1 2 3 # three", "\t5\t", f"{_MAX_NODES} 1",
+                   f"0 {_MAX_NODES}", f"{2**64 + 1} 2"]
+
+
+def random_plain_document(rng):
+    """A document of ASCII digits, blanks, line breaks and comments only."""
+    n = int(rng.integers(2, 30))
+    lines = []
+    for _ in range(int(rng.integers(0, 25))):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append("")
+        elif kind < 0.16:
+            lines.append(f"# comment {int(rng.integers(0, 99))} 1 2 3")
+        elif kind < 0.2:
+            lines.append(" \t ")
+        else:
+            tokens = [str(int(x)) for x in rng.choice(n, size=2, replace=False)]
+            if rng.random() < 0.02:  # more than 18 digits, still a valid index
+                i = int(rng.integers(0, 2))
+                tokens[i] = "0" * 19 + tokens[i]
+            sep = PLAIN_SEPARATORS[int(rng.integers(0, len(PLAIN_SEPARATORS)))]
+            line = sep.join(tokens)
+            if rng.random() < 0.2:
+                line = f"{sep}{line}{sep}# trailing note"
+            lines.append(line)
+    draw = rng.random()
+    if lines and draw < 0.3:
+        # One or two bad lines: two lines of one token, or of one and of
+        # three, hold an even number of tokens.
+        for _ in range(1 + (draw < 0.1)):
+            at = int(rng.integers(0, len(lines) + 1))
+            lines.insert(at, PLAIN_BAD_LINES[int(rng.integers(0, len(PLAIN_BAD_LINES)))])
+        if draw < 0.05:
+            # The largest index a network can hold, rejected at a later
+            # line before any network of that size is built.
+            lines.insert(at, f"{_MAX_NODES - 1} 0")
+    ends = [PLAIN_LINE_ENDS[int(rng.integers(0, len(PLAIN_LINE_ENDS)))] for _ in lines]
+    if ends and rng.random() < 0.3:
+        ends[-1] = ""  # no line break after the last line
+    return "".join(map(str.__add__, lines, ends))
+
+
+PLAIN_DOCUMENTS = ["", "\n", "\r\n\r", "# only a comment", " \t\n", "0 1", "0 1\r",
+                   "0\t1\r\n1 2", "0 1\n\n\r\n1 2 # x\r", f"0 1\n{_MAX_NODES - 1} 1\n1\n",
+                   "7\n8\n", "7\r8", "1 2 3 4\n", "0 1\n7", "0 1\n7\n", "1 2 3\n4\n"]
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_load_matches_reference_loop_on_plain_documents(chunk):
+    rng = np.random.default_rng([2027, chunk])
+    texts = [random_plain_document(rng) for _ in range(50)] + (PLAIN_DOCUMENTS if chunk == 0 else [])
+    for text in texts:
+        assert outcome(load_edge_list, text) == outcome(reference_load, text), repr(text)
+
+
+def test_plain_documents_mostly_take_the_array_path():
+    rng = np.random.default_rng([2027, 0])
+    texts = [random_plain_document(rng) for _ in range(50)]
+    kinds = [outcome(reference_load, text)[0] for text in texts]
+    assert EdgeListParseError in kinds
+    assert sum(isinstance(kind, int) for kind in kinds) > len(texts) / 2
+    parsed = [_parse_plain(_COMMENT.sub("", text)) is not None for text in texts]
+    assert sum(parsed) > len(texts) / 2
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_network_validation_matches_reference_loop(seed):
     rng = np.random.default_rng([7, seed])
@@ -334,6 +426,14 @@ def test_from_edges_matches_reference_loop(seed):
             assert net.adjacency == ref.adjacency and net.degrees == ref.degrees
             assert list(net.edges()) == list(ref.edges())
             assert all(map(np.array_equal, net.csr, ref.csr))
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (1000, 5, 42), (300, 20, 7), (2000, 1, 3), (30000, 5, 1), (50000, 5, 1), (300, 5, 123),
+    (40, 39, 5), (2, 1, 0),
+])
+def test_generate_ba_matches_scalar_draws(n, m, seed):
+    assert generate_ba(n, m, seed) == reference_generate_ba(n, m, seed)
 
 
 def test_generate_ba_pinned_digest():
@@ -444,8 +544,6 @@ def test_from_edges_accepts_arrays_and_rejects_non_pairs():
 
 
 def test_node_count_beyond_packed_keys_is_rejected():
-    from netcontagion.graphs import _MAX_NODES
-
     assert _MAX_NODES**2 < 2**63 <= (_MAX_NODES + 1)**2
     with pytest.raises(ParameterError, match="at most"):
         Network(_MAX_NODES + 1, ())

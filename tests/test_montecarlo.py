@@ -20,6 +20,7 @@ from netcontagion.montecarlo import (
     depth_curve,
     derive_seed,
     desk_grid,
+    draw_players,
     draw_set,
     full_grid,
     inverse_depth,
@@ -141,6 +142,19 @@ def test_draw_set_rejects_sizes_outside_population(size):
     rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ParameterError):
         draw_set(rng, 20, size)
+
+
+def test_draw_players_are_the_drawn_set():
+    # The sweep takes the array, the CLI the set: the same players, and
+    # the same generator state left behind.
+    for seed in range(300):
+        population = 1 + seed % 41
+        for size in (0, population, seed % (population + 1)):
+            rng_a, rng_b = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            players = draw_players(rng_a, population, size)
+            assert players.dtype == np.int64 and len(set(players.tolist())) == size
+            assert frozenset(players.tolist()) == draw_set(rng_b, population, size)
+            assert rng_a.integers(2**62) == rng_b.integers(2**62)
 
 
 def test_draw_set_empty_and_whole_population():
