@@ -13,6 +13,8 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import sys
 
@@ -25,7 +27,7 @@ from .contagion import depth_at, depth_function, full_contagion_threshold
 from .errors import NetcontagionError, ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect, TabularGlobalEffect
 from .graphs import dump_edge_list, generate_ba, load_edge_list
-from .montecarlo import ExperimentGrid, PRESETS, run_grid
+from .montecarlo import ExperimentGrid, PRESETS
 from .rational import as_rational, as_unit_rational, decimal_render, rational_str
 
 
@@ -257,34 +259,46 @@ def _cmd_montecarlo(args) -> int:
         grid = _grid_from_doc(doc)
     else:
         raise ParameterError("montecarlo needs --preset or --config")
+    sweep = montecarlo.iter_grid(grid, workers=args.workers)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    records = run_grid(grid, workers=args.workers)
-    montecarlo.write_records_csv(records, out / "runs.csv")
-    montecarlo.write_records_jsonl(records, out / "runs.jsonl")
-    table = montecarlo.average_thresholds(records, grid.q_grid)
+    plot_dir = out / "plots"
+    aggregator = montecarlo.Aggregator(grid.q_grid)
+    # The runs files are open before the first search and take each task's
+    # rows as it finishes; the summaries are written once all have.
+    with contextlib.ExitStack() as files:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            if args.plots:
+                plot_dir.mkdir(exist_ok=True)
+            runs_csv = files.enter_context(open(out / "runs.csv", "w", newline=""))
+            runs_jsonl = files.enter_context(open(out / "runs.jsonl", "w"))
+        except OSError as exc:
+            raise ParameterError(f"cannot write to --out {out}: {exc}") from exc
+        csv_rows = csv.writer(runs_csv)
+        csv_rows.writerow(montecarlo.RUN_CSV_COLUMNS)
+        for records in sweep:
+            csv_rows.writerows(map(montecarlo.run_csv_row, records))
+            runs_jsonl.writelines(map(montecarlo.run_json_line, records))
+            aggregator.add(records)
+    table = aggregator.table()
     montecarlo.write_threshold_table_csv(table, out / "thresholds_table.csv")
     montecarlo.write_threshold_stats_csv(table, out / "threshold_stats.csv")
     montecarlo.write_inverse_depth_table_csv(table, out / "inverse_depth_table.csv")
     montecarlo.write_depth_curves_csv(table, out / "depth_curves.csv")
     if args.plots:
-        plot_dir = out / "plots"
-        plot_dir.mkdir(exist_ok=True)
         for m in grid.m_values:
             for alpha in grid.alpha_values:
-                recs = [r for r in records if r.m == m and r.alpha == alpha]
-                points = [(r.size_fraction, r.q_star) for r in recs]
                 means = {
                     Fraction(size, grid.network_size): cell.mean
                     for (mm, aa, size), cell in table.thresholds.items()
                     if (mm, aa) == (m, alpha)}
                 svg = svgplot.render_scatter(
-                    points, means,
+                    aggregator.points(m, alpha), means,
                     title=f"contagion threshold, m={m}, alpha={rational_str(alpha)}",
                     x_label="starting-set fraction", y_label="q*")
                 name = f"thresholds_m{m}_alpha{rational_str(alpha).replace('/', '-')}.svg"
                 (plot_dir / name).write_text(svg)
-    print(f"wrote {len(records)} runs to {out}")
+    print(f"wrote {aggregator.count} runs to {out}")
     return 0
 
 

@@ -140,9 +140,13 @@ class DepthFunction:
 
     @classmethod
     def from_threshold(cls, result: ThresholdResult) -> "DepthFunction":
+        # Built from lists, which size each tuple exactly.  A generator's
+        # tuple is allocated at a guessed size and shrunk, so once freed it
+        # is kept for a size the next record does not ask for, and a
+        # sweep's memory creeps up with its run count.
         return cls(
-            breakpoints=tuple(st.q for st in result.stages),
-            interval_sizes=tuple(st.size for st in result.stages[:-1]),
+            breakpoints=tuple([st.q for st in result.stages]),
+            interval_sizes=tuple([st.size for st in result.stages[:-1]]),
             node_count=result.node_count,
         )
 

@@ -171,7 +171,9 @@ class Network:
         n = node_count
         key = np.sort(np.concatenate([u * n + v, v * n + u]))
         rows, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-        return cls._from_csr(n, np.searchsorted(rows, np.arange(n + 1)), indices, meta)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls._from_csr(n, indptr, indices, meta)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -272,6 +274,8 @@ def generate_ba(n: int, m: int, seed: int) -> Network:
     whose pick is ``(x*k) >> 32``, redrawn while ``(x*k) mod 2**32 < 2**32
     mod k``.  The outputs are drawn in blocks, not one call per draw.
     """
+    if n > _MAX_NODES:
+        raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {n}")
     if m < 1:
         raise ParameterError(f"m must be at least 1; got {m}")
     if m >= n:

@@ -22,6 +22,10 @@ start itself.
 Every random draw flows from ``master_seed`` through a documented split:
 ``sha256("netcontagion:<master>:<field>:...")`` truncated to 64 bits, so
 records are bit-identical regardless of worker count or scheduling.
+
+A sweep streams: :func:`iter_grid` yields one network task's records at a
+time, already in the global record order, and :class:`Aggregator` folds
+them into exact running sums, so neither has to hold the whole run.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ import csv
 import hashlib
 import json
 import warnings
+from array import array
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -96,8 +102,13 @@ class ExperimentGrid:
             raise ParameterError("network_size must be at least 2")
         if self.networks_per_m < 1 or self.sets_per_size < 1:
             raise ParameterError("counts must be positive")
-        if not self.m_values or not self.alpha_values or not self.set_sizes:
-            raise ParameterError("m_values, alpha_values, set_sizes must be nonempty")
+        for name in ("m_values", "alpha_values", "set_sizes"):
+            values = getattr(self, name)
+            if not values:
+                raise ParameterError("m_values, alpha_values, set_sizes must be nonempty")
+            repeated = next((v for v in values if values.count(v) > 1), None)
+            if repeated is not None:
+                raise ParameterError(f"{name} must not repeat a value; {repeated} repeats")
         for m in self.m_values:
             if not 1 <= m < self.network_size:
                 raise ParameterError(f"m={m} incompatible with network size")
@@ -218,22 +229,43 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> list[Run
     return records
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[RunRecord]:
-    """Execute the grid; the record list is identical for any worker count."""
+def iter_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[list[RunRecord]]:
+    """Execute the grid one network task at a time.
+
+    Yields each task's records sorted by :meth:`RunRecord.sort_key`, tasks
+    in ascending ``(m, network_id)`` order, so the concatenation is the
+    globally sorted record list for any worker count.  With ``workers > 1``
+    at most ``2 * workers`` tasks are in flight, and results are yielded in
+    submission order.  ``workers`` is checked before anything runs.
+    """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1; got {workers}")
-    tasks = [(m, net_id) for m in grid.m_values
+    tasks = [(m, net_id) for m in sorted(grid.m_values)
              for net_id in range(grid.networks_per_m)]
-    if workers == 1:
-        chunks = [_run_network_task(grid, m, net_id) for m, net_id in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_network_task, grid, m, net_id)
-                       for m, net_id in tasks]
-            chunks = [f.result() for f in futures]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=RunRecord.sort_key)
-    return records
+    chunks = (_run_network_task(grid, m, net_id) for m, net_id in tasks) \
+        if workers == 1 else _pooled_tasks(grid, tasks, workers)
+    return (sorted(chunk, key=RunRecord.sort_key) for chunk in chunks)
+
+
+def _pooled_tasks(grid: ExperimentGrid, tasks: list[tuple[int, int]],
+                  workers: int) -> Iterator[list[RunRecord]]:
+    pool = ProcessPoolExecutor(max_workers=workers)
+    pending: deque = deque()
+    try:
+        for m, net_id in tasks:
+            pending.append(pool.submit(_run_network_task, grid, m, net_id))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        # A consumer that stops early does not wait for the queued tasks.
+        pool.shutdown(cancel_futures=True)
+
+
+def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[RunRecord]:
+    """Execute the grid; the record list is identical for any worker count."""
+    return [rec for chunk in iter_grid(grid, workers) for rec in chunk]
 
 
 @dataclass
@@ -253,49 +285,98 @@ class AggregateTable:
     depth_means: dict[tuple[int, Fraction, Fraction, int], Fraction] = field(default_factory=dict)
 
 
+class Aggregator:
+    """Exact running summaries of a record stream, without the records.
+
+    Per (m, alpha, set size) it keeps the exact sum of q* and the q* floats
+    in arrival order, for the same ``np.std`` a list of them would give.
+    Per (m, alpha) it keeps, for each q of ``q_grid``, integer reached
+    counts by (set size, network size, node count), which are the
+    numerators that :func:`depth_curve` sums, and the (size fraction, q*)
+    plot points as floats in arrival order.  :meth:`table` is the table of
+    every record added so far.
+    """
+
+    def __init__(self, q_grid: Iterable = ()):
+        self.q_grid = tuple(as_unit_rational(q, "q") for q in q_grid)
+        self.count = 0
+        self.network_size: int | None = None
+        self._sums: dict[tuple[int, Fraction, int], Fraction] = {}
+        self._floats: dict[tuple[int, Fraction, int], array] = {}
+        # (m, alpha) -> (set size, network size, node count) -> [runs, reached per q]
+        self._reached: dict[tuple[int, Fraction], dict[tuple[int, int, int], list[int]]] = {}
+        self._points: dict[tuple[int, Fraction], tuple[array, array]] = {}
+
+    def add(self, records: Iterable[RunRecord]) -> None:
+        for rec in records:
+            if self.network_size is None:
+                self.network_size = rec.network_size
+            self.count += 1
+            key = (rec.m, rec.alpha, rec.set_size)
+            q_float = float(rec.q_star)
+            self._sums[key] = self._sums.get(key, 0) + rec.q_star
+            self._floats.setdefault(key, array("d")).append(q_float)
+            scenario = (rec.m, rec.alpha)
+            cell = self._reached.setdefault(scenario, {}).setdefault(
+                (rec.set_size, rec.network_size, rec.depth.node_count),
+                [0] * (1 + len(self.q_grid)))
+            cell[0] += 1
+            for j, q in enumerate(self.q_grid, 1):
+                cell[j] += _reached(rec.depth, q)
+            xs, ys = self._points.setdefault(scenario, (array("d"), array("d")))
+            xs.append(rec.set_size / rec.network_size)
+            ys.append(q_float)
+
+    def points(self, m: int, alpha: Fraction) -> list[tuple[float, float]]:
+        """(size fraction, q*) of every (m, alpha) record, in arrival order."""
+        xs, ys = self._points.get((m, alpha), ((), ()))
+        return list(zip(xs, ys))
+
+    def table(self) -> AggregateTable:
+        """Arithmetic means of q* (exact) grouped by (m, alpha, set size),
+        and mean depth at each q per (m, alpha, set size).
+
+        Mean q* should grow weakly with set size; sampling jitter can break
+        that in small grids, so violations only warn.
+        """
+        if not self.count:
+            raise ParameterError("no records to aggregate")
+        table = AggregateTable(network_size=self.network_size)
+        for key in sorted(self._sums):
+            floats = self._floats[key]
+            table.thresholds[key] = ThresholdCell(
+                mean=self._sums[key] / len(floats), count=len(floats),
+                sd=float(np.std(np.frombuffer(floats))))
+        for (m, alpha) in sorted({(k[0], k[1]) for k in self._sums}):
+            means = [(size, table.thresholds[(m, alpha, size)].mean)
+                     for size in sorted({k[2] for k in self._sums if k[:2] == (m, alpha)})]
+            for (s0, v0), (s1, v1) in zip(means, means[1:]):
+                if v1 < v0:
+                    warnings.warn(
+                        f"mean threshold dips from {float(v0):.4f} to {float(v1):.4f} "
+                        f"between sizes {s0} and {s1} (m={m}, alpha={alpha}); "
+                        f"sampling jitter", stacklevel=2)
+                    break
+        for j, q in enumerate(self.q_grid, 1):
+            for (m, alpha), cells in sorted(self._reached.items()):
+                sums: dict[tuple[Fraction, int], list[int]] = {}
+                for (size, network_size, nodes), counts in cells.items():
+                    cell = sums.setdefault((Fraction(size, network_size), nodes), [0, 0])
+                    cell[0] += counts[j]
+                    cell[1] += counts[0]
+                for size_frac, mean in _mean_curve(sums).items():
+                    size = int(size_frac * table.network_size)
+                    table.depth_means[(m, alpha, q, size)] = mean
+        return table
+
+
 def average_thresholds(records: Sequence[RunRecord],
                        q_grid: Iterable = ()) -> AggregateTable:
-    """Arithmetic means of q* (exact) grouped by (m, alpha, set size).
-
-    Mean q* should grow weakly with set size; sampling jitter can break
-    that in small grids, so violations only warn.
-    """
-    if not records:
-        raise ParameterError("no records to aggregate")
-    table = AggregateTable(network_size=records[0].network_size)
-    groups: dict[tuple[int, Fraction, int], list[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.m, rec.alpha, rec.set_size), []).append(rec)
-    for key in sorted(groups):
-        vals = [rec.q_star for rec in groups[key]]
-        mean = sum(vals, Fraction(0)) / len(vals)
-        sd = float(np.std([float(v) for v in vals]))
-        table.thresholds[key] = ThresholdCell(mean=mean, count=len(vals), sd=sd)
-    for (m, alpha) in sorted({(k[0], k[1]) for k in groups}):
-        means = [(size, table.thresholds[(m, alpha, size)].mean)
-                 for size in sorted({k[2] for k in groups if k[:2] == (m, alpha)})]
-        for (s0, v0), (s1, v1) in zip(means, means[1:]):
-            if v1 < v0:
-                warnings.warn(
-                    f"mean threshold dips from {float(v0):.4f} to {float(v1):.4f} "
-                    f"between sizes {s0} and {s1} (m={m}, alpha={alpha}); "
-                    f"sampling jitter", stacklevel=2)
-                break
-    scenarios = _group_by_scenario(records)
-    for q in q_grid:
-        q = as_unit_rational(q, "q")
-        for (m, alpha), recs in sorted(scenarios.items()):
-            for size_frac, mean in depth_curve(recs, q).items():
-                size = int(size_frac * table.network_size)
-                table.depth_means[(m, alpha, q, size)] = mean
-    return table
-
-
-def _group_by_scenario(records: Sequence[RunRecord]) -> dict[tuple[int, Fraction], list[RunRecord]]:
-    out: dict[tuple[int, Fraction], list[RunRecord]] = {}
-    for rec in records:
-        out.setdefault((rec.m, rec.alpha), []).append(rec)
-    return out
+    """The :meth:`Aggregator.table` of ``records``: exact mean q* per
+    (m, alpha, set size) and mean depth per (m, alpha, q, set size)."""
+    aggregator = Aggregator(q_grid)
+    aggregator.add(records)
+    return aggregator.table()
 
 
 def depth_curve(records: Sequence[RunRecord], q) -> dict[Fraction, Fraction]:
@@ -307,13 +388,18 @@ def depth_curve(records: Sequence[RunRecord], q) -> dict[Fraction, Fraction]:
     q = as_unit_rational(q, "q")
     if not records:
         raise ParameterError("no records")
-    # Each depth is reached/node_count: sum the integer numerators per
-    # network size, and divide once.
     sums: dict[tuple[Fraction, int], list[int]] = {}
     for rec in records:
         cell = sums.setdefault((rec.size_fraction, rec.depth.node_count), [0, 0])
         cell[0] += _reached(rec.depth, q)
         cell[1] += 1
+    return _mean_curve(sums)
+
+
+def _mean_curve(sums: Mapping[tuple[Fraction, int], Sequence[int]]) -> dict[Fraction, Fraction]:
+    """Mean depth per size fraction from (reached, runs) integer sums keyed
+    by (size fraction, node count).  Each depth is reached/node_count, so
+    the numerators are summed per network size and divided once."""
     curve: dict[Fraction, tuple[Fraction, int]] = {}
     for (frac, nodes), (reached, count) in sorted(sums.items()):
         total, seen = curve.get(frac, (Fraction(0), 0))
@@ -387,32 +473,38 @@ RUN_CSV_COLUMNS = ["m", "alpha", "network_id", "set_size", "replicate",
                    "subsets_checked"]
 
 
+def run_csv_row(rec: RunRecord) -> list:
+    """One ``runs.csv`` row, in :data:`RUN_CSV_COLUMNS` order."""
+    return [rec.m, rational_str(rec.alpha), rec.network_id, rec.set_size,
+            rec.replicate_id, rec.q_star.numerator, rec.q_star.denominator,
+            decimal_render(rec.q_star), rec.subsets_checked]
+
+
+def run_json_line(rec: RunRecord) -> str:
+    """One ``runs.jsonl`` line, newline included."""
+    return json.dumps({
+        "m": rec.m,
+        "alpha": rational_str(rec.alpha),
+        "network_id": rec.network_id,
+        "set_size": rec.set_size,
+        "replicate": rec.replicate_id,
+        "q_star": rational_json(rec.q_star),
+        "subsets_checked": rec.subsets_checked,
+        "network_size": rec.network_size,
+        "depth": rec.depth.to_dict(),
+    }, separators=(",", ":")) + "\n"
+
+
 def write_records_csv(records: Sequence[RunRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUN_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.m, rational_str(rec.alpha), rec.network_id, rec.set_size,
-                rec.replicate_id, rec.q_star.numerator, rec.q_star.denominator,
-                decimal_render(rec.q_star), rec.subsets_checked])
+        writer.writerows(map(run_csv_row, records))
 
 
 def write_records_jsonl(records: Sequence[RunRecord], path) -> None:
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "m": rec.m,
-                "alpha": rational_str(rec.alpha),
-                "network_id": rec.network_id,
-                "set_size": rec.set_size,
-                "replicate": rec.replicate_id,
-                "q_star": rational_json(rec.q_star),
-                "subsets_checked": rec.subsets_checked,
-                "network_size": rec.network_size,
-                "depth": rec.depth.to_dict(),
-            }, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(map(run_json_line, records))
 
 
 def write_threshold_table_csv(table: AggregateTable, path) -> None:

@@ -1,10 +1,14 @@
 import json
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+from netcontagion import montecarlo, svgplot
 from netcontagion.cli import main
 from netcontagion.game import InfluenceWeights
 from netcontagion.graphs import Network, load_edge_list
+from netcontagion.rational import rational_str
 
 
 def run_cli(capsys, *argv):
@@ -138,10 +142,17 @@ GRID = {"network_size": 30, "m_values": [2], "alpha_values": ["0"], "networks_pe
      {"grid.json": GRID}),
     (["montecarlo", "--config", "@grid.json", "--out", "@out", "--workers", "-2"],
      {"grid.json": GRID}),
+    (["montecarlo", "--config", "@grid.json", "--out", "@out"],
+     {"grid.json": {**GRID, "m_values": [2, 2]}}),
+    (["montecarlo", "--config", "@grid.json", "--out", "@grid.json/out"],
+     {"grid.json": GRID}),
+    (["verify", "--max-i", "3"], {}),
+    (["verify", "--trials", "-1"], {}),
 ], ids=["seeds", "missing-network", "weights-arity", "generate-without-m",
         "infected-string", "infected-fraction", "table-entry", "q-number", "grid-missing-field", "grid-mistyped-field",
         "grid-zero-step", "generate-negative-seed", "generate-flag-negative-seed",
-        "config-negative-seed", "no-workers", "negative-workers"])
+        "config-negative-seed", "no-workers", "negative-workers", "grid-repeated-m",
+        "out-under-a-file", "verify-max-i-below-4", "verify-negative-trials"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, files):
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -247,6 +258,98 @@ def test_montecarlo_outputs_and_determinism(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     svg = next((out1 / "plots").glob("*.svg")).read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("out, blocker", [("@file/out", "file"), ("@out", "out/plots")],
+                         ids=["out-under-a-file", "plots-is-a-file"])
+def test_montecarlo_unwritable_out_fails_before_any_search(tmp_path, capsys, monkeypatch,
+                                                          out, blocker):
+    def no_search(*args):
+        raise AssertionError("a network task ran")
+
+    monkeypatch.setattr(montecarlo, "_run_network_task", no_search)
+    (tmp_path / blocker).parent.mkdir(exist_ok=True)
+    (tmp_path / blocker).write_text("")
+    (tmp_path / "grid.json").write_text(json.dumps(GRID))
+    code, stdout, err = run_cli(capsys, "--json-errors", "montecarlo", "--plots", "--config",
+                                str(tmp_path / "grid.json"), "--out", str(tmp_path / out[1:]))
+    assert (code, stdout) == (2, "")
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+# m, alpha and set sizes out of order; the records still come out sorted.
+UNORDERED_GRID = {"network_size": 30, "m_values": [3, 1, 2], "alpha_values": ["1", "0", "1/2"],
+                  "networks_per_m": 2, "sets_per_size": 2, "set_sizes": [12, 4, 25],
+                  "q_grid": ["3/4", "1/4"], "master_seed": 13}
+
+
+def whole_list_outputs(records, grid, out):
+    """Every montecarlo output, written from the whole record list."""
+    (out / "plots").mkdir(parents=True)
+    montecarlo.write_records_csv(records, out / "runs.csv")
+    montecarlo.write_records_jsonl(records, out / "runs.jsonl")
+    table = montecarlo.average_thresholds(records, grid.q_grid)
+    montecarlo.write_threshold_table_csv(table, out / "thresholds_table.csv")
+    montecarlo.write_threshold_stats_csv(table, out / "threshold_stats.csv")
+    montecarlo.write_inverse_depth_table_csv(table, out / "inverse_depth_table.csv")
+    montecarlo.write_depth_curves_csv(table, out / "depth_curves.csv")
+    for m in grid.m_values:
+        for alpha in grid.alpha_values:
+            points = [(r.size_fraction, r.q_star) for r in records if (r.m, r.alpha) == (m, alpha)]
+            means = {Fraction(size, grid.network_size): cell.mean
+                     for (mm, aa, size), cell in table.thresholds.items() if (mm, aa) == (m, alpha)}
+            svg = svgplot.render_scatter(
+                points, means, title=f"contagion threshold, m={m}, alpha={rational_str(alpha)}",
+                x_label="starting-set fraction", y_label="q*")
+            (out / "plots" / f"thresholds_m{m}_alpha{rational_str(alpha).replace('/', '-')}.svg"
+             ).write_text(svg)
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_montecarlo_streams_the_whole_list_bytes(tmp_path, capsys, workers):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(UNORDERED_GRID))
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(capsys, "montecarlo", "--config", str(config), "--out", str(out),
+                              "--workers", workers, "--plots")
+    grid = montecarlo.ExperimentGrid(
+        network_size=30, m_values=(3, 1, 2), alpha_values=(1, 0, Fraction(1, 2)),
+        networks_per_m=2, sets_per_size=2, set_sizes=(12, 4, 25),
+        q_grid=(Fraction(3, 4), Fraction(1, 4)), master_seed=13)
+    records = montecarlo.run_grid(grid)
+    whole_list_outputs(records, grid, tmp_path / "want")
+    assert (code, stdout) == (0, f"wrote {len(records)} runs to {out}\n")
+    got, want = tree_bytes(out), tree_bytes(tmp_path / "want")
+    assert len(got) == 6 + 9 and got == want
+
+
+def test_montecarlo_traced_peak_does_not_grow_with_networks(tmp_path, capsys):
+    grid = {"network_size": 60, "m_values": [3, 2], "alpha_values": ["0", "1/2", "1"],
+            "sets_per_size": 3, "set_sizes": {"start": 5, "stop": 60, "step": 5}}
+
+    def peak(networks):
+        config = tmp_path / f"grid{networks}.json"
+        config.write_text(json.dumps({**grid, "networks_per_m": networks}))
+        tracemalloc.start()
+        try:
+            assert main(["montecarlo", "--config", str(config),
+                         "--out", str(tmp_path / f"out{networks}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-use allocations fall outside the comparison
+    small, large = peak(2), peak(8)
+    added_runs = 6 * 2 * 3 * 3 * 11
+    # Held records would add ~480 B per run here.  What may grow is the
+    # aggregator's three float64 per run (q* for sd, the plot point), with
+    # the arrays' spare capacity and the copy made when one grows.
+    assert large - small <= 96 * added_runs, (small, large)
 
 
 def test_montecarlo_requires_grid(capsys):

@@ -58,6 +58,17 @@ def test_generate_parameter_errors():
         generate_ba(5, 0, 0)
 
 
+def test_generate_ba_checks_the_node_cap_before_drawing(monkeypatch):
+    # The cap is checked before anything is drawn: no bit generator is built.
+    def no_draws(seed):
+        raise AssertionError("a bit generator was built")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draws)
+    for n in (_MAX_NODES + 1, 10**10):
+        with pytest.raises(ParameterError, match="at most"):
+            generate_ba(n, 5, 0)
+
+
 def test_generated_networks_connected():
     for seed in range(100):
         assert is_connected(generate_ba(30, 2, seed))

@@ -1,5 +1,7 @@
 import csv
 import json
+import warnings
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from netcontagion.game import GameConfig, ParametricGlobalEffect
 from netcontagion.graphs import generate_ba
 from netcontagion.montecarlo import (
     RUN_CSV_COLUMNS,
+    Aggregator,
     ExperimentGrid,
     RunRecord,
     _run_network_task,
@@ -24,6 +27,7 @@ from netcontagion.montecarlo import (
     draw_set,
     full_grid,
     inverse_depth,
+    iter_grid,
     m5_benchmark_grid,
     regularized_curve,
     run_grid,
@@ -65,6 +69,75 @@ def test_run_grid_worker_count_invariant():
         networks_per_m=2, sets_per_size=2, set_sizes=(4, 10),
         q_grid=(F(1, 2),), master_seed=3)
     assert run_grid(grid, workers=1) == run_grid(grid, workers=3)
+
+
+def reference_run_grid(grid):
+    """Every task's records in one list, then one global sort."""
+    records = [rec for m in grid.m_values for network_id in range(grid.networks_per_m)
+               for rec in _run_network_task(grid, m, network_id)]
+    return sorted(records, key=RunRecord.sort_key)
+
+
+# m, alpha and set sizes out of order: the stream must still be the global sort.
+UNORDERED = ExperimentGrid(
+    network_size=30, m_values=(3, 1, 2), alpha_values=(F(1), F(0), F(1, 2)),
+    networks_per_m=2, sets_per_size=2, set_sizes=(12, 4, 25),
+    q_grid=(F(3, 4), F(1, 4), F(1, 2)), master_seed=13)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_iter_grid_streams_the_globally_sorted_records(workers):
+    chunks = list(iter_grid(UNORDERED, workers))
+    assert [(c[0].m, c[0].network_id) for c in chunks] == [
+        (m, i) for m in (1, 2, 3) for i in range(2)]
+    assert all({(r.m, r.network_id) for r in c} == {(c[0].m, c[0].network_id)}
+               for c in chunks)
+    want = reference_run_grid(UNORDERED)
+    assert [rec for c in chunks for rec in c] == want
+    assert run_grid(UNORDERED, workers) == want
+
+
+class RecordingPool:
+    """A synchronous stand-in for ProcessPoolExecutor that counts submissions."""
+
+    def __init__(self, max_workers):
+        self.submitted = 0
+        self.cancelled = None
+        RecordingPool.last = self
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.cancelled = cancel_futures
+
+
+def test_iter_grid_keeps_at_most_twice_the_workers_in_flight(monkeypatch):
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    grid = ExperimentGrid(
+        network_size=20, m_values=(1, 2), alpha_values=(F(0),), networks_per_m=6,
+        sets_per_size=1, set_sizes=(3,), q_grid=(), master_seed=5)
+    in_flight = []
+    for done, chunk in enumerate(iter_grid(grid, workers=2)):
+        in_flight.append(RecordingPool.last.submitted - done)
+    # Four tasks run ahead of the consumer until the 12 tasks run out.
+    assert in_flight == [4] * 9 + [3, 2, 1]
+    assert RecordingPool.last.cancelled is True
+    # A consumer that stops early leaves the queued tasks cancelled.
+    stream = iter_grid(grid, workers=3)
+    next(stream)
+    stream.close()
+    assert RecordingPool.last.submitted == 6 and RecordingPool.last.cancelled is True
+
+
+def test_iter_grid_checks_workers_before_running(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_run_network_task", None)  # never called
+    for workers in (0, -2):
+        with pytest.raises(ParameterError, match="workers"):
+            iter_grid(UNORDERED, workers)
 
 
 def test_size_batches_match_one_size_per_batch(monkeypatch):
@@ -239,6 +312,60 @@ def test_average_thresholds_grouping_and_mean():
     assert (2, F(0), F(1, 2), 5) in table.depth_means
 
 
+def reference_average_thresholds(records, q_grid=()):
+    """The whole-list aggregation: group every record, then sum each group."""
+    table = montecarlo.AggregateTable(network_size=records[0].network_size)
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.m, rec.alpha, rec.set_size), []).append(rec)
+    for key in sorted(groups):
+        vals = [rec.q_star for rec in groups[key]]
+        table.thresholds[key] = montecarlo.ThresholdCell(
+            mean=sum(vals, F(0)) / len(vals), count=len(vals),
+            sd=float(np.std([float(v) for v in vals])))
+    scenarios = {}
+    for rec in records:
+        scenarios.setdefault((rec.m, rec.alpha), []).append(rec)
+    for q in q_grid:
+        for (m, alpha), recs in sorted(scenarios.items()):
+            sums = {}
+            for rec in recs:
+                total, count = sums.get(rec.size_fraction, (F(0), 0))
+                sums[rec.size_fraction] = (total + depth_at(rec.depth, q), count + 1)
+            for frac, (total, count) in sorted(sums.items()):
+                table.depth_means[(m, alpha, q, int(frac * table.network_size))] = total / count
+    return table
+
+
+def test_aggregator_matches_the_whole_list_reference():
+    records = run_grid(UNORDERED)
+    other = run_grid(ExperimentGrid(
+        network_size=40, m_values=(2,), alpha_values=(F(1), F(0)), networks_per_m=2,
+        sets_per_size=3, set_sizes=(8, 20), q_grid=(), master_seed=3))
+    # Records of two network sizes, as one stream, in either order.
+    for stream in (records, records + other, other + records):
+        want = reference_average_thresholds(stream, UNORDERED.q_grid)
+        aggregator = Aggregator(UNORDERED.q_grid)
+        for k in range(0, len(stream), 7):
+            aggregator.add(stream[k:k + 7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = aggregator.table()
+            assert average_thresholds(stream, UNORDERED.q_grid) == got
+        assert got.network_size == want.network_size
+        # Same keys in the same order, equal exact means and equal float sd.
+        assert list(got.thresholds.items()) == list(want.thresholds.items())
+        assert list(got.depth_means.items()) == list(want.depth_means.items())
+        assert aggregator.count == len(stream)
+        for m, alpha in {(r.m, r.alpha) for r in stream}:
+            assert aggregator.points(m, alpha) == [
+                (float(r.size_fraction), float(r.q_star)) for r in stream
+                if (r.m, r.alpha) == (m, alpha)]
+    assert aggregator.points(99, F(0)) == []
+    with pytest.raises(ParameterError, match="no records"):
+        Aggregator().table()
+
+
 def test_depth_writers_use_the_table_curves(tmp_path):
     qs = (F(1, 4), F(3, 4))
     records = run_grid(ExperimentGrid(
@@ -393,3 +520,13 @@ def test_grid_validation():
         ExperimentGrid(network_size=10, m_values=(2,), alpha_values=(F(3, 2),),
                        networks_per_m=1, sets_per_size=1, set_sizes=(2,),
                        q_grid=(), master_seed=0)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("m_values", (2, 3, 2)), ("alpha_values", (F(0), F(1, 2), F(0))),
+    ("set_sizes", (2, 2))])
+def test_grid_rejects_repeated_values(field, values):
+    fields = dict(network_size=10, m_values=(2,), alpha_values=(F(0),), networks_per_m=1,
+                  sets_per_size=1, set_sizes=(2,), q_grid=(), master_seed=0)
+    with pytest.raises(ParameterError, match=f"{field} must not repeat"):
+        ExperimentGrid(**{**fields, field: values})
