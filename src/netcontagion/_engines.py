@@ -34,8 +34,9 @@ whose set fills the network is retired: its state is dropped, so later
 waves do not scan it, and the live rows after it move up one position.
 ``max_threshold`` serves the rows that end a stage: a float argmax per row
 only seeds the search, and exact comparisons, vectorized across the rows,
-settle each row's max and its lowest-indexed attainer.  A single row is
-the case that ``cascade``, ``full_contagion_threshold`` and ``is_nash`` run.
+settle each row's max and its lowest-indexed attainer, returned as integer
+arrays.  A single row is the case that ``cascade``,
+``full_contagion_threshold`` and ``is_nash`` run.
 
 A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
 ``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
@@ -301,9 +302,10 @@ class ExactEngine:
     def deviating(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
         """A ``(live rows, n)`` bool array: whether each player deviates at ``q[row]``.
 
-        ``q`` holds a Fraction per batch row, or is the ``(rows, 2)`` object
-        array of their numerators and denominators, which a caller that
-        evaluates many rows keeps to skip the per-row conversion.
+        ``q`` holds a Fraction per batch row, or is the ``(rows, 2)`` array
+        of their numerators and denominators, which a caller that evaluates
+        many rows keeps to skip the per-row conversion: int64 while they fit,
+        as they do for any q of tables with ``B < 2^63``, else objects.
         """
         rows = len(self.live)
         if rows == 1:  # plain ints: array calls would cost more than the row
@@ -314,13 +316,13 @@ class ExactEngine:
             qs = q[self.live] if isinstance(q, np.ndarray) else np.array(
                 [(q[r].numerator, q[r].denominator) for r in self.live], dtype=object)
             qs = qs.reshape(-1, 2)
-            top = qs.max(initial=0)
+            top = int(qs.max(initial=0))
         # Tables beyond int64 (no work arrays) make every call Python ints.
         work = None if self._work is None else self._work[:, :rows]
         python_ints = work is None or top * self.tables.bound >= _INT64_LIMIT
         num, den = self._evaluated = self._pairs(out=None if work is None else work[:2])
         if rows != 1:
-            qs = qs if python_ints else qs.astype(np.int64)
+            qs = qs.astype(object if python_ints else np.int64, copy=False)
             qn, qd = qs[:, :1], qs[:, 1:]
         if python_ints:
             num, den = self._python_ints(num, den)
@@ -339,9 +341,15 @@ class ExactEngine:
         return the batch rows they filled."""
         return self._add(np.asarray(flips, dtype=np.int64))
 
-    def max_threshold(self, positions: Sequence[int]) -> list[tuple[Fraction, int]]:
+    def max_threshold(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray,
+                                                               np.ndarray]:
         """Exact max of num_i/den_i over the outsiders of each live row at
-        the given ascending positions, with its lowest-indexed attainer."""
+        the given ascending positions, with its lowest-indexed attainer.
+
+        Returns three arrays over the positions: the max's numerator and
+        denominator as the engine holds them (not reduced; int64 when
+        ``B^2 < 2^63``, else Python ints) and the attainer.
+        """
         pos = slice(None) if len(positions) == len(self.K) else positions
         # The pairs of the last deviating call hold until the next _add.
         num, den = (self._pairs(pos) if self._evaluated is None
@@ -366,6 +374,4 @@ class ExactEngine:
             if not beaten.any():
                 break
             best = np.where(beaten.any(axis=1), np.argmax(beaten, axis=1), best)
-        first = np.argmax(lhs == rhs, axis=1)
-        return [(Fraction(int(a), int(b)), int(i))
-                for a, b, i in zip(nb.tolist(), db.tolist(), first.tolist())]
+        return nb, db, np.argmax(lhs == rhs, axis=1)

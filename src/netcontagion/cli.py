@@ -259,7 +259,7 @@ def _cmd_montecarlo(args) -> int:
         grid = _grid_from_doc(doc)
     else:
         raise ParameterError("montecarlo needs --preset or --config")
-    sweep = montecarlo.iter_grid(grid, workers=args.workers)
+    sweep = montecarlo.iter_batches(grid, workers=args.workers)
     out = Path(args.out)
     plot_dir = out / "plots"
     aggregator = montecarlo.Aggregator(grid.q_grid)
@@ -274,12 +274,12 @@ def _cmd_montecarlo(args) -> int:
             runs_jsonl = files.enter_context(open(out / "runs.jsonl", "w"))
         except OSError as exc:
             raise ParameterError(f"cannot write to --out {out}: {exc}") from exc
-        csv_rows = csv.writer(runs_csv)
-        csv_rows.writerow(montecarlo.RUN_CSV_COLUMNS)
-        for records in sweep:
-            csv_rows.writerows(map(montecarlo.run_csv_row, records))
-            runs_jsonl.writelines(map(montecarlo.run_json_line, records))
-            aggregator.add(records)
+        csv.writer(runs_csv).writerow(montecarlo.RUN_CSV_COLUMNS)
+        for batch in sweep:
+            for row, line in batch.lines():
+                runs_csv.write(row)
+                runs_jsonl.write(line)
+            aggregator.add(batch)
     table = aggregator.table()
     montecarlo.write_threshold_table_csv(table, out / "thresholds_table.csv")
     montecarlo.write_threshold_stats_csv(table, out / "threshold_stats.csv")

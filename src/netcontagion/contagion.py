@@ -9,6 +9,14 @@ contagion threshold q*: the cascade fills the network exactly for q <= q*.
 The stagewise equilibria also determine the depth step function and the
 virality of a starting set.
 
+The staged search runs many starting sets at once, one engine row each,
+and keeps its stages as a :class:`StageLog` of integer columns (row, q as
+a reduced num/den pair, equilibrium size, marginal player) appended once
+per step for every row that closes a stage.  The search's invariants are
+checked over those arrays; the Monte Carlo sweep reads the log directly,
+and ``full_contagion_threshold`` and ``depth_function`` build their one
+result from it.
+
 Waves are synchronous: each flip wave is computed against the frozen
 current set, so flips within a wave do not see each other.
 """
@@ -22,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._engines import ExactEngine
+from ._engines import _INT64_LIMIT, ExactEngine
 from .errors import (
     InvariantViolationError,
     ParameterError,
@@ -234,40 +242,92 @@ def full_contagion_threshold(cfg: GameConfig, start: Iterable[int], *,
     infected players do).  Each stage resumes the cascade from the previous
     equilibrium at the largest q that switches some outsider; by the
     bootstrap property the resumed cascade reaches exactly C(start, q).
-    ``collect_members=False`` keeps only equilibrium sizes, which the
-    Monte Carlo harness uses to avoid materializing large member sets.
+    ``collect_members=False`` keeps only equilibrium sizes.
     """
     start = cfg.player_set(start)
     _check_start_incentive(cfg, start, Fraction(1))
-    return _staged_search(cfg, [start | cfg.infected], collect_members)[0]
+    return _staged_search(cfg, [start | cfg.infected], collect_members).result(0)
+
+
+@dataclass(frozen=True, eq=False)
+class StageLog:
+    """The stages of a batch of staged searches, as integer columns.
+
+    Stage ``k`` of the log reached an equilibrium of ``size[k]`` players by
+    cascading at ``q_num[k] / q_den[k]`` (a reduced pair); ``marginal[k]``
+    is the attainer of the max that gave the row's next q, -1 on its last
+    stage.  The stages of row ``r`` are ``start[r]:start[r + 1]``, in search
+    order.  Building the log checks :class:`ThresholdResult`'s invariants
+    over the arrays, so a search needs no per-stage object; ``result`` and
+    ``depth`` build those of one row.
+    """
+
+    start: np.ndarray
+    q_num: np.ndarray
+    q_den: np.ndarray
+    size: np.ndarray
+    marginal: np.ndarray
+    subsets_checked: np.ndarray  # per row
+    node_count: int
+    members: list[PlayerSet] | None = None  # per stage, when collected
+
+    def _qs(self, row: int) -> list[Fraction]:
+        lo, hi = self.start[row], self.start[row + 1]
+        return [Fraction(a, b) for a, b in zip(self.q_num[lo:hi].tolist(),
+                                               self.q_den[lo:hi].tolist())]
+
+    def result(self, row: int) -> ThresholdResult:
+        lo, hi = self.start[row], self.start[row + 1]
+        qs = self._qs(row)
+        members = self.members[lo:hi] if self.members is not None else [None] * len(qs)
+        return ThresholdResult(
+            q_star=qs[-1],
+            stages=tuple([ThresholdStage(q, size, m) for q, size, m in
+                          zip(qs, self.size[lo:hi].tolist(), members)]),
+            subsets_checked=int(self.subsets_checked[row]),
+            marginal_players=tuple(self.marginal[lo:hi - 1].tolist()),
+            node_count=self.node_count)
+
+    def depth(self, row: int) -> DepthFunction:
+        lo, hi = self.start[row], self.start[row + 1]
+        return DepthFunction(breakpoints=tuple(self._qs(row)),
+                             interval_sizes=tuple(self.size[lo:hi - 1].tolist()),
+                             node_count=self.node_count)
 
 
 def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
-                   collect_members: bool) -> list[ThresholdResult]:
+                   collect_members: bool) -> StageLog:
     """The staged search from every initial set at once, one engine row each.
 
     ``initials`` are the engine's starting sets (start plus infected); the
     caller has checked that every member deviates at q = 1.  Rows advance
     in lockstep: each step evaluates every live row at its own q, applies
     the rows that flip, and closes a stage on each row that does not.
+    Each step appends its closed stages to the log as arrays.
     """
     n = cfg.network.node_count
     rows = len(initials)
     engine = ExactEngine(cfg)
     filled = engine.start(initials)
-    q = [Fraction(1)] * rows
-    pairs = np.ones((rows, 2), dtype=object)  # (numerator, denominator) of q
-    stages: list[list[ThresholdStage]] = [[] for _ in range(rows)]
-    marginals: list[list[int]] = [[] for _ in range(rows)]
+    # Each row's q as max_threshold gives it, a pair of at most B: int64
+    # when B fits; the log reduces the pairs once.
+    pairs = np.ones((rows, 2), dtype=object if engine.tables.bound >= _INT64_LIMIT
+                    else np.int64)
+    # Log pieces: (rows, q pairs, sizes, marginals), one per closing event.
+    pieces: list[tuple[np.ndarray, ...]] = []
+    members: list[PlayerSet] | None = [] if collect_members else None
     # Every live row is evaluated once per step, so a row has been
     # evaluated as many times as the steps taken before it filled.
-    evaluations = [0] * rows
+    evaluations = np.zeros(rows, dtype=np.int64)
     steps = 0
     full = frozenset(range(n)) if collect_members else None
     while True:
-        for r in filled:
-            stages[r].append(ThresholdStage(q=q[r], size=n, members=full))
-            evaluations[r] = steps
+        if filled:
+            done = np.array(filled)
+            pieces.append((done, pairs[done], np.full(len(done), n), np.full(len(done), -1)))
+            evaluations[done] = steps
+            if members is not None:
+                members.extend([full] * len(done))
         live = engine.live
         if not len(live):
             break
@@ -275,37 +335,70 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
         steps += 1
         # Positions of the rows without flips; a lone row owns every flip.
         if len(live) == 1:
-            ended = [] if len(flips) else [0]
+            ended = np.arange(0 if len(flips) else 1)
         else:
             moving = np.zeros(len(live), dtype=bool)
             moving[flips // n] = True
-            ended = np.flatnonzero(~moving).tolist()
-        if ended:
-            for r, size, (threshold, marginal) in zip(
-                    live[ended].tolist(), engine.K[ended].tolist(),
-                    engine.max_threshold(ended)):
-                stages[r].append(ThresholdStage(
-                    q=q[r], size=size,
-                    members=engine.infected_set(r) if collect_members else None))
-                if not _below(threshold, q[r]):
-                    raise InvariantViolationError(
-                        f"stage threshold {threshold} did not decrease below {q[r]}")
-                marginals[r].append(marginal)
-                q[r] = threshold
-                pairs[r] = threshold.numerator, threshold.denominator
+            ended = np.flatnonzero(~moving)
+        if len(ended):
+            closed = live[ended]
+            num, den, marginal = engine.max_threshold(ended)
+            q = pairs[closed]
+            # Exact in int64: q and the threshold are pairs of at most B,
+            # and max_threshold gives Python ints when B^2 does not fit.
+            stuck = num * q[:, 1] >= q[:, 0] * den
+            if stuck.any():
+                k = int(np.argmax(stuck))
+                raise InvariantViolationError(
+                    f"stage threshold {Fraction(int(num[k]), int(den[k]))} did not "
+                    f"decrease below {Fraction(int(q[k, 0]), int(q[k, 1]))}")
+            pieces.append((closed, q, engine.K[ended], marginal))
+            if members is not None:
+                members.extend(engine.infected_set(r) for r in closed.tolist())
+            pairs[closed, 0], pairs[closed, 1] = num, den
         filled = engine.apply(flips) if len(flips) else []
+    return _stage_log(pieces, members, evaluations, n,
+                      engine.tables.bound**2 >= _INT64_LIMIT)
+
+
+def _stage_log(pieces, members, evaluations: np.ndarray, n: int,
+               python_ints: bool) -> StageLog:
+    """Group the logged stages by row, reduce their q pairs, and check the
+    search's invariants on them; ``python_ints`` when products of two q
+    terms may exceed int64."""
+    row, q, size, marginal = (np.concatenate(col) for col in zip(*pieces))
+    order = np.argsort(row, kind="stable")
+    row, q, size, marginal = row[order], q[order], size[order], marginal[order]
+    q = q // np.gcd(q[:, :1], q[:, 1:])
+    counts = np.bincount(row, minlength=len(evaluations))
+    start = np.concatenate([[0], np.cumsum(counts)])
+    first, last = start[:-1], start[1:] - 1
+    qn, qd = (q[:, 0], q[:, 1]) if not python_ints else (
+        q[:, 0].astype(object), q[:, 1].astype(object))
+    same = row[1:] == row[:-1]  # consecutive stages of one row
+    descent = np.ones(len(row), dtype=bool)
+    descent[last] = False
+    if not ((qn[first] == 1) & (qd[first] == 1)).all():
+        raise InvariantViolationError("stage sequence must start at q_0 = 1")
+    if not ((qn[1:] * qd[:-1] < qn[:-1] * qd[1:]) & (size[1:] > size[:-1]))[same].all():
+        raise InvariantViolationError("q must strictly decrease and equilibria strictly grow")
+    if (size[last] != n).any():
+        raise InvariantViolationError("last equilibrium must be the full set")
+    if ((marginal >= 0) != descent).any():
+        raise InvariantViolationError("one marginal player per stage descent")
     # Each resumed stage re-examines the set whose evaluation ended the
     # previous stage; it is counted once, not twice.
-    return [ThresholdResult(q_star=q[r], stages=tuple(stages[r]),
-                            subsets_checked=evaluations[r] - len(marginals[r]),
-                            marginal_players=tuple(marginals[r]), node_count=n)
-            for r in range(rows)]
+    return StageLog(start=start, q_num=q[:, 0], q_den=q[:, 1], size=size,
+                    marginal=marginal, subsets_checked=evaluations - (counts - 1),
+                    node_count=n,
+                    members=None if members is None else [members[k] for k in order.tolist()])
 
 
 def depth_function(cfg: GameConfig, start: Iterable[int]) -> DepthFunction:
     """Depth of contagion from ``start`` as a step function of q."""
-    return DepthFunction.from_threshold(
-        full_contagion_threshold(cfg, start, collect_members=False))
+    start = cfg.player_set(start)
+    _check_start_incentive(cfg, start, Fraction(1))
+    return _staged_search(cfg, [start | cfg.infected], False).depth(0)
 
 
 def virality(cfg: GameConfig, start: Iterable[int], q) -> Fraction:

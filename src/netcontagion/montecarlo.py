@@ -23,31 +23,43 @@ Every random draw flows from ``master_seed`` through a documented split:
 ``sha256("netcontagion:<master>:<field>:...")`` truncated to 64 bits, so
 records are bit-identical regardless of worker count or scheduling.
 
-A sweep streams: :func:`iter_grid` yields one network task's records at a
-time, already in the global record order, and :class:`Aggregator` folds
-them into exact running sums, so neither has to hold the whole run.
+A network task returns one :class:`RunBatch`: integer columns per run
+(intensity, set size, replicate, q* as a reduced num/den pair, subsets
+checked) and per depth step (q pair, equilibrium size), taken from the
+staged searches' integer stage logs and already in the global record
+order.  No per-stage or per-run object is built: the rows of ``runs.csv``
+and ``runs.jsonl`` are rendered from the batch's integers, and
+:class:`Aggregator` sums them exactly, with integer cross-products for
+the reached counts.  A sweep streams: :func:`iter_batches` yields one
+task's batch at a time, so neither the writers nor the aggregator hold
+the whole run, and a worker process returns its batch as arrays.
+:func:`iter_grid` and :func:`run_grid` are the library's
+:class:`RunRecord` view of the same batches, and records given to the
+writers or the aggregator go in as batches.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
+import math
 import warnings
 from array import array
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._engines import _INT64_LIMIT
 from .contagion import DepthFunction, _reached, _staged_search
 from .errors import ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
 from .graphs import generate_ba
-from .rational import as_rational, as_unit_rational, decimal_render, rational_json, rational_str
+from .rational import as_rational, as_unit_rational, decimal_ratio, decimal_render, rational_str
 
 
 # Engine state elements (rows * network size) that one batch of a network
@@ -186,6 +198,156 @@ class RunRecord:
                 self.alpha)
 
 
+@dataclass(frozen=True, eq=False)
+class RunBatch:
+    """Runs that share m, network, network size and node count, as integer columns.
+
+    Run ``i`` searched a drawn set of ``set_size[i]`` players (replicate
+    ``replicate[i]``) at intensity ``alphas[alpha[i]]``, reached
+    q* = ``q_num[i] / q_den[i]`` and checked ``subsets_checked[i]``
+    subsets.  Its depth function's steps, the stages before q*, are
+    ``steps[i]:steps[i + 1]`` of ``step_num``, ``step_den`` (q as a reduced
+    pair) and ``step_size`` (the equilibrium reached at that q).  Pairs are
+    int64, or Python ints where one exceeds int64.  A network task's batch
+    lists its runs in :meth:`RunRecord.sort_key` order, with ``alphas``
+    ascending.
+    """
+
+    m: int
+    network_id: int
+    network_size: int
+    node_count: int
+    alphas: tuple[Fraction, ...]
+    alpha: np.ndarray
+    set_size: np.ndarray
+    replicate: np.ndarray
+    q_num: np.ndarray
+    q_den: np.ndarray
+    subsets_checked: np.ndarray
+    steps: np.ndarray
+    step_num: np.ndarray
+    step_den: np.ndarray
+    step_size: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    @classmethod
+    def from_records(cls, records: Sequence[RunRecord]) -> "RunBatch":
+        """The batch of records that share m, network, network size and node count."""
+        first = records[0]
+        alphas = tuple(sorted({rec.alpha for rec in records}))
+        index = {alpha: a for a, alpha in enumerate(alphas)}
+        steps = [0]
+        step_qs: list[Fraction] = []
+        step_sizes: list[int] = []
+        for rec in records:
+            if rec.q_star != rec.depth.q_star:
+                raise ParameterError("a record's q_star must be its depth function's q*")
+            step_qs += rec.depth.breakpoints[:-1]
+            step_sizes += rec.depth.interval_sizes
+            steps.append(len(step_sizes))
+        return cls(
+            m=first.m, network_id=first.network_id, network_size=first.network_size,
+            node_count=first.depth.node_count, alphas=alphas,
+            alpha=np.array([index[rec.alpha] for rec in records], dtype=np.int64),
+            set_size=_ints([rec.set_size for rec in records]),
+            replicate=_ints([rec.replicate_id for rec in records]),
+            q_num=_ints([rec.q_star.numerator for rec in records]),
+            q_den=_ints([rec.q_star.denominator for rec in records]),
+            subsets_checked=_ints([rec.subsets_checked for rec in records]),
+            steps=np.array(steps, dtype=np.int64),
+            step_num=_ints([q.numerator for q in step_qs]),
+            step_den=_ints([q.denominator for q in step_qs]),
+            step_size=_ints(step_sizes))
+
+    def take(self, order: np.ndarray) -> "RunBatch":
+        """The runs at ``order``, each with its steps."""
+        counts = np.diff(self.steps)[order]
+        steps = np.concatenate([[0], np.cumsum(counts)])
+        at = np.repeat(self.steps[:-1][order] - steps[:-1], counts) + np.arange(steps[-1])
+        return replace(
+            self, alpha=self.alpha[order], set_size=self.set_size[order],
+            replicate=self.replicate[order], q_num=self.q_num[order], q_den=self.q_den[order],
+            subsets_checked=self.subsets_checked[order], steps=steps,
+            step_num=self.step_num[at], step_den=self.step_den[at],
+            step_size=self.step_size[at])
+
+    def records(self) -> list[RunRecord]:
+        """The runs as :class:`RunRecord`s, the library's view of a batch."""
+        qs = [Fraction(a, b) for a, b in zip(self.step_num.tolist(), self.step_den.tolist())]
+        sizes, bounds = self.step_size.tolist(), self.steps.tolist()
+        out = []
+        for i, (a, size, rep, qn, qd, checked) in enumerate(zip(
+                self.alpha.tolist(), self.set_size.tolist(), self.replicate.tolist(),
+                self.q_num.tolist(), self.q_den.tolist(), self.subsets_checked.tolist())):
+            q_star = Fraction(qn, qd)
+            lo, hi = bounds[i], bounds[i + 1]
+            depth = DepthFunction(breakpoints=tuple(qs[lo:hi] + [q_star]),
+                                  interval_sizes=tuple(sizes[lo:hi]),
+                                  node_count=self.node_count)
+            out.append(RunRecord(
+                m=self.m, alpha=self.alphas[a], network_id=self.network_id, set_size=size,
+                replicate_id=rep, q_star=q_star, depth=depth, subsets_checked=checked,
+                network_size=self.network_size))
+        return out
+
+    def lines(self) -> Iterator[tuple[str, str]]:
+        """Each run's ``runs.csv`` row and ``runs.jsonl`` line, line ends
+        included, rendered from the integer pairs."""
+        m, net, ns, nodes = self.m, self.network_id, self.network_size, self.node_count
+        alphas = [rational_str(alpha) for alpha in self.alphas]
+        steps = [f'{{"q_num":{a},"q_den":{b},"size":{size}}}' for a, b, size in zip(
+            self.step_num.tolist(), self.step_den.tolist(), self.step_size.tolist())]
+        bounds = self.steps.tolist()
+        for i, (a, size, rep, qn, qd, checked) in enumerate(zip(
+                self.alpha.tolist(), self.set_size.tolist(), self.replicate.tolist(),
+                self.q_num.tolist(), self.q_den.tolist(), self.subsets_checked.tolist())):
+            alpha, decimal = alphas[a], decimal_ratio(qn, qd)
+            depth = ",".join(steps[bounds[i]:bounds[i + 1]])
+            yield (f"{m},{alpha},{net},{size},{rep},{qn},{qd},{decimal},{checked}\r\n",
+                   f'{{"m":{m},"alpha":"{alpha}","network_id":{net},"set_size":{size},'
+                   f'"replicate":{rep},"q_star":{{"num":{qn},"den":{qd},"decimal":"{decimal}"}},'
+                   f'"subsets_checked":{checked},"network_size":{ns},"depth":{{"q_star":'
+                   f'{{"num":{qn},"den":{qd}}},"steps":[{depth}],"node_count":{nodes}}}}}\n')
+
+    def reached(self, q_grid: Sequence[Fraction]) -> np.ndarray:
+        """Players each run reaches at each q of ``q_grid``, as ``(runs, len(q_grid))``."""
+        runs = len(self)
+        out = np.full((runs, len(q_grid)), self.node_count, dtype=np.int64)
+        qn, qd, sn, sd = self.q_num, self.q_den, self.step_num, self.step_den
+        top = max(int(qd.max(initial=1)), int(sd.max(initial=1)))  # pairs are at most 1
+        for j, q in enumerate(q_grid):
+            a, b = q.numerator, q.denominator
+            if max(a, b) * top >= _INT64_LIMIT:
+                qn, qd, sn, sd = (col.astype(object) for col in (qn, qd, sn, sd))
+            # Above q* a run reaches the size at its smallest breakpoint >= q.
+            # The breakpoints fall from 1, so the steps at or above q are the
+            # first ``count`` of the run's, and the last of them is that one.
+            above = np.flatnonzero(a * qd > qn * b)
+            seen = np.concatenate([[0], np.cumsum(sn * b >= a * sd)])
+            count = seen[self.steps[1:]] - seen[self.steps[:-1]]
+            out[above, j] = self.step_size[(self.steps[:-1] + count - 1)[above]]
+        return out
+
+
+def _ints(values: list[int]) -> np.ndarray:
+    """An int64 array of ``values``, or an object array if one exceeds int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _record_batches(records: Iterable[RunRecord]) -> Iterator[RunBatch]:
+    """Records as batches, one per stretch of records that share m,
+    network, network size and node count: how records reach the writers
+    and the aggregator."""
+    for _, stretch in groupby(records, key=lambda rec: (
+            rec.m, rec.network_id, rec.network_size, rec.depth.node_count)):
+        yield RunBatch.from_records(list(stretch))
+
+
 def _size_groups(grid: ExperimentGrid) -> list[tuple[int, ...]]:
     """Consecutive set sizes, each group as many whole sizes (at least one)
     as keep its ``rows * network_size`` within ``_BATCH_ELEMENTS``."""
@@ -194,15 +356,15 @@ def _size_groups(grid: ExperimentGrid) -> list[tuple[int, ...]]:
     return [grid.set_sizes[i:i + width] for i in range(0, len(grid.set_sizes), width)]
 
 
-def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> list[RunRecord]:
+def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> RunBatch:
     net = generate_ba(grid.network_size, m,
                       derive_seed(grid.master_seed, "network", m, network_id))
     weights = InfluenceWeights.unit(net)
-    configs = {alpha: GameConfig(network=net, weights=weights,
-                                 global_effect=ParametricGlobalEffect(alpha))
-               for alpha in grid.alpha_values}
+    alphas = tuple(sorted(grid.alpha_values))
+    configs = [GameConfig(network=net, weights=weights,
+                          global_effect=ParametricGlobalEffect(alpha)) for alpha in alphas]
     reps = grid.sets_per_size
-    records: list[RunRecord] = []
+    parts = []  # the columns of each staged search
     for sizes in _size_groups(grid):
         starts = []
         for set_size in sizes:
@@ -212,43 +374,51 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> list[Run
                 rng = np.random.Generator(np.random.PCG64(seed))
                 # An array holds a drawn set in 4-9x less memory than a frozenset.
                 starts.append(draw_players(rng, grid.network_size, set_size))
-        # Records go out by set size, then intensity, then replicate.
-        batches = []
-        for alpha, cfg in configs.items():
-            results = _staged_search(cfg, starts, collect_members=False)
-            batches.append([RunRecord(
-                m=m, alpha=alpha, network_id=network_id,
-                set_size=sizes[row // reps], replicate_id=row % reps,
-                q_star=result.q_star,
-                depth=DepthFunction.from_threshold(result),
-                subsets_checked=result.subsets_checked,
-                network_size=grid.network_size) for row, result in enumerate(results)])
-        for k in range(0, len(starts), reps):
-            for batch in batches:
-                records.extend(batch[k:k + reps])
-    return records
+        for a, cfg in enumerate(configs):
+            log = _staged_search(cfg, starts, collect_members=False)
+            # A run's last stage is at q*; the stages before it are its depth steps.
+            last = log.start[1:] - 1
+            parts.append((np.full(len(starts), a), np.repeat(sizes, reps),
+                          np.tile(np.arange(reps), len(sizes)), log.q_num[last],
+                          log.q_den[last], log.subsets_checked, np.diff(log.start) - 1,
+                          np.delete(log.q_num, last), np.delete(log.q_den, last),
+                          np.delete(log.size, last)))
+    (alpha, set_size, replicate, q_num, q_den, checked, counts,
+     step_num, step_den, step_size) = (np.concatenate(col) for col in zip(*parts))
+    batch = RunBatch(
+        m=m, network_id=network_id, network_size=grid.network_size,
+        node_count=grid.network_size, alphas=alphas, alpha=alpha, set_size=set_size,
+        replicate=replicate, q_num=q_num, q_den=q_den, subsets_checked=checked,
+        steps=np.concatenate([[0], np.cumsum(counts)]),
+        step_num=step_num, step_den=step_den, step_size=step_size)
+    return batch.take(np.lexsort((batch.alpha, batch.replicate, batch.set_size)))
 
 
-def iter_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[list[RunRecord]]:
+def iter_batches(grid: ExperimentGrid, workers: int = 1) -> Iterator[RunBatch]:
     """Execute the grid one network task at a time.
 
-    Yields each task's records sorted by :meth:`RunRecord.sort_key`, tasks
-    in ascending ``(m, network_id)`` order, so the concatenation is the
-    globally sorted record list for any worker count.  With ``workers > 1``
-    at most ``2 * workers`` tasks are in flight, and results are yielded in
-    submission order.  ``workers`` is checked before anything runs.
+    Yields each task's :class:`RunBatch`, its runs in
+    :meth:`RunRecord.sort_key` order, tasks in ascending ``(m, network_id)``
+    order, so the concatenation is the globally sorted run list for any
+    worker count.  With ``workers > 1`` at most ``2 * workers`` tasks are in
+    flight, and results are yielded in submission order.  ``workers`` is
+    checked before anything runs.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1; got {workers}")
     tasks = [(m, net_id) for m in sorted(grid.m_values)
              for net_id in range(grid.networks_per_m)]
-    chunks = (_run_network_task(grid, m, net_id) for m, net_id in tasks) \
+    return (_run_network_task(grid, m, net_id) for m, net_id in tasks) \
         if workers == 1 else _pooled_tasks(grid, tasks, workers)
-    return (sorted(chunk, key=RunRecord.sort_key) for chunk in chunks)
+
+
+def iter_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[list[RunRecord]]:
+    """The records of :func:`iter_batches`, one sorted list per network task."""
+    return (batch.records() for batch in iter_batches(grid, workers))
 
 
 def _pooled_tasks(grid: ExperimentGrid, tasks: list[tuple[int, int]],
-                  workers: int) -> Iterator[list[RunRecord]]:
+                  workers: int) -> Iterator[RunBatch]:
     pool = ProcessPoolExecutor(max_workers=workers)
     pending: deque = deque()
     try:
@@ -286,8 +456,9 @@ class AggregateTable:
 
 
 class Aggregator:
-    """Exact running summaries of a record stream, without the records.
+    """Exact running summaries of a run stream, without the runs.
 
+    It takes :class:`RunBatch`es, or records, which go in as their batches.
     Per (m, alpha, set size) it keeps the exact sum of q* and the q* floats
     in arrival order, for the same ``np.std`` a list of them would give.
     Per (m, alpha) it keeps, for each q of ``q_grid``, integer reached
@@ -307,25 +478,33 @@ class Aggregator:
         self._reached: dict[tuple[int, Fraction], dict[tuple[int, int, int], list[int]]] = {}
         self._points: dict[tuple[int, Fraction], tuple[array, array]] = {}
 
-    def add(self, records: Iterable[RunRecord]) -> None:
-        for rec in records:
-            if self.network_size is None:
-                self.network_size = rec.network_size
-            self.count += 1
-            key = (rec.m, rec.alpha, rec.set_size)
-            q_float = float(rec.q_star)
-            self._sums[key] = self._sums.get(key, 0) + rec.q_star
-            self._floats.setdefault(key, array("d")).append(q_float)
-            scenario = (rec.m, rec.alpha)
-            cell = self._reached.setdefault(scenario, {}).setdefault(
-                (rec.set_size, rec.network_size, rec.depth.node_count),
-                [0] * (1 + len(self.q_grid)))
-            cell[0] += 1
-            for j, q in enumerate(self.q_grid, 1):
-                cell[j] += _reached(rec.depth, q)
-            xs, ys = self._points.setdefault(scenario, (array("d"), array("d")))
-            xs.append(rec.set_size / rec.network_size)
-            ys.append(q_float)
+    def add(self, runs: RunBatch | Iterable[RunRecord]) -> None:
+        """Fold in a batch, or records, which go in as their batches."""
+        for batch in [runs] if isinstance(runs, RunBatch) else _record_batches(runs):
+            self._add(batch)
+
+    def _add(self, batch: RunBatch) -> None:
+        if self.network_size is None:
+            self.network_size = batch.network_size
+        self.count += len(batch)
+        # Python's int division, as float(Fraction) is: correctly rounded at any size.
+        q_floats = np.array([a / b for a, b in zip(batch.q_num.tolist(), batch.q_den.tolist())])
+        reached = batch.reached(self.q_grid)
+        cell_key = (batch.network_size, batch.node_count)
+        for runs in _groups(batch.alpha, batch.set_size):
+            first = runs[0]
+            key = (batch.m, batch.alphas[batch.alpha[first]], int(batch.set_size[first]))
+            self._sums[key] = self._sums.get(key, 0) + _sum(batch.q_num[runs], batch.q_den[runs])
+            self._floats.setdefault(key, array("d")).extend(q_floats[runs].tolist())
+            cell = self._reached.setdefault(key[:2], {}).setdefault(
+                (key[2], *cell_key), [0] * (1 + len(self.q_grid)))
+            for j, total in enumerate([len(runs), *reached[runs].sum(axis=0).tolist()]):
+                cell[j] += total
+        for runs in _groups(batch.alpha):
+            xs, ys = self._points.setdefault((batch.m, batch.alphas[batch.alpha[runs[0]]]),
+                                             (array("d"), array("d")))
+            xs.extend((batch.set_size[runs] / batch.network_size).tolist())
+            ys.extend(q_floats[runs].tolist())
 
     def points(self, m: int, alpha: Fraction) -> list[tuple[float, float]]:
         """(size fraction, q*) of every (m, alpha) record, in arrival order."""
@@ -368,6 +547,21 @@ class Aggregator:
                     size = int(size_frac * table.network_size)
                     table.depth_means[(m, alpha, q, size)] = mean
         return table
+
+
+def _groups(*columns: np.ndarray) -> list[np.ndarray]:
+    """The runs of each combination of column values, in run order."""
+    order = np.lexsort(columns[::-1])
+    keys = np.stack(columns)[:, order]
+    return np.split(order, np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1)
+
+
+def _sum(nums: np.ndarray, dens: np.ndarray) -> Fraction:
+    """The exact sum of the fractions ``nums / dens``."""
+    dens = dens.tolist()
+    common = math.lcm(*dens)
+    return Fraction(sum(num * (common // den) for num, den in zip(nums.tolist(), dens)),
+                    common)
 
 
 def average_thresholds(records: Sequence[RunRecord],
@@ -473,38 +667,28 @@ RUN_CSV_COLUMNS = ["m", "alpha", "network_id", "set_size", "replicate",
                    "subsets_checked"]
 
 
-def run_csv_row(rec: RunRecord) -> list:
-    """One ``runs.csv`` row, in :data:`RUN_CSV_COLUMNS` order."""
-    return [rec.m, rational_str(rec.alpha), rec.network_id, rec.set_size,
-            rec.replicate_id, rec.q_star.numerator, rec.q_star.denominator,
-            decimal_render(rec.q_star), rec.subsets_checked]
+def run_csv_row(rec: RunRecord) -> list[str]:
+    """One ``runs.csv`` row's fields, in :data:`RUN_CSV_COLUMNS` order."""
+    row, _ = next(RunBatch.from_records([rec]).lines())
+    return row[:-2].split(",")
 
 
 def run_json_line(rec: RunRecord) -> str:
     """One ``runs.jsonl`` line, newline included."""
-    return json.dumps({
-        "m": rec.m,
-        "alpha": rational_str(rec.alpha),
-        "network_id": rec.network_id,
-        "set_size": rec.set_size,
-        "replicate": rec.replicate_id,
-        "q_star": rational_json(rec.q_star),
-        "subsets_checked": rec.subsets_checked,
-        "network_size": rec.network_size,
-        "depth": rec.depth.to_dict(),
-    }, separators=(",", ":")) + "\n"
+    return next(RunBatch.from_records([rec]).lines())[1]
 
 
-def write_records_csv(records: Sequence[RunRecord], path) -> None:
+def write_records_csv(records: Iterable[RunRecord], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_CSV_COLUMNS)
-        writer.writerows(map(run_csv_row, records))
+        csv.writer(fh).writerow(RUN_CSV_COLUMNS)
+        for batch in _record_batches(records):
+            fh.writelines(row for row, _ in batch.lines())
 
 
-def write_records_jsonl(records: Sequence[RunRecord], path) -> None:
+def write_records_jsonl(records: Iterable[RunRecord], path) -> None:
     with open(path, "w") as fh:
-        fh.writelines(map(run_json_line, records))
+        for batch in _record_batches(records):
+            fh.writelines(line for _, line in batch.lines())
 
 
 def write_threshold_table_csv(table: AggregateTable, path) -> None:

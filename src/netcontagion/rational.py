@@ -42,13 +42,17 @@ def decimal_render(value: Fraction, places: int = 6) -> str:
     This is a *rendering* of the exact rational, used for reports and CSV
     columns next to the num/den pair; it never feeds back into comparisons.
     """
+    return decimal_ratio(value.numerator, value.denominator, places)
+
+
+def decimal_ratio(num: int, den: int, places: int = 6) -> str:
+    """:func:`decimal_render` of ``num / den`` (``den > 0``), from the integers."""
     if places < 0:
         raise ParameterError("places must be nonnegative")
-    sign = "-" if value < 0 else ""
-    n, d = abs(value.numerator), value.denominator
+    sign = "-" if num < 0 else ""
     scale = 10**places
-    q, r = divmod(n * scale, d)
-    if 2 * r > d or (2 * r == d and q % 2 == 1):
+    q, r = divmod(abs(num) * scale, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
     whole, frac = divmod(q, scale)
     if places == 0:

@@ -1,6 +1,7 @@
 """The integer engine must be indistinguishable from a Fraction reference."""
 
 import logging
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from netcontagion._engines import ExactEngine
 from netcontagion.contagion import (
     ThresholdResult,
     ThresholdStage,
+    _stage_log,
     _staged_search,
     full_contagion_threshold,
 )
@@ -110,8 +112,14 @@ class OneRow:
         self.engine.apply(flips)
 
     def max_threshold(self):
-        [(t, first)] = self.engine.max_threshold([0])
+        [(t, first)] = thresholds(self.engine, [0])
         return t, first
+
+
+def thresholds(engine, positions):
+    """``max_threshold``'s arrays as one (Fraction(num, den), attainer) per position."""
+    num, den, first = engine.max_threshold(positions)
+    return [(F(a, b), i) for a, b, i in zip(num.tolist(), den.tolist(), first.tolist())]
 
 
 def run_threshold_trace(engine, initial):
@@ -172,6 +180,11 @@ def fraction_search(cfg, initial, collect_members):
                                    marginal_players=tuple(marginals), node_count=n)
         q, first = engine.max_threshold()
         marginals.append(first)
+
+
+def results(log):
+    """Every row's ThresholdResult from a stage log."""
+    return [log.result(row) for row in range(len(log.start) - 1)]
 
 
 def assert_engines_agree(cfg, initial, qs=()):
@@ -352,15 +365,15 @@ def test_max_threshold_settles_float_ties_exactly(big):
     engine = ExactEngine(cfg)
     engine.start([cfg.infected])
     assert len(engine.flip_candidates([F(1)])) == 0
-    assert engine.max_threshold([0]) == [(F(big + 1, big + 2), 2)]
+    assert thresholds(engine, [0]) == [(F(big + 1, big + 2), 2)]
     assert_engines_agree(cfg, cfg.infected)
     # Across rows, the settling moves only the rows whose float argmax was
     # wrong; the row seeded at 3 has a float-distinct max 1/(big+1) at 0.
     engine.start([frozenset({1}), frozenset({3}), frozenset({1})])
     assert len(engine.flip_candidates([F(1)] * 3)) == 0
-    assert engine.max_threshold([0, 1, 2]) == [
+    assert thresholds(engine, [0, 1, 2]) == [
         (F(big + 1, big + 2), 2), (F(1, big + 1), 0), (F(big + 1, big + 2), 2)]
-    assert engine.max_threshold([1, 2]) == [(F(1, big + 1), 0), (F(big + 1, big + 2), 2)]
+    assert thresholds(engine, [1, 2]) == [(F(1, big + 1), 0), (F(big + 1, big + 2), 2)]
 
 
 def test_max_threshold_after_apply_sees_the_new_set():
@@ -380,7 +393,7 @@ def test_max_threshold_after_apply_sees_the_new_set():
         assert len(flips)
         engine.apply(flips)
         reference.apply(flips.tolist())
-        [(t, first)] = engine.max_threshold([0])
+        [(t, first)] = thresholds(engine, [0])
         assert (t, first) == reference.max_threshold()
 
 
@@ -493,7 +506,7 @@ def test_start_pieces_span_rows_and_players(monkeypatch):
         pieces.start(rows)
         for name in ("K", "outside", "S", "o"):
             assert np.array_equal(getattr(pieces, name), getattr(whole, name)), name
-        assert _staged_search(cfg, rows, True) == [
+        assert results(_staged_search(cfg, rows, True)) == [
             fraction_search(cfg, row, True) for row in rows]
         monkeypatch.undo()
 
@@ -502,8 +515,8 @@ def check_row_batch(kind, caplog):
     cfg, rows = row_axis_game(kind)
     with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
         for collect_members in (True, False):
-            batch = _staged_search(cfg, rows, collect_members)
-            single = [_staged_search(cfg, [row], collect_members)[0] for row in rows]
+            batch = results(_staged_search(cfg, rows, collect_members))
+            single = [_staged_search(cfg, [row], collect_members).result(0) for row in rows]
             reference = [fraction_search(cfg, row, collect_members) for row in rows]
             # Equal results compare q*, every stage (members included when
             # collected), subsets_checked and the marginal players.
@@ -515,3 +528,70 @@ def check_row_batch(kind, caplog):
         assert max(stages) - min(stages) >= 3
     slow = [r for r in caplog.records if "Python ints" in r.getMessage()]
     assert bool(slow) == (kind in ("python-ints", "beyond-int64"))
+
+
+def test_staged_search_rejects_a_row_whose_threshold_does_not_fall(monkeypatch):
+    # One row of a multi-row closing step gets threshold 1, which lies below
+    # no stage q; the vectorized decrease check must still catch it.
+    cfg, rows = row_axis_game("unit")
+    original = ExactEngine.max_threshold
+    patched = []
+
+    def stuck(self, positions):
+        num, den, first = original(self, positions)
+        if len(positions) > 1:
+            patched.append(len(positions))
+            num, den = num.copy(), den.copy()
+            num[1] = den[1] = 1
+        return num, den, first
+
+    monkeypatch.setattr(ExactEngine, "max_threshold", stuck)
+    with pytest.raises(InvariantViolationError, match="did not decrease"):
+        _staged_search(cfg, rows, False)
+    assert patched
+
+
+def test_staged_search_beyond_int64_matches_one_row_searches():
+    # Tables beyond int64: the q pairs and the stage log are Python ints.
+    cfg, rows = row_axis_game("beyond-int64")
+    log = _staged_search(cfg, rows, True)
+    assert log.q_num.dtype == log.q_den.dtype == object
+    assert max(log.q_den.tolist()) >= 2**63
+    assert results(log) == [full_contagion_threshold(replace(cfg, infected=row), row)
+                             for row in rows]
+
+
+def log_pieces(qs, sizes, marginals):
+    """A two-row stage log, as the search appends it: row 0 has three
+    stages, closed one per step, and row 1 fills at once."""
+    return [(np.array([1]), np.array([[1, 1]]), np.array([4]), np.array([-1]))] + [
+        (np.array([0]), np.array([q]), np.array([size]), np.array([marginal]))
+        for q, size, marginal in zip(qs, sizes, marginals)]
+
+
+GOOD_LOG = ([(1, 1), (1, 2), (1, 3)], [1, 3, 4], [2, 3, -1])
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+@pytest.mark.parametrize("changes, message", [
+    ({0: [(9, 10), (1, 2), (1, 3)]}, "must start at q_0 = 1"),
+    ({0: [(1, 1), (1, 2), (1, 2)]}, "q must strictly decrease"),
+    ({0: [(1, 1), (2, 3), (5, 7)]}, "q must strictly decrease"),
+    ({1: [1, 1, 4]}, "equilibria strictly grow"),
+    ({1: [1, 3, 3]}, "equilibria strictly grow"),
+    ({2: [2, 3, 0]}, "one marginal player per stage descent"),
+    ({2: [2, -1, -1]}, "one marginal player per stage descent"),
+], ids=["first-q", "q-flat", "q-rising", "size-flat", "last-not-full",
+        "marginals-long", "marginals-short"])
+def test_stage_log_checks_the_threshold_invariants(changes, message, python_ints):
+    n = 4
+    log = _stage_log(log_pieces(*GOOD_LOG), None, np.array([5, 0]), n, python_ints)
+    assert log.start.tolist() == [0, 3, 4]
+    assert log.subsets_checked.tolist() == [3, 0]
+    assert log.result(0) == ThresholdResult(
+        q_star=F(1, 3), stages=tuple(ThresholdStage(q, size) for q, size in
+                                     [(F(1), 1), (F(1, 2), 3), (F(1, 3), 4)]),
+        subsets_checked=3, marginal_players=(2, 3), node_count=n)
+    bad = [changes.get(k, column) for k, column in enumerate(GOOD_LOG)]
+    with pytest.raises(InvariantViolationError, match=message):
+        _stage_log(log_pieces(*bad), None, np.array([5, 0]), n, python_ints)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import warnings
 from concurrent.futures import Future
@@ -6,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from netcontagion import montecarlo
+from netcontagion import contagion, montecarlo
 from netcontagion.contagion import DepthFunction, depth_at, full_contagion_threshold
 from netcontagion.errors import ParameterError
 from netcontagion.game import GameConfig, ParametricGlobalEffect
@@ -74,7 +76,7 @@ def test_run_grid_worker_count_invariant():
 def reference_run_grid(grid):
     """Every task's records in one list, then one global sort."""
     records = [rec for m in grid.m_values for network_id in range(grid.networks_per_m)
-               for rec in _run_network_task(grid, m, network_id)]
+               for rec in _run_network_task(grid, m, network_id).records()]
     return sorted(records, key=RunRecord.sort_key)
 
 
@@ -152,15 +154,15 @@ def test_size_batches_match_one_size_per_batch(monkeypatch):
                            (10**9, [7])]:
         monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
         assert [len(group) for group in _size_groups(grid)] == widths
-        outcomes.append([_run_network_task(grid, m, network_id)
+        outcomes.append([_run_network_task(grid, m, network_id).records()
                          for m in grid.m_values for network_id in range(2)])
     # Records compare equal field by field: q*, depth, subsets_checked, and
-    # the order (set size, then intensity, then replicate).
+    # the order of RunRecord.sort_key (set size, then replicate, then intensity).
     assert outcomes[0] == outcomes[1] == outcomes[2]
     first = outcomes[0][0]
-    assert [(r.set_size, r.alpha, r.replicate_id) for r in first] == [
-        (size, alpha, rep) for size in grid.set_sizes
-        for alpha in grid.alpha_values for rep in range(3)]
+    assert [(r.set_size, r.replicate_id, r.alpha) for r in first] == [
+        (size, rep, alpha) for size in grid.set_sizes
+        for rep in range(3) for alpha in grid.alpha_values]
     assert len({r.q_star for task in outcomes[0] for r in task}) > 5
 
 
@@ -530,3 +532,144 @@ def test_grid_rejects_repeated_values(field, values):
                   sets_per_size=1, set_sizes=(2,), q_grid=(), master_seed=0)
     with pytest.raises(ParameterError, match=f"{field} must not repeat"):
         ExperimentGrid(**{**fields, field: values})
+
+
+def old_csv_row(rec):
+    """A runs.csv row as csv.writer rendered it from the record's fields."""
+    return [rec.m, rational_str(rec.alpha), rec.network_id, rec.set_size,
+            rec.replicate_id, rec.q_star.numerator, rec.q_star.denominator,
+            decimal_render(rec.q_star), rec.subsets_checked]
+
+
+def old_json_line(rec):
+    """A runs.jsonl line as json.dumps rendered it from the record's fields."""
+    return json.dumps({
+        "m": rec.m, "alpha": rational_str(rec.alpha), "network_id": rec.network_id,
+        "set_size": rec.set_size, "replicate": rec.replicate_id,
+        "q_star": {"num": rec.q_star.numerator, "den": rec.q_star.denominator,
+                   "decimal": decimal_render(rec.q_star)},
+        "subsets_checked": rec.subsets_checked, "network_size": rec.network_size,
+        "depth": rec.depth.to_dict(),
+    }, separators=(",", ":")) + "\n"
+
+
+def unit_fractions(big):
+    """q values in [0, 1), with numerators and denominators past 2^63 when ``big``."""
+    den = st.integers(2**63, 2**80) if big else st.integers(1, 12)
+    return den.flatmap(lambda d: st.integers(0, d - 1).map(lambda n: F(n, d)))
+
+
+@st.composite
+def run_records(draw, network_size=None):
+    """A record with a valid depth function: breakpoints fall from 1 to q*
+    (a one-stage search has q* = 1 and no steps) and sizes grow."""
+    nodes = network_size or draw(st.integers(6, 10**6))
+    qs = draw(st.lists(unit_fractions(draw(st.booleans())), max_size=4, unique=True))
+    breakpoints = (F(1), *sorted(qs, reverse=True))
+    sizes = sorted(draw(st.sets(st.integers(1, nodes - 1), min_size=len(qs),
+                                max_size=len(qs))))
+    huge = st.integers(0, 2**70)
+    depth = DepthFunction(breakpoints, tuple(sizes), nodes)
+    return RunRecord(
+        m=draw(st.sampled_from([1, 5, 2**64])),
+        alpha=draw(st.sampled_from([F(0), F(1, 2), F(1), F(2, 3), F(2**70 - 1, 2**70)])),
+        network_id=draw(st.sampled_from([0, 3])), set_size=draw(st.integers(1, nodes - 1)),
+        replicate_id=draw(huge), q_star=depth.q_star, depth=depth,
+        subsets_checked=draw(huge), network_size=nodes)
+
+
+@given(st.lists(run_records(), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_row_formatter_matches_csv_writer_and_json_dumps(records):
+    want_csv, got_csv = io.StringIO(), io.StringIO()
+    csv.writer(want_csv).writerows(map(old_csv_row, records))
+    want_jsonl = "".join(map(old_json_line, records))
+    got_jsonl = []
+    for batch in montecarlo._record_batches(records):
+        for row, line in batch.lines():
+            got_csv.write(row)
+            got_jsonl.append(line)
+    assert got_csv.getvalue() == want_csv.getvalue()
+    assert "".join(got_jsonl) == want_jsonl
+    for rec in records:
+        assert montecarlo.run_csv_row(rec) == [str(field) for field in old_csv_row(rec)]
+        assert montecarlo.run_json_line(rec) == old_json_line(rec)
+    assert [rec for batch in montecarlo._record_batches(records)
+            for rec in batch.records()] == records
+
+
+def test_task_batch_renders_its_records_byte_for_byte():
+    batch = _run_network_task(UNORDERED, 3, 1)
+    records = batch.records()
+    rows, lines = zip(*batch.lines())
+    want = io.StringIO()
+    csv.writer(want).writerows(map(old_csv_row, records))
+    assert "".join(rows) == want.getvalue()
+    assert list(lines) == list(map(old_json_line, records))
+    assert len({len(rec.depth.breakpoints) for rec in records}) >= 3
+
+
+LARGE_Q_GRID = (F(1, 3), F(2**64 + 1, 2**65 + 3), F(2**70 - 5, 2**70), F(0), F(1))
+
+
+@given(st.lists(run_records(network_size=50), min_size=1, max_size=12),
+       st.lists(unit_fractions(True) | unit_fractions(False), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_aggregator_batches_equal_the_fraction_reference(records, q_grid):
+    q_grid = tuple(dict.fromkeys(q_grid)) + LARGE_Q_GRID
+    aggregator = Aggregator(q_grid)
+    aggregator.add(records)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = aggregator.table()
+    want = reference_average_thresholds(records, q_grid)
+    assert list(got.thresholds.items()) == list(want.thresholds.items())
+    assert list(got.depth_means.items()) == list(want.depth_means.items())
+    for m, alpha in {(r.m, r.alpha) for r in records}:
+        assert aggregator.points(m, alpha) == [
+            (float(r.size_fraction), float(r.q_star)) for r in records
+            if (r.m, r.alpha) == (m, alpha)]
+
+
+def test_aggregator_fed_task_batches_equals_fed_their_records():
+    q_grid = UNORDERED.q_grid + LARGE_Q_GRID
+    by_batch, by_record = Aggregator(q_grid), Aggregator(q_grid)
+    for batch in montecarlo.iter_batches(UNORDERED):
+        by_batch.add(batch)
+        by_record.add(batch.records())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert by_batch.table() == by_record.table()
+    for m in UNORDERED.m_values:
+        for alpha in UNORDERED.alpha_values:
+            assert by_batch.points(m, alpha) == by_record.points(m, alpha)
+
+
+def test_network_task_builds_no_per_run_objects(monkeypatch):
+    grid = ExperimentGrid(
+        network_size=40, m_values=(2,), alpha_values=(F(1, 2), F(0)), networks_per_m=1,
+        sets_per_size=5, set_sizes=(3, 9, 20), q_grid=(F(1, 3), F(2, 3)), master_seed=5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep built a per-run object")
+
+    for module, name in [(contagion, "ThresholdResult"), (contagion, "ThresholdStage"),
+                         (contagion, "DepthFunction"), (montecarlo, "DepthFunction"),
+                         (montecarlo, "RunRecord")]:
+        monkeypatch.setattr(module, name, forbidden)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    batch = _run_network_task(grid, 2, 0)
+    rows = list(batch.lines())
+    Aggregator(grid.q_grid).add(batch)
+    monkeypatch.undo()
+    stages = len(batch.step_size) + len(batch)
+    assert len(rows) == len(batch) == 30
+    # A few Fractions per configuration and per aggregated cell, none per stage.
+    assert len(made) < len(batch) < stages
