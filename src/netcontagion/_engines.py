@@ -27,26 +27,46 @@ their common denominator ``D_i``) ``M_i = D_i*cn``, ``a_i = L_i*cd`` and
 integer breakpoints ``ceil(bp*pe_i)`` on ``o_i``; as ``o_i`` never
 decreases within a search, a per-player step pointer only moves forward.
 
-The rows advance together.  ``deviating`` evaluates every player of every
-live row at that row's q; ``flip_candidates`` keeps its deviating outsiders
-as flat ids ``position * n + player``, which ``apply`` infects.  A row
-whose set fills the network is retired: its state is dropped, so later
-waves do not scan it, and the live rows after it move up one position.
-``max_threshold`` serves the rows that end a stage: a float argmax per row
-only seeds the search, and exact comparisons, vectorized across the rows,
-settle each row's max and its lowest-indexed attainer, returned as integer
-arrays.  A single row is the case that ``cascade``,
-``full_contagion_threshold`` and ``is_nash`` run.
+The rows advance together.  ``start`` builds each row from its smaller
+side: a set of at most n/2 players expands its own CSR slots, and a larger
+one starts full and subtracts its complement's (``k_i = d_i - k'_i`` and
+``S_i = W_i - S'_i``, with ``k`` the infected-neighbour counts), so a start
+touches at most half of each row's slots.  ``o_i = K - k_i - [i inside]``
+then follows in one array pass, and tabular step pointers advance once.
+The start state depends only on the network, the weights and the sets, so
+searches that differ only in their global effect or c can share it through a
+``StartSnapshot``.  ``deviating`` evaluates every player of every live row at
+that row's q; ``flip_candidates`` keeps its deviating outsiders as flat ids
+``position * n + player``, which ``apply`` infects.  A row whose set fills
+the network is retired: its state is dropped, so later waves do not scan it,
+and the live rows after it move up one position.  Without a global term
+(a parametric effect with alpha 0, where every ``a_i`` is 0 and ``M_i`` is
+1) the engine holds no ``o``: ``num`` is ``S`` itself and ``den`` the
+constant ``MW``, so each step compares the state against one row of
+constants.  ``max_threshold`` serves the rows that end a stage, with each
+row's max and its lowest-indexed attainer returned as integer arrays.  A
+single row is the case that ``cascade``, ``full_contagion_threshold`` and
+``is_nash`` run.
 
 A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
 ``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
 static bound (building the tables enforces ``phi_i <= c*w_i`` as
 ``den_i >= 0`` at the largest ``g_i``: ``pe_i``, even on an empty pool, or
 the last table value), so a call is decided in int64 when its products fit for
-every live row (``max(qn, qd)*B < 2^63``; ``B^2 < 2^63`` for the max) and
-otherwise in Python ints (object arrays, the same expressions), which is
-logged once per engine at DEBUG.  The integer tables are built lazily,
-once per (network, weights, global effect, c).
+every live row (``max(qn, qd)*B < 2^63``) and otherwise in Python ints
+(object arrays, the same expressions), which is logged once per engine at
+DEBUG.  The integer tables are built lazily, once per (network, weights,
+global effect, c).
+
+The max is exact in floats when ``B^2 < 2^50``.  Two distinct ratios
+``a/b > c/d`` of integers in ``[0, B]`` differ by a relative
+``(ad - bc)/(ad) >= 1/(ad) >= 1/B^2 > 2^-50``, while the float quotient of
+integers below ``2^53`` is off by a relative ``2^-53`` at most; so the
+quotients keep every strict order, equal ratios give equal quotients, and
+``np.argmax`` returns the max and its lowest attainer.  Larger bounds seed
+each row with the float argmax and settle it by exact cross products (int64
+while ``B^2 < 2^63``, else Python ints), moving to a strictly larger player
+until none is left.
 """
 
 from __future__ import annotations
@@ -67,8 +87,10 @@ from .graphs import Network
 _log = logging.getLogger(__name__)
 
 _INT64_LIMIT = 2**63
-# CSR slots that one piece of ``ExactEngine._add`` expands at most, which
-# bounds its scratch arrays whatever the batch size.
+# Tables with B^2 below this take max_threshold's float argmax as exact.
+_FLOAT_EXACT = 2**50
+# CSR slots that one piece of ``ExactEngine._pieces`` expands at most, which
+# bounds the scratch arrays of a start or an apply whatever the batch size.
 _SLOTS = 2**14
 
 # Tables built from immutable inputs, keyed by the identity of those inputs
@@ -124,9 +146,10 @@ class _Tables:
     degree: np.ndarray
     indices: np.ndarray
     in_weights: np.ndarray | None
+    W: np.ndarray           # row sums W_i, in the supports' dtype
     M: np.ndarray
     MW: np.ndarray
-    a: np.ndarray
+    a: np.ndarray | None    # None without a global term (alpha = 0), where M_i = 1
     steps: _Steps | None    # None for a parametric effect
     bound: int              # max M_i*W_i, bounding every num_i and den_i
 
@@ -137,7 +160,7 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
     deg = np.diff(indptr)
     pe = np.maximum(n - 1 - deg, 1).astype(object)
     wt = _memo(_weight_tables, (net, weights))
-    steps = None
+    steps, an = None, 1  # a tabular effect always has a global term
     if isinstance(effect, ParametricGlobalEffect):
         an, ad = effect.alpha.numerator, effect.alpha.denominator
         M = ad * pe if an else np.ones(n, dtype=object)
@@ -168,8 +191,21 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
         if steps is not None:
             steps = _Steps(steps.thresholds, steps.values.astype(np.int64), steps.first)
     # Shaped as one row, so one-row states combine with them without broadcasting.
-    M, MW, a = M.reshape(1, n), MW.reshape(1, n), a.reshape(1, n)
-    return _Tables(indptr, deg, indices, wt.in_weights, M, MW, a, steps, bound)
+    M, MW, a = M.reshape(1, n), MW.reshape(1, n), a.reshape(1, n) if an else None
+    W = deg if wt.in_weights is None else wt.W.astype(wt.in_weights.dtype)
+    return _Tables(indptr, deg, indices, wt.in_weights, W, M, MW, a, steps, bound)
+
+
+class StartSnapshot:
+    """The part of a batch's start that depends only on the network, the
+    weights and the sets: ``K``, ``outside``, ``S`` and, where the weights are
+    not unit, the infected-neighbour counts.  ``ExactEngine.start`` fills an
+    empty snapshot and copies a filled one, so games that differ only in
+    their global effect or c start the same sets from one CSR expansion."""
+
+    def __init__(self):
+        self.game: tuple | None = None   # the (network, weights) it belongs to
+        self.state: tuple | None = None
 
 
 class ExactEngine:
@@ -182,36 +218,78 @@ class ExactEngine:
     ``position * n + player`` of flips, until ``apply`` retires rows.  A
     batch may hold a hundred rows or more (the Monte Carlo sweep batches
     several set sizes), so the per-row bookkeeping is in arrays too, and
-    ``_add`` expands the added players' CSR slots in pieces of at most ``_SLOTS``.
+    CSR slots are expanded in pieces of at most ``_SLOTS``.
     """
 
     def __init__(self, cfg: GameConfig):
         self.n = cfg.network.node_count
         self.tables = _memo(_tables, (cfg.network, cfg.weights, cfg.global_effect), (cfg.c,))
+        self._game = (cfg.network, cfg.weights)
         self._logged_python_ints = False
 
-    def start(self, initials: Sequence[Iterable[int]]) -> list[int]:
+    def start(self, initials: Sequence[Iterable[int]],
+              snapshot: StartSnapshot | None = None) -> list[int]:
         """One batch row per initial set (a collection of players, or an
-        int64 array of distinct players); return the rows that start full."""
-        t, n, rows = self.tables, self.n, len(initials)
+        int64 array of distinct players); return the rows that start full.
+        A filled ``snapshot`` of the same network and weights stands in for
+        ``initials``' expansion (see :class:`StartSnapshot`)."""
+        t, n = self.tables, self.n
+        if snapshot is None:
+            state = self._begin(initials)
+        else:
+            if snapshot.state is None:
+                snapshot.game, snapshot.state = self._game, self._begin(initials)
+            elif not all(a is b for a, b in zip(snapshot.game, self._game)):
+                raise InvariantViolationError("a start snapshot serves one network and weights")
+            # The snapshot keeps its arrays; the search changes its own.
+            state = [None if arr is None else arr.copy() for arr in snapshot.state]
+        self.K, self.outside, self.S, k = state
+        rows = len(self.K)
         self.live = np.arange(rows)
-        self.K = np.zeros(rows, dtype=np.int64)
-        self.outside = np.ones((rows, n), dtype=bool)
-        # Supports: infected neighbours, or their integer weights.
-        self.S = np.zeros((rows, n), dtype=np.int64 if t.in_weights is None
-                          else t.in_weights.dtype)
-        # K minus infected neighbours and self: the infected non-neighbours.
-        self.o = np.zeros((rows, n), dtype=np.int64)
+        self._evaluated = None
+        # K minus infected neighbours and self: the infected non-neighbours,
+        # which only a global term reads.
+        self.o = None
+        if t.a is not None:
+            self.o = self.K[:, None] - (self.S if k is None else k) - 1
+            self.o += self.outside
         if t.steps is not None:
             self.ptr = np.tile(t.steps.first, (rows, 1))
+            self._advance_steps()
         # deviating's pairs and products, for int64 tables: allocated
         # once per search, as arrays this large allocated anew on every step
-        # cost more in page faults than in arithmetic.
-        self._work = np.empty((4, rows, n), dtype=np.int64) if t.bound < _INT64_LIMIT else None
-        return self._add(np.concatenate([
+        # cost more in page faults than in arithmetic.  Without a global
+        # term the pairs are the state itself, and only the products remain.
+        self._work = (np.empty((2 if t.a is None else 4, rows, n), dtype=np.int64)
+                      if t.bound < _INT64_LIMIT else None)
+        return self._retire() if (self.K == n).any() else []
+
+    def _begin(self, initials: Sequence[Iterable[int]]) -> tuple:
+        """``K``, ``outside``, ``S`` and (weights not unit, else None) the
+        infected-neighbour counts ``k`` of the initial sets.  A row holding
+        more than half the network expands its complement's CSR slots and
+        subtracts them from a full row: ``k = degree - k'``, ``S = W - S'``."""
+        t, n, rows = self.tables, self.n, len(initials)
+        outside = np.ones((rows, n), dtype=bool)
+        outside.reshape(-1)[np.concatenate([
             r * n + (initial if isinstance(initial, np.ndarray)
                      else np.fromiter(initial, dtype=np.int64, count=len(initial)))
-            for r, initial in enumerate(initials)]))
+            for r, initial in enumerate(initials)])] = False
+        K = n - np.count_nonzero(outside, axis=1)
+        wide = 2 * K > n
+        flips = np.flatnonzero(outside ^ ~wide[:, None])  # each row's smaller side
+        players = flips % n
+        k = np.zeros((rows, n), dtype=np.int64)
+        S = k if t.in_weights is None else np.zeros((rows, n), dtype=t.in_weights.dtype)
+        for window, targets, slots in self._pieces(players, flips - players):
+            k.reshape(-1)[window] += np.bincount(targets, minlength=window.stop - window.start)
+            if S is not k:
+                np.add.at(S.reshape(-1)[window], targets, t.in_weights[slots])
+        if wide.any():
+            k[wide] = t.degree - k[wide]
+            if S is not k:
+                S[wide] = t.W - S[wide]
+        return K, outside, S, None if S is k else k
 
     def uninfected_count(self) -> int:
         """Outsiders summed over the live rows."""
@@ -223,22 +301,15 @@ class ExactEngine:
             return frozenset(range(self.n))
         return frozenset(np.flatnonzero(~self.outside[at[0]]).tolist())
 
-    def _add(self, flips: np.ndarray) -> list[int]:
-        """Infect the flat ids; return the batch rows this filled, now retired."""
+    def _pieces(self, players: np.ndarray, base: np.ndarray | None):
+        """The CSR slots of the players' neighbours, in pieces of at most
+        ``_SLOTS``: yields ``(window, targets, slots)``, with ``targets`` each
+        neighbour's index in the ``window`` of the flat state that the piece
+        touches.  ``base`` holds each player's row offset ``position * n``
+        (None for one row); players come row by row, so a piece's window
+        spans its rows first..last.  Updates are sums, so pieces may go in
+        any order."""
         t, n = self.tables, self.n
-        self._evaluated = None
-        if len(self.K) == 1:  # one live row: the flat ids are its players
-            players, base, added = flips, None, len(flips)
-        else:
-            pos, players = np.divmod(flips, n)
-            base, added = flips - players, np.bincount(pos, minlength=len(self.K))
-        self.K += added
-        self.outside.reshape(-1)[flips] = False
-        self.o += added if base is None else added[:, None]
-        S, o = self.S.reshape(-1), self.o.reshape(-1)
-        o[flips] -= 1
-        # The CSR slots of the added players' neighbours, in pieces of at
-        # most _SLOTS; the updates are sums, so pieces may go in any order.
         starts, lens = t.indptr[players], t.degree[players]
         ends = np.cumsum(lens)
         begins = ends - lens
@@ -251,39 +322,68 @@ class ExactEngine:
                 a, b = np.searchsorted(ends, lo, "right"), np.searchsorted(begins, hi)
                 counts = np.minimum(ends[a:b], hi) - np.maximum(begins[a:b], lo)
             slots = np.repeat(starts[a:b] - begins[a:b], counts) + np.arange(lo, hi)
-            # Each neighbour's index in the window of state rows the piece
-            # touches: flips come row by row, so rows first..last.
             targets, window = t.indices[slots], slice(0, n)
             if base is not None:
                 first, last = int(base[a]), int(base[b - 1])
                 targets += np.repeat(base[a:b] - first, counts)
                 window = slice(first, last + n)
+            yield window, targets, slots
+
+    def _add(self, flips: np.ndarray) -> list[int]:
+        """Infect the flat ids; return the batch rows this filled, now retired."""
+        t, n = self.tables, self.n
+        self._evaluated = None
+        if len(self.K) == 1:  # one live row: the flat ids are its players
+            players, base, added = flips, None, len(flips)
+        else:
+            pos, players = np.divmod(flips, n)
+            base, added = flips - players, np.bincount(pos, minlength=len(self.K))
+        self.K += added
+        self.outside.reshape(-1)[flips] = False
+        S, o = self.S.reshape(-1), None
+        if self.o is not None:
+            self.o += added if base is None else added[:, None]
+            o = self.o.reshape(-1)
+            o[flips] -= 1
+        for window, targets, slots in self._pieces(players, base):
             gained = np.bincount(targets, minlength=window.stop - window.start)
             if t.in_weights is None:
                 S[window] += gained
             else:
                 np.add.at(S[window], targets, t.in_weights[slots])
-            o[window] -= gained
+            if o is not None:
+                o[window] -= gained
         if t.steps is not None:
-            while True:
-                move = t.steps.thresholds[self.ptr + 1] <= self.o
-                if not move.any():
-                    break
-                self.ptr += move
+            self._advance_steps()
         return self._retire() if (self.K == n).any() else []
+
+    def _advance_steps(self) -> None:
+        """Move each tabular step pointer to the last step its ``o`` reaches."""
+        steps = self.tables.steps
+        while True:
+            move = steps.thresholds[self.ptr + 1] <= self.o
+            if not move.any():
+                break
+            self.ptr += move
 
     def _retire(self) -> list[int]:
         """Drop the full rows, so later waves do not scan them."""
         keep = self.K < self.n
         filled = self.live[~keep].tolist()
         self.live, self.K = self.live[keep], self.K[keep]
-        self.outside, self.S, self.o = self.outside[keep], self.S[keep], self.o[keep]
+        self.outside, self.S = self.outside[keep], self.S[keep]
+        if self.o is not None:
+            self.o = self.o[keep]
         if self.tables.steps is not None:
             self.ptr = self.ptr[keep]
         return filled
 
     def _pairs(self, pos=slice(None), out=None) -> tuple[np.ndarray, np.ndarray]:
+        """``num`` and ``den`` of the rows at ``pos``; without a global term
+        they are ``S`` itself and the constant one-row ``MW``."""
         t = self.tables
+        if t.a is None:
+            return self.S[pos], t.MW
         g = self.o[pos] if t.steps is None else t.steps.values[self.ptr[pos]]
         if out is None:
             return t.M * self.S[pos], t.MW - t.a * g
@@ -328,8 +428,8 @@ class ExactEngine:
             num, den = self._python_ints(num, den)
             lhs, rhs = num * qd, qn * den
         else:
-            lhs = np.multiply(num, qd, out=work[2])
-            rhs = np.multiply(den, qn, out=work[3])
+            lhs = np.multiply(num, qd, out=work[-2])
+            rhs = np.multiply(den, qn, out=work[-1])
         return lhs >= rhs
 
     def flip_candidates(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
@@ -351,27 +451,53 @@ class ExactEngine:
         ``B^2 < 2^63``, else Python ints) and the attainer.
         """
         pos = slice(None) if len(positions) == len(self.K) else positions
-        # The pairs of the last deviating call hold until the next _add.
-        num, den = (self._pairs(pos) if self._evaluated is None
-                    else (self._evaluated[0][pos], self._evaluated[1][pos]))
-        # Insiders become -1/1, below every outsider's num/den >= 0.
+        if self._evaluated is None:
+            num, den = self._pairs(pos)
+        else:  # the pairs of the last deviating call hold until the next _add
+            num, den = self._evaluated
+            num = num[pos]
+            if len(den) > 1:  # else the constant MW, or the one live row
+                den = den[pos]
         outside = self.outside[pos]
-        num, den = np.where(outside, num, -1), np.where(outside, den, 1)
-        if (den <= 0).any():
+        bad = (den <= 0) & outside
+        if bad.any():
             raise InvariantViolationError(
-                f"player {int(np.argmax(den <= 0) % self.n)} has nonpositive threshold "
+                f"player {int(np.argmax(bad) % self.n)} has nonpositive threshold "
                 f"denominator while still outside the set")
         if self.tables.bound**2 >= _INT64_LIMIT:
             num, den = self._python_ints(num, den)
-        # The float argmax only seeds each row; the order is settled exactly,
-        # moving to a strictly larger player until none is left.
-        at = np.arange(len(positions))
-        best = np.argmax(num / den, axis=1)
-        while True:
-            nb, db = num[at, best], den[at, best]
-            lhs, rhs = num * db[:, None], nb[:, None] * den
-            beaten = lhs > rhs
-            if not beaten.any():
-                break
-            best = np.where(beaten.any(axis=1), np.argmax(beaten, axis=1), best)
-        return nb, db, np.argmax(lhs == rhs, axis=1)
+        return _row_max(num, den, outside, self.tables.bound)
+
+
+def _row_max(num: np.ndarray, den: np.ndarray, outside: np.ndarray,
+             bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's max of ``num/den`` over its outsiders, as its pair and its
+    lowest-indexed attainer, for pairs in ``[0, bound]`` with ``den > 0`` on
+    outsiders and every row holding one; ``den`` may be one row for all.
+    Exact in floats when ``bound^2 < 2^50`` (see the module docstring),
+    else settled by cross products, which need Python ints from
+    ``bound^2 >= 2^63`` on."""
+    at = np.arange(len(outside))
+    if bound**2 < _FLOAT_EXACT:
+        # Insiders get -1/max(den, 1), below every outsider's ratio >= 0, by
+        # arithmetic rather than a masked write; np.argmax takes the first
+        # of equal maxima.
+        inside = ~outside
+        ratio = np.multiply(num, outside, dtype=np.float64)
+        ratio -= inside
+        ratio /= np.maximum(den, inside)
+        best = np.argmax(ratio, axis=1)
+        return num[at, best], den[at if len(den) > 1 else 0, best], best
+    # Insiders become -1/1, below every outsider's num/den >= 0.
+    num, den = np.where(outside, num, -1), np.where(outside, den, 1)
+    # The float argmax only seeds each row; the order is settled exactly,
+    # moving to a strictly larger player until none is left.
+    best = np.argmax(num / den, axis=1)
+    while True:
+        nb, db = num[at, best], den[at, best]
+        lhs, rhs = num * db[:, None], nb[:, None] * den
+        beaten = lhs > rhs
+        if not beaten.any():
+            break
+        best = np.where(beaten.any(axis=1), np.argmax(beaten, axis=1), best)
+    return nb, db, np.argmax(lhs == rhs, axis=1)

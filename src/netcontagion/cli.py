@@ -174,7 +174,7 @@ def _cmd_generate(args) -> int:
 def _cmd_threshold(args) -> int:
     doc = _load_config(args.config) if args.config else {}
     cfg, start = _game_from_args(args, doc)
-    result = full_contagion_threshold(cfg, start)
+    result = full_contagion_threshold(cfg, start, collect_members=args.members)
     if args.json:
         print(json.dumps(result.to_dict(include_members=args.members), indent=2))
         return 0

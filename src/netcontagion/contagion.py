@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._engines import _INT64_LIMIT, ExactEngine
+from ._engines import _INT64_LIMIT, ExactEngine, StartSnapshot
 from .errors import (
     InvariantViolationError,
     ParameterError,
@@ -296,19 +296,21 @@ class StageLog:
 
 
 def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
-                   collect_members: bool) -> StageLog:
+                   collect_members: bool, snapshot: StartSnapshot | None = None) -> StageLog:
     """The staged search from every initial set at once, one engine row each.
 
     ``initials`` are the engine's starting sets (start plus infected); the
     caller has checked that every member deviates at q = 1.  Rows advance
     in lockstep: each step evaluates every live row at its own q, applies
     the rows that flip, and closes a stage on each row that does not.
-    Each step appends its closed stages to the log as arrays.
+    Each step appends its closed stages to the log as arrays.  Searches of
+    the same sets on one network and weights may share a ``snapshot`` of
+    their start (see ``ExactEngine.start``).
     """
     n = cfg.network.node_count
     rows = len(initials)
     engine = ExactEngine(cfg)
-    filled = engine.start(initials)
+    filled = engine.start(initials, snapshot)
     # Each row's q as max_threshold gives it, a pair of at most B: int64
     # when B fits; the log reduces the pairs once.
     pairs = np.ones((rows, 2), dtype=object if engine.tables.bound >= _INT64_LIMIT

@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._engines import _INT64_LIMIT
+from ._engines import _INT64_LIMIT, StartSnapshot
 from .contagion import DepthFunction, _reached, _staged_search
 from .errors import ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
@@ -374,8 +374,10 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> RunBatch
                 rng = np.random.Generator(np.random.PCG64(seed))
                 # An array holds a drawn set in 4-9x less memory than a frozenset.
                 starts.append(draw_players(rng, grid.network_size, set_size))
+        # The alphas share the network, the weights and the sets: one start.
+        snapshot = StartSnapshot()
         for a, cfg in enumerate(configs):
-            log = _staged_search(cfg, starts, collect_members=False)
+            log = _staged_search(cfg, starts, collect_members=False, snapshot=snapshot)
             # A run's last stage is at q*; the stages before it are its depth steps.
             last = log.start[1:] - 1
             parts.append((np.full(len(starts), a), np.repeat(sizes, reps),

@@ -1,14 +1,16 @@
 """The integer engine must be indistinguishable from a Fraction reference."""
 
 import logging
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcontagion import _engines
-from netcontagion._engines import ExactEngine
+from netcontagion._engines import ExactEngine, StartSnapshot, _row_max
 from netcontagion.contagion import (
     ThresholdResult,
     ThresholdStage,
@@ -463,16 +465,17 @@ def row_axis_game(kind):
         return GameConfig(network=net, weights=InfluenceWeights.from_pairs(net, pairs)), rows
     rng = np.random.Generator(np.random.PCG64(77))
     net = generate_ba(40, 2, 8)
-    weights = InfluenceWeights.unit(net) if kind == "unit" else random_weights(rng, net)
+    weights = (InfluenceWeights.unit(net) if kind in ("unit", "alpha-0")
+               else random_weights(rng, net))
     effect = (random_tables(rng, net, F(1), weights) if kind == "tabular"
-              else ParametricGlobalEffect(F(1, 2)))
+              else ParametricGlobalEffect(F(0) if kind == "alpha-0" else F(1, 2)))
     rows = [frozenset({39}), frozenset(range(40)), frozenset(range(0, 40, 2)),
             frozenset({39}), frozenset(range(3, 40)),
             frozenset(int(i) for i in rng.choice(40, 6, replace=False))]
     return GameConfig(network=net, weights=weights, global_effect=effect), rows
 
 
-ROW_AXIS_KINDS = ["unit", "weighted", "tabular", "python-ints", "beyond-int64"]
+ROW_AXIS_KINDS = ["unit", "weighted", "tabular", "alpha-0", "python-ints", "beyond-int64"]
 
 
 @pytest.mark.parametrize("kind", ROW_AXIS_KINDS)
@@ -523,7 +526,7 @@ def check_row_batch(kind, caplog):
             assert batch == single == reference
     stages = [len(result.stages) for result in batch]
     assert stages[rows.index(frozenset(range(cfg.network.node_count)))] == 1
-    if kind in ("unit", "weighted", "tabular"):
+    if kind in ("unit", "weighted", "tabular", "alpha-0"):
         # Rows retire while others still have several stages to go.
         assert max(stages) - min(stages) >= 3
     slow = [r for r in caplog.records if "Python ints" in r.getMessage()]
@@ -595,3 +598,128 @@ def test_stage_log_checks_the_threshold_invariants(changes, message, python_ints
     bad = [changes.get(k, column) for k, column in enumerate(GOOD_LOG)]
     with pytest.raises(InvariantViolationError, match=message):
         _stage_log(log_pieces(*bad), None, np.array([5, 0]), n, python_ints)
+
+
+def state(engine):
+    """An engine's live state, for comparing starts."""
+    return {"live": engine.live, "K": engine.K, "outside": engine.outside, "S": engine.S,
+            "o": engine.o, "ptr": getattr(engine, "ptr", None)}
+
+
+def assert_states_equal(a, b):
+    for name, value in state(a).items():
+        other = state(b)[name]
+        assert (value is None) == (other is None), name
+        if value is not None:
+            assert value.dtype == other.dtype and np.array_equal(value, other), name
+
+
+@pytest.mark.parametrize("slots", [None, 3])
+@pytest.mark.parametrize("kind", ROW_AXIS_KINDS)
+def test_complement_start_matches_direct_start(kind, slots, monkeypatch):
+    # Sets of more than n/2 players start full and remove their complement;
+    # adding the same sets to empty rows expands every player's own slots.
+    # Both must build the same state, for one row and for a batch of both
+    # sides, in one piece and in pieces of a few slots.
+    if slots is not None:
+        monkeypatch.setattr(_engines, "_SLOTS", slots)
+    cfg, _ = row_axis_game(kind)
+    n = cfg.network.node_count
+    rng = np.random.Generator(np.random.PCG64(11))
+    sizes = [n // 2 - 1, n // 2, n // 2 + 1, n - 1, n]
+    rows = [np.sort(rng.choice(n, size, replace=False)) for size in sizes]
+    for batch in [[row] for row in rows] + [rows]:
+        direct = ExactEngine(cfg)
+        assert direct.start([frozenset()] * len(batch)) == []
+        filled = direct.apply(np.concatenate([r * n + row for r, row in enumerate(batch)]))
+        engine = ExactEngine(cfg)
+        assert engine.start(batch) == filled
+        assert_states_equal(engine, direct)
+        assert (engine.o is None) == (kind in ("alpha-0", "python-ints", "beyond-int64"))
+
+
+def assert_logs_equal(a, b):
+    for name in ("start", "q_num", "q_den", "size", "marginal", "subsets_checked"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.members == b.members
+
+
+def test_shared_start_snapshot_gives_each_game_a_fresh_search():
+    # The sweep starts its alphas from one snapshot; each must log the
+    # stages of a search that started on its own, whatever the order, and
+    # no search may change the snapshot the next one copies (a batch with
+    # no full row keeps its start arrays, as no row retires at the start).
+    rng = np.random.Generator(np.random.PCG64(5))
+    net = generate_ba(40, 2, 8)
+    rows = [frozenset({39}), frozenset(range(3, 40)),
+            frozenset(int(i) for i in rng.choice(40, 25, replace=False)), frozenset({0, 1})]
+    for weights in (InfluenceWeights.unit(net), random_weights(rng, net)):
+        effects = [ParametricGlobalEffect(F(1)), ParametricGlobalEffect(F(0)),
+                   random_tables(rng, net, F(1), weights), ParametricGlobalEffect(F(1, 2))]
+        for batch in (rows, rows + [frozenset(range(40))]):
+            snapshot = StartSnapshot()
+            for effect in effects:
+                cfg = GameConfig(network=net, weights=weights, global_effect=effect)
+                assert_logs_equal(_staged_search(cfg, batch, True, snapshot),
+                                  _staged_search(cfg, batch, True))
+        other = GameConfig(network=net, weights=InfluenceWeights.from_pairs(
+            net, {(0, net.adjacency[0][0]): F(3, 2)}))
+        with pytest.raises(InvariantViolationError, match="one network and weights"):
+            ExactEngine(other).start(rows, snapshot)
+
+
+@st.composite
+def threshold_rows(draw):
+    """Pairs within a bound whose square is below 2^50, rows with exact ties
+    (multiples of one ratio) and the closest distinct ratios the bound
+    allows, the Farey neighbours (B-2)/(B-1) < (B-1)/B."""
+    bound = draw(st.integers(2, 2**25 - 1))
+    ratios = [(bound - 1, bound), (bound - 2, bound - 1), (0, 1)] + draw(st.lists(
+        st.tuples(st.integers(0, bound), st.integers(1, bound)), max_size=2))
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    num, den = np.zeros((rows, n), dtype=np.int64), np.zeros((rows, n), dtype=np.int64)
+    for r in range(rows):
+        for i in range(n):
+            a, b = draw(st.sampled_from(ratios))
+            a, b = a // math.gcd(a, b), b // math.gcd(a, b)
+            k = draw(st.integers(1, bound // max(a, b)))
+            num[r, i], den[r, i] = a * k, b * k
+    outside = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                     min_size=rows, max_size=rows)))
+    outside[:, draw(st.integers(0, n - 1))] = True
+    # Insiders may hold any pair in range, den 0 included.
+    den = np.where(outside, den, draw(st.sampled_from([0, 1, bound])))
+    if draw(st.booleans()):  # one den row for all, as without a global term
+        den = den[:1].copy()
+        mixed = ~outside.all(axis=0)  # outside in some row: den must be positive
+        den[0, mixed] = np.maximum(den[0, mixed], 1)
+    return num, den, outside, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_rows())
+def test_row_max_in_floats_matches_fractions(case):
+    num, den, outside, bound = case
+    best_num, best_den, first = _row_max(num, den, outside, bound)
+    for r in range(len(num)):
+        d = den[r if len(den) > 1 else 0]
+        values = [F(int(a), int(b)) if o else None for a, b, o in zip(num[r], d, outside[r])]
+        best = max(v for v in values if v is not None)
+        assert int(first[r]) == values.index(best)
+        assert (int(best_num[r]), int(best_den[r])) == (num[r, first[r]], d[first[r]])
+
+
+@pytest.mark.parametrize("bound, floats", [(2**25 - 1, True), (2**25, False), (2**25 + 1, False)])
+def test_row_max_takes_floats_below_two_to_the_fifty(bound, floats):
+    # The nearest squares on either side of 2^50.
+    assert (bound**2 < 2**50) == floats
+    outside = np.ones((1, 3), dtype=bool)
+    # Either path finds the larger of the closest ratios within the bound.
+    num, den = np.array([[bound - 2, bound - 1, 0]]), np.array([[bound - 1, bound, 1]])
+    assert _row_max(num, den, outside, bound)[2].tolist() == [1]
+    # Pairs beyond the bound given, whose float quotients tie, tell the paths
+    # apart: the float argmax takes the first, the exact settle the larger.
+    big = 2**31
+    num, den = np.array([[big, big + 1, 0]]), np.array([[big + 1, big + 2, 1]])
+    assert num[0, 0] / den[0, 0] == num[0, 1] / den[0, 1]
+    assert _row_max(num, den, outside, bound)[2].tolist() == [0 if floats else 1]
