@@ -37,13 +37,11 @@ from .game import (
 )
 from .graphs import Network, dump_edge_list, generate_ba, is_connected, load_edge_list
 from .montecarlo import (
+    Aggregator,
     ExperimentGrid,
-    RunRecord,
-    average_thresholds,
-    depth_curve,
     derive_seed,
     inverse_depth,
-    run_grid,
+    iter_batches,
     singularity_interval,
 )
 
@@ -59,7 +57,7 @@ __all__ = [
     "has_incentive", "local_support", "switch_threshold",
     "Network", "dump_edge_list", "generate_ba", "is_connected",
     "load_edge_list",
-    "ExperimentGrid", "RunRecord", "average_thresholds", "depth_curve",
-    "derive_seed", "inverse_depth", "run_grid", "singularity_interval",
+    "Aggregator", "ExperimentGrid", "derive_seed", "inverse_depth",
+    "iter_batches", "singularity_interval",
     "__version__",
 ]

@@ -148,13 +148,9 @@ class DepthFunction:
 
     @classmethod
     def from_threshold(cls, result: ThresholdResult) -> "DepthFunction":
-        # Built from lists, which size each tuple exactly.  A generator's
-        # tuple is allocated at a guessed size and shrunk, so once freed it
-        # is kept for a size the next record does not ask for, and a
-        # sweep's memory creeps up with its run count.
         return cls(
-            breakpoints=tuple([st.q for st in result.stages]),
-            interval_sizes=tuple([st.size for st in result.stages[:-1]]),
+            breakpoints=tuple(st.q for st in result.stages),
+            interval_sizes=tuple(st.size for st in result.stages[:-1]),
             node_count=result.node_count,
         )
 
@@ -173,16 +169,12 @@ class DepthFunction:
 
 def depth_at(df: DepthFunction, q) -> Fraction:
     """Evaluate the depth step function, honoring (q_{n+1}, q_n] intervals."""
-    return Fraction(_reached(df, as_unit_rational(q, "q")), df.node_count)
-
-
-def _reached(df: DepthFunction, q: Fraction) -> int:
-    """Players reached at a validated q: the numerator of ``depth_at``."""
+    q = as_unit_rational(q, "q")
     if q <= df.q_star:
-        return df.node_count
+        return Fraction(1)
     # q is in some (q_{n+1}, q_n]; locate q_n as the smallest breakpoint >= q.
     j = bisect_left(df._ascending, q)
-    return df.interval_sizes[len(df.breakpoints) - 1 - j]
+    return Fraction(df.interval_sizes[len(df.breakpoints) - 1 - j], df.node_count)
 
 
 def _deviators(cfg: GameConfig, members: PlayerSet, q: Fraction) -> np.ndarray:

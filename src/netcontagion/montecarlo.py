@@ -12,7 +12,7 @@ set sizes: every draw of a size group is a row of a single engine state,
 advanced together by the staged search of ``contagion``.  A group holds as
 many whole sizes (at least one) as keep ``rows * network_size`` within
 ``_BATCH_ELEMENTS``, which bounds the engine's memory whatever the grid;
-draws, seeds and the record order do not depend on the grouping.  One
+draws, seeds and the run order do not depend on the grouping.  One
 ``GameConfig`` serves each (network, intensity) without an infected set.
 No per-search config or start check is needed: every start is seeded
 exogenously, so every member deviates at q = 1, and the engine sees the
@@ -21,21 +21,20 @@ start itself.
 
 Every random draw flows from ``master_seed`` through a documented split:
 ``sha256("netcontagion:<master>:<field>:...")`` truncated to 64 bits, so
-records are bit-identical regardless of worker count or scheduling.
+runs are bit-identical regardless of worker count or scheduling.
 
 A network task returns one :class:`RunBatch`: integer columns per run
 (intensity, set size, replicate, q* as a reduced num/den pair, subsets
 checked) and per depth step (q pair, equilibrium size), taken from the
-staged searches' integer stage logs and already in the global record
+staged searches' integer stage logs and already in the global run
 order.  No per-stage or per-run object is built: the rows of ``runs.csv``
 and ``runs.jsonl`` are rendered from the batch's integers, and
 :class:`Aggregator` sums them exactly, with integer cross-products for
 the reached counts.  A sweep streams: :func:`iter_batches` yields one
 task's batch at a time, so neither the writers nor the aggregator hold
 the whole run, and a worker process returns its batch as arrays.
-:func:`iter_grid` and :func:`run_grid` are the library's
-:class:`RunRecord` view of the same batches, and records given to the
-writers or the aggregator go in as batches.
+:meth:`AggregateTable.depth_curves` gives the mean-depth curves that
+:func:`inverse_depth` and :func:`singularity_interval` read.
 """
 
 from __future__ import annotations
@@ -45,17 +44,17 @@ import hashlib
 import math
 import warnings
 from array import array
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._engines import _INT64_LIMIT, StartSnapshot
-from .contagion import DepthFunction, _reached, _staged_search
+from .contagion import _staged_search
 from .errors import ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
 from .graphs import generate_ba
@@ -177,27 +176,6 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    m: int
-    alpha: Fraction
-    network_id: int
-    set_size: int
-    replicate_id: int
-    q_star: Fraction
-    depth: DepthFunction
-    subsets_checked: int
-    network_size: int
-
-    @property
-    def size_fraction(self) -> Fraction:
-        return Fraction(self.set_size, self.network_size)
-
-    def sort_key(self):
-        return (self.m, self.network_id, self.set_size, self.replicate_id,
-                self.alpha)
-
-
 @dataclass(frozen=True, eq=False)
 class RunBatch:
     """Runs that share m, network, network size and node count, as integer columns.
@@ -209,8 +187,8 @@ class RunBatch:
     ``steps[i]:steps[i + 1]`` of ``step_num``, ``step_den`` (q as a reduced
     pair) and ``step_size`` (the equilibrium reached at that q).  Pairs are
     int64, or Python ints where one exceeds int64.  A network task's batch
-    lists its runs in :meth:`RunRecord.sort_key` order, with ``alphas``
-    ascending.
+    lists its runs by set size, then replicate, then intensity, with
+    ``alphas`` ascending.
     """
 
     m: int
@@ -232,35 +210,6 @@ class RunBatch:
     def __len__(self) -> int:
         return len(self.alpha)
 
-    @classmethod
-    def from_records(cls, records: Sequence[RunRecord]) -> "RunBatch":
-        """The batch of records that share m, network, network size and node count."""
-        first = records[0]
-        alphas = tuple(sorted({rec.alpha for rec in records}))
-        index = {alpha: a for a, alpha in enumerate(alphas)}
-        steps = [0]
-        step_qs: list[Fraction] = []
-        step_sizes: list[int] = []
-        for rec in records:
-            if rec.q_star != rec.depth.q_star:
-                raise ParameterError("a record's q_star must be its depth function's q*")
-            step_qs += rec.depth.breakpoints[:-1]
-            step_sizes += rec.depth.interval_sizes
-            steps.append(len(step_sizes))
-        return cls(
-            m=first.m, network_id=first.network_id, network_size=first.network_size,
-            node_count=first.depth.node_count, alphas=alphas,
-            alpha=np.array([index[rec.alpha] for rec in records], dtype=np.int64),
-            set_size=_ints([rec.set_size for rec in records]),
-            replicate=_ints([rec.replicate_id for rec in records]),
-            q_num=_ints([rec.q_star.numerator for rec in records]),
-            q_den=_ints([rec.q_star.denominator for rec in records]),
-            subsets_checked=_ints([rec.subsets_checked for rec in records]),
-            steps=np.array(steps, dtype=np.int64),
-            step_num=_ints([q.numerator for q in step_qs]),
-            step_den=_ints([q.denominator for q in step_qs]),
-            step_size=_ints(step_sizes))
-
     def take(self, order: np.ndarray) -> "RunBatch":
         """The runs at ``order``, each with its steps."""
         counts = np.diff(self.steps)[order]
@@ -272,25 +221,6 @@ class RunBatch:
             subsets_checked=self.subsets_checked[order], steps=steps,
             step_num=self.step_num[at], step_den=self.step_den[at],
             step_size=self.step_size[at])
-
-    def records(self) -> list[RunRecord]:
-        """The runs as :class:`RunRecord`s, the library's view of a batch."""
-        qs = [Fraction(a, b) for a, b in zip(self.step_num.tolist(), self.step_den.tolist())]
-        sizes, bounds = self.step_size.tolist(), self.steps.tolist()
-        out = []
-        for i, (a, size, rep, qn, qd, checked) in enumerate(zip(
-                self.alpha.tolist(), self.set_size.tolist(), self.replicate.tolist(),
-                self.q_num.tolist(), self.q_den.tolist(), self.subsets_checked.tolist())):
-            q_star = Fraction(qn, qd)
-            lo, hi = bounds[i], bounds[i + 1]
-            depth = DepthFunction(breakpoints=tuple(qs[lo:hi] + [q_star]),
-                                  interval_sizes=tuple(sizes[lo:hi]),
-                                  node_count=self.node_count)
-            out.append(RunRecord(
-                m=self.m, alpha=self.alphas[a], network_id=self.network_id, set_size=size,
-                replicate_id=rep, q_star=q_star, depth=depth, subsets_checked=checked,
-                network_size=self.network_size))
-        return out
 
     def lines(self) -> Iterator[tuple[str, str]]:
         """Each run's ``runs.csv`` row and ``runs.jsonl`` line, line ends
@@ -329,23 +259,6 @@ class RunBatch:
             count = seen[self.steps[1:]] - seen[self.steps[:-1]]
             out[above, j] = self.step_size[(self.steps[:-1] + count - 1)[above]]
         return out
-
-
-def _ints(values: list[int]) -> np.ndarray:
-    """An int64 array of ``values``, or an object array if one exceeds int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _record_batches(records: Iterable[RunRecord]) -> Iterator[RunBatch]:
-    """Records as batches, one per stretch of records that share m,
-    network, network size and node count: how records reach the writers
-    and the aggregator."""
-    for _, stretch in groupby(records, key=lambda rec: (
-            rec.m, rec.network_id, rec.network_size, rec.depth.node_count)):
-        yield RunBatch.from_records(list(stretch))
 
 
 def _size_groups(grid: ExperimentGrid) -> list[tuple[int, ...]]:
@@ -399,10 +312,10 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> RunBatch
 def iter_batches(grid: ExperimentGrid, workers: int = 1) -> Iterator[RunBatch]:
     """Execute the grid one network task at a time.
 
-    Yields each task's :class:`RunBatch`, its runs in
-    :meth:`RunRecord.sort_key` order, tasks in ascending ``(m, network_id)``
-    order, so the concatenation is the globally sorted run list for any
-    worker count.  With ``workers > 1`` at most ``2 * workers`` tasks are in
+    Yields each task's :class:`RunBatch`, its runs ordered by set size,
+    replicate and intensity, tasks in ascending ``(m, network_id)`` order,
+    so the concatenation is the globally sorted run list for any worker
+    count.  With ``workers > 1`` at most ``2 * workers`` tasks are in
     flight, and results are yielded in submission order.  ``workers`` is
     checked before anything runs.
     """
@@ -412,11 +325,6 @@ def iter_batches(grid: ExperimentGrid, workers: int = 1) -> Iterator[RunBatch]:
              for net_id in range(grid.networks_per_m)]
     return (_run_network_task(grid, m, net_id) for m, net_id in tasks) \
         if workers == 1 else _pooled_tasks(grid, tasks, workers)
-
-
-def iter_grid(grid: ExperimentGrid, workers: int = 1) -> Iterator[list[RunRecord]]:
-    """The records of :func:`iter_batches`, one sorted list per network task."""
-    return (batch.records() for batch in iter_batches(grid, workers))
 
 
 def _pooled_tasks(grid: ExperimentGrid, tasks: list[tuple[int, int]],
@@ -435,11 +343,6 @@ def _pooled_tasks(grid: ExperimentGrid, tasks: list[tuple[int, int]],
         pool.shutdown(cancel_futures=True)
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[RunRecord]:
-    """Execute the grid; the record list is identical for any worker count."""
-    return [rec for chunk in iter_grid(grid, workers) for rec in chunk]
-
-
 @dataclass
 class ThresholdCell:
     mean: Fraction
@@ -456,18 +359,27 @@ class AggregateTable:
     thresholds: dict[tuple[int, Fraction, int], ThresholdCell] = field(default_factory=dict)
     depth_means: dict[tuple[int, Fraction, Fraction, int], Fraction] = field(default_factory=dict)
 
+    def depth_curves(self) -> dict[tuple[Fraction, int, Fraction], dict[Fraction, Fraction]]:
+        """Mean-depth curves keyed by (q, m, alpha), in the table's order (q
+        as aggregated, then scenario), sizes as network fractions: what the
+        depth writers, :func:`inverse_depth` and :func:`singularity_interval`
+        read."""
+        curves: dict[tuple[Fraction, int, Fraction], dict[Fraction, Fraction]] = {}
+        for (m, alpha, q, size), mean in self.depth_means.items():
+            curves.setdefault((q, m, alpha), {})[Fraction(size, self.network_size)] = mean
+        return curves
+
 
 class Aggregator:
     """Exact running summaries of a run stream, without the runs.
 
-    It takes :class:`RunBatch`es, or records, which go in as their batches.
-    Per (m, alpha, set size) it keeps the exact sum of q* and the q* floats
-    in arrival order, for the same ``np.std`` a list of them would give.
-    Per (m, alpha) it keeps, for each q of ``q_grid``, integer reached
-    counts by (set size, network size, node count), which are the
-    numerators that :func:`depth_curve` sums, and the (size fraction, q*)
-    plot points as floats in arrival order.  :meth:`table` is the table of
-    every record added so far.
+    It takes :class:`RunBatch`es.  Per (m, alpha, set size) it keeps the
+    exact sum of q* and the q* floats in arrival order, for the same
+    ``np.std`` a list of them would give.  Per (m, alpha) it keeps, for
+    each q of ``q_grid``, integer reached counts by (set size, network
+    size, node count), the numerators of the runs' depths, and the
+    (size fraction, q*) plot points as floats in arrival order.
+    :meth:`table` is the table of every run added so far.
     """
 
     def __init__(self, q_grid: Iterable = ()):
@@ -480,12 +392,8 @@ class Aggregator:
         self._reached: dict[tuple[int, Fraction], dict[tuple[int, int, int], list[int]]] = {}
         self._points: dict[tuple[int, Fraction], tuple[array, array]] = {}
 
-    def add(self, runs: RunBatch | Iterable[RunRecord]) -> None:
-        """Fold in a batch, or records, which go in as their batches."""
-        for batch in [runs] if isinstance(runs, RunBatch) else _record_batches(runs):
-            self._add(batch)
-
-    def _add(self, batch: RunBatch) -> None:
+    def add(self, batch: RunBatch) -> None:
+        """Fold in a batch."""
         if self.network_size is None:
             self.network_size = batch.network_size
         self.count += len(batch)
@@ -509,7 +417,7 @@ class Aggregator:
             ys.extend(q_floats[runs].tolist())
 
     def points(self, m: int, alpha: Fraction) -> list[tuple[float, float]]:
-        """(size fraction, q*) of every (m, alpha) record, in arrival order."""
+        """(size fraction, q*) of every (m, alpha) run, in arrival order."""
         xs, ys = self._points.get((m, alpha), ((), ()))
         return list(zip(xs, ys))
 
@@ -521,7 +429,7 @@ class Aggregator:
         that in small grids, so violations only warn.
         """
         if not self.count:
-            raise ParameterError("no records to aggregate")
+            raise ParameterError("no runs to aggregate")
         table = AggregateTable(network_size=self.network_size)
         for key in sorted(self._sums):
             floats = self._floats[key]
@@ -540,14 +448,17 @@ class Aggregator:
                     break
         for j, q in enumerate(self.q_grid, 1):
             for (m, alpha), cells in sorted(self._reached.items()):
-                sums: dict[tuple[Fraction, int], list[int]] = {}
+                # A run's depth is reached / node count, so a cell's integer
+                # reached count, divided once, is the sum of its runs' depths.
+                curve: dict[Fraction, list] = {}
                 for (size, network_size, nodes), counts in cells.items():
-                    cell = sums.setdefault((Fraction(size, network_size), nodes), [0, 0])
-                    cell[0] += counts[j]
-                    cell[1] += counts[0]
-                for size_frac, mean in _mean_curve(sums).items():
-                    size = int(size_frac * table.network_size)
-                    table.depth_means[(m, alpha, q, size)] = mean
+                    point = curve.setdefault(Fraction(size, network_size), [0, 0])
+                    point[0] += Fraction(counts[j], nodes)
+                    point[1] += counts[0]
+                for frac in sorted(curve):
+                    depths, runs = curve[frac]
+                    table.depth_means[(m, alpha, q, int(frac * table.network_size))] = \
+                        depths / runs
         return table
 
 
@@ -564,43 +475,6 @@ def _sum(nums: np.ndarray, dens: np.ndarray) -> Fraction:
     common = math.lcm(*dens)
     return Fraction(sum(num * (common // den) for num, den in zip(nums.tolist(), dens)),
                     common)
-
-
-def average_thresholds(records: Sequence[RunRecord],
-                       q_grid: Iterable = ()) -> AggregateTable:
-    """The :meth:`Aggregator.table` of ``records``: exact mean q* per
-    (m, alpha, set size) and mean depth per (m, alpha, q, set size)."""
-    aggregator = Aggregator(q_grid)
-    aggregator.add(records)
-    return aggregator.table()
-
-
-def depth_curve(records: Sequence[RunRecord], q) -> dict[Fraction, Fraction]:
-    """Mean depth at q per starting-set fraction, over the given records.
-
-    Records should share one (m, alpha) scenario; sizes are keyed as exact
-    fractions of the network.
-    """
-    q = as_unit_rational(q, "q")
-    if not records:
-        raise ParameterError("no records")
-    sums: dict[tuple[Fraction, int], list[int]] = {}
-    for rec in records:
-        cell = sums.setdefault((rec.size_fraction, rec.depth.node_count), [0, 0])
-        cell[0] += _reached(rec.depth, q)
-        cell[1] += 1
-    return _mean_curve(sums)
-
-
-def _mean_curve(sums: Mapping[tuple[Fraction, int], Sequence[int]]) -> dict[Fraction, Fraction]:
-    """Mean depth per size fraction from (reached, runs) integer sums keyed
-    by (size fraction, node count).  Each depth is reached/node_count, so
-    the numerators are summed per network size and divided once."""
-    curve: dict[Fraction, tuple[Fraction, int]] = {}
-    for (frac, nodes), (reached, count) in sorted(sums.items()):
-        total, seen = curve.get(frac, (Fraction(0), 0))
-        curve[frac] = (total + Fraction(reached, nodes), seen + count)
-    return {frac: total / count for frac, (total, count) in curve.items()}
 
 
 def _isotonic(values: list[Fraction]) -> list[Fraction]:
@@ -628,13 +502,24 @@ def regularized_curve(curve: Mapping[Fraction, Fraction]) -> dict[Fraction, Frac
 def inverse_depth(curve: Mapping[Fraction, Fraction], target_depth) -> Fraction | None:
     """Smallest grid set-size fraction whose regularized mean depth reaches
     ``target_depth``; None when no grid size does."""
-    target = as_rational(target_depth, "target_depth")
+    return _reaching(curve, [_depth_target(target_depth, "target_depth")])[0]
+
+
+def _depth_target(value, name: str) -> Fraction:
+    target = as_rational(value, name)
     if not 0 < target <= 1:
         raise ParameterError("target depth must be in (0, 1]")
-    for size_frac, depth in sorted(regularized_curve(curve).items()):
-        if depth >= target:
-            return size_frac
-    return None
+    return target
+
+
+def _reaching(curve: Mapping[Fraction, Fraction],
+              targets: Sequence[Fraction]) -> list[Fraction | None]:
+    """:func:`inverse_depth` of each target, from one regularization of the
+    curve.  Regularized depths never fall, so a bisection finds each size."""
+    regularized = regularized_curve(curve)
+    sizes, depths = list(regularized), list(regularized.values())
+    return [sizes[at] if at < len(sizes) else None
+            for at in (bisect_left(depths, target) for target in targets)]
 
 
 def singularity_interval(curve: Mapping[Fraction, Fraction],
@@ -669,30 +554,6 @@ RUN_CSV_COLUMNS = ["m", "alpha", "network_id", "set_size", "replicate",
                    "subsets_checked"]
 
 
-def run_csv_row(rec: RunRecord) -> list[str]:
-    """One ``runs.csv`` row's fields, in :data:`RUN_CSV_COLUMNS` order."""
-    row, _ = next(RunBatch.from_records([rec]).lines())
-    return row[:-2].split(",")
-
-
-def run_json_line(rec: RunRecord) -> str:
-    """One ``runs.jsonl`` line, newline included."""
-    return next(RunBatch.from_records([rec]).lines())[1]
-
-
-def write_records_csv(records: Iterable[RunRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(RUN_CSV_COLUMNS)
-        for batch in _record_batches(records):
-            fh.writelines(row for row, _ in batch.lines())
-
-
-def write_records_jsonl(records: Iterable[RunRecord], path) -> None:
-    with open(path, "w") as fh:
-        for batch in _record_batches(records):
-            fh.writelines(line for _, line in batch.lines())
-
-
 def write_threshold_table_csv(table: AggregateTable, path) -> None:
     """Wide layout: one row per set-size proportion, one column per (m, alpha)."""
     keys = sorted(table.thresholds)
@@ -724,31 +585,18 @@ def write_threshold_stats_csv(table: AggregateTable, path) -> None:
                              f"{cell.sd:.6f}"])
 
 
-def _depth_curves(table: AggregateTable) -> dict[tuple[Fraction, int, Fraction],
-                                                 dict[Fraction, Fraction]]:
-    """The table's mean-depth curves keyed by (q, m, alpha), in the table's
-    order (q as aggregated, then scenario), sizes as network fractions."""
-    curves: dict[tuple[Fraction, int, Fraction], dict[Fraction, Fraction]] = {}
-    for (m, alpha, q, size), mean in table.depth_means.items():
-        curves.setdefault((q, m, alpha), {})[Fraction(size, table.network_size)] = mean
-    return curves
-
-
 def write_inverse_depth_table_csv(table: AggregateTable, path, targets=None) -> None:
     """Wide layout: rows (m, q, alpha), columns depth targets."""
     targets = [Fraction(t, 10) for t in range(1, 11)] if targets is None else \
-        [as_rational(t, "target") for t in targets]
+        [_depth_target(t, "target") for t in targets]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "q", "alpha"] +
                         [f"depth>={decimal_render(t, 2)}" for t in targets])
-        for (q, m, alpha), curve in _depth_curves(table).items():
-            row = [m, rational_str(q), rational_str(alpha)]
-            for t in targets:
-                frac = inverse_depth(curve, t)
-                row.append("unreachable" if frac is None
-                           else decimal_render(frac, 3))
-            writer.writerow(row)
+        for (q, m, alpha), curve in table.depth_curves().items():
+            writer.writerow([m, rational_str(q), rational_str(alpha)] + [
+                "unreachable" if frac is None else decimal_render(frac, 3)
+                for frac in _reaching(curve, targets)])
 
 
 def write_depth_curves_csv(table: AggregateTable, path) -> None:
@@ -756,7 +604,7 @@ def write_depth_curves_csv(table: AggregateTable, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["m", "alpha", "q", "set_size", "size_fraction",
                          "mean_depth"])
-        for (q, m, alpha), curve in _depth_curves(table).items():
+        for (q, m, alpha), curve in table.depth_curves().items():
             for size_frac, mean in curve.items():
                 writer.writerow([
                     m, rational_str(alpha), rational_str(q),

@@ -1,0 +1,167 @@
+"""Test-side references for the Monte Carlo sweep, independent of its code.
+
+A :class:`Run` holds one search's outcome as exact objects.  The reference
+sweep draws every set with ``draw_set`` and runs ``full_contagion_threshold``
+once per (m, network, size, replicate, alpha); the row and aggregation
+references render and sum those runs with ``csv``/``json`` and ``Fraction``
+arithmetic.  :func:`pack` and :func:`unpack` convert between runs and the
+library's integer ``RunBatch`` columns.
+"""
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import groupby
+
+import numpy as np
+
+from netcontagion import montecarlo
+from netcontagion.contagion import DepthFunction, depth_at, full_contagion_threshold
+from netcontagion.game import GameConfig, ParametricGlobalEffect
+from netcontagion.graphs import generate_ba
+from netcontagion.montecarlo import RunBatch, derive_seed, draw_set
+from netcontagion.rational import decimal_render, rational_str
+
+
+@dataclass(frozen=True)
+class Run:
+    m: int
+    alpha: Fraction
+    network_id: int
+    set_size: int
+    replicate_id: int
+    q_star: Fraction
+    depth: DepthFunction
+    subsets_checked: int
+    network_size: int
+
+    @property
+    def size_fraction(self) -> Fraction:
+        return Fraction(self.set_size, self.network_size)
+
+
+def reference_sweep(grid):
+    """Every run of the grid from direct searches, in the global order:
+    m, network, set size, replicate, alpha."""
+    runs = []
+    for m in sorted(grid.m_values):
+        for network_id in range(grid.networks_per_m):
+            net = generate_ba(grid.network_size, m,
+                              derive_seed(grid.master_seed, "network", m, network_id))
+            for size in sorted(grid.set_sizes):
+                for replicate in range(grid.sets_per_size):
+                    rng = np.random.Generator(np.random.PCG64(derive_seed(
+                        grid.master_seed, "set", m, network_id, size, replicate)))
+                    start = draw_set(rng, grid.network_size, size)
+                    for alpha in sorted(grid.alpha_values):
+                        cfg = GameConfig(network=net, infected=start,
+                                         global_effect=ParametricGlobalEffect(alpha))
+                        result = full_contagion_threshold(cfg, start, collect_members=False)
+                        runs.append(Run(
+                            m=m, alpha=alpha, network_id=network_id, set_size=size,
+                            replicate_id=replicate, q_star=result.q_star,
+                            depth=DepthFunction.from_threshold(result),
+                            subsets_checked=result.subsets_checked,
+                            network_size=grid.network_size))
+    return runs
+
+
+def _ints(values):
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def pack(runs):
+    """The ``RunBatch`` of runs that share m, network, network size and node count."""
+    first = runs[0]
+    alphas = tuple(sorted({run.alpha for run in runs}))
+    steps, step_qs, step_sizes = [0], [], []
+    for run in runs:
+        assert run.q_star == run.depth.q_star
+        step_qs += run.depth.breakpoints[:-1]
+        step_sizes += run.depth.interval_sizes
+        steps.append(len(step_sizes))
+    return RunBatch(
+        m=first.m, network_id=first.network_id, network_size=first.network_size,
+        node_count=first.depth.node_count, alphas=alphas,
+        alpha=np.array([alphas.index(run.alpha) for run in runs], dtype=np.int64),
+        set_size=_ints([run.set_size for run in runs]),
+        replicate=_ints([run.replicate_id for run in runs]),
+        q_num=_ints([run.q_star.numerator for run in runs]),
+        q_den=_ints([run.q_star.denominator for run in runs]),
+        subsets_checked=_ints([run.subsets_checked for run in runs]),
+        steps=np.array(steps, dtype=np.int64),
+        step_num=_ints([q.numerator for q in step_qs]),
+        step_den=_ints([q.denominator for q in step_qs]),
+        step_size=_ints(step_sizes))
+
+
+def pack_stream(runs):
+    """One batch per stretch of runs that share m, network, network size and node count."""
+    return [pack(list(stretch)) for _, stretch in groupby(runs, key=lambda run: (
+        run.m, run.network_id, run.network_size, run.depth.node_count))]
+
+
+def unpack(batch):
+    """The batch's columns as runs: alpha, size, replicate, the q* pair,
+    subsets checked and the depth steps."""
+    bounds = batch.steps.tolist()
+    qs = [Fraction(a, b) for a, b in zip(batch.step_num.tolist(), batch.step_den.tolist())]
+    sizes = batch.step_size.tolist()
+    runs = []
+    for i, (a, size, rep, qn, qd, checked) in enumerate(zip(
+            batch.alpha.tolist(), batch.set_size.tolist(), batch.replicate.tolist(),
+            batch.q_num.tolist(), batch.q_den.tolist(), batch.subsets_checked.tolist())):
+        lo, hi = bounds[i], bounds[i + 1]
+        depth = DepthFunction(tuple(qs[lo:hi]) + (Fraction(qn, qd),), tuple(sizes[lo:hi]),
+                              batch.node_count)
+        runs.append(Run(m=batch.m, alpha=batch.alphas[a], network_id=batch.network_id,
+                        set_size=size, replicate_id=rep, q_star=Fraction(qn, qd), depth=depth,
+                        subsets_checked=checked, network_size=batch.network_size))
+    return runs
+
+
+def old_csv_row(run):
+    """A runs.csv row as csv.writer rendered it from the run's fields."""
+    return [run.m, rational_str(run.alpha), run.network_id, run.set_size,
+            run.replicate_id, run.q_star.numerator, run.q_star.denominator,
+            decimal_render(run.q_star), run.subsets_checked]
+
+
+def old_json_line(run):
+    """A runs.jsonl line as json.dumps rendered it from the run's fields."""
+    return json.dumps({
+        "m": run.m, "alpha": rational_str(run.alpha), "network_id": run.network_id,
+        "set_size": run.set_size, "replicate": run.replicate_id,
+        "q_star": {"num": run.q_star.numerator, "den": run.q_star.denominator,
+                   "decimal": decimal_render(run.q_star)},
+        "subsets_checked": run.subsets_checked, "network_size": run.network_size,
+        "depth": run.depth.to_dict(),
+    }, separators=(",", ":")) + "\n"
+
+
+def reference_average_thresholds(runs, q_grid=()):
+    """The whole-list aggregation: group every run, then sum each group."""
+    table = montecarlo.AggregateTable(network_size=runs[0].network_size)
+    groups = {}
+    for run in runs:
+        groups.setdefault((run.m, run.alpha, run.set_size), []).append(run)
+    for key in sorted(groups):
+        vals = [run.q_star for run in groups[key]]
+        table.thresholds[key] = montecarlo.ThresholdCell(
+            mean=sum(vals, Fraction(0)) / len(vals), count=len(vals),
+            sd=float(np.std([float(v) for v in vals])))
+    scenarios = {}
+    for run in runs:
+        scenarios.setdefault((run.m, run.alpha), []).append(run)
+    for q in q_grid:
+        for (m, alpha), group in sorted(scenarios.items()):
+            sums = {}
+            for run in group:
+                total, count = sums.get(run.size_fraction, (Fraction(0), 0))
+                sums[run.size_fraction] = (total + depth_at(run.depth, q), count + 1)
+            for frac, (total, count) in sorted(sums.items()):
+                table.depth_means[(m, alpha, q, int(frac * table.network_size))] = total / count
+    return table

@@ -13,19 +13,16 @@ from fractions import Fraction
 import pytest
 
 from netcontagion import verify
+from netcontagion.cli import main
 from netcontagion.contagion import cascade, full_contagion_threshold
 from netcontagion.game import GameConfig, ParametricGlobalEffect
 from netcontagion.graphs import Network, generate_ba
 from netcontagion.montecarlo import (
-    average_thresholds,
-    depth_curve,
-    desk_grid,
+    Aggregator,
     inverse_depth,
+    iter_batches,
     m5_benchmark_grid,
-    run_grid,
     singularity_interval,
-    write_records_csv,
-    write_threshold_table_csv,
 )
 
 F = Fraction
@@ -123,12 +120,17 @@ def test_trivial_limits():
 # --- Sweep-backed criteria ----------------------------------------------------
 
 @pytest.fixture(scope="module")
-def benchmark_records():
+def benchmark_sweep():
+    """The grid's batches and their table, with depth curves at q = 1/2 and 3/4."""
     t0 = time.perf_counter()
-    records = run_grid(m5_benchmark_grid(master_seed=42), workers=1)
+    batches = list(iter_batches(m5_benchmark_grid(master_seed=42), workers=1))
+    aggregator = Aggregator((F(1, 2), F(3, 4)))
+    for batch in batches:
+        aggregator.add(batch)
+    table = aggregator.table()
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800, f"benchmark grid took {elapsed:.0f}s"
-    return records
+    return batches, table
 
 
 REFERENCE_MEANS = {
@@ -137,8 +139,8 @@ REFERENCE_MEANS = {
 }
 
 
-def test_threshold_table_reproduction(benchmark_records):
-    table = average_thresholds(benchmark_records, ())
+def test_threshold_table_reproduction(benchmark_sweep):
+    batches, table = benchmark_sweep
     details = []
     for (alpha, size), expected in REFERENCE_MEANS.items():
         cell = table.thresholds[(5, alpha, size)]
@@ -146,10 +148,10 @@ def test_threshold_table_reproduction(benchmark_records):
         assert abs(float(cell.mean) - expected) <= 0.02, \
             f"alpha={alpha} size={size}: {float(cell.mean):.4f} vs {expected}"
         details.append(f"{float(cell.mean):.3f}/{expected}")
-    saturated = [r for r in benchmark_records
-                 if r.alpha == 1 and r.set_size == 400]
-    assert len(saturated) == 200
-    assert all(r.q_star == 1 for r in saturated)
+    saturated = [(b.q_num[at], b.q_den[at]) for b in batches
+                 for at in [(b.set_size == 400) & (b.alpha == b.alphas.index(F(1)))]]
+    assert sum(len(num) for num, _ in saturated) == 200
+    assert all((num == 1).all() and (den == 1).all() for num, den in saturated)
     report("threshold-table", "mean q* vs reference: " + " ".join(details))
 
 
@@ -165,11 +167,11 @@ INVERSE_CHECKS = [
 ]
 
 
-def test_inverse_depth_spot_checks(benchmark_records):
+def test_inverse_depth_spot_checks(benchmark_sweep):
+    curves = benchmark_sweep[1].depth_curves()
     details = []
     for q, alpha, expected, tol in INVERSE_CHECKS:
-        recs = [r for r in benchmark_records if r.alpha == alpha]
-        size = inverse_depth(depth_curve(recs, q), FULL_DEPTH)
+        size = inverse_depth(curves[(q, 5, alpha)], FULL_DEPTH)
         assert size is not None
         assert abs(float(size) - expected) <= tol, \
             f"q={q} alpha={alpha}: {float(size):.3f} vs {expected}±{tol}"
@@ -183,11 +185,11 @@ SINGULARITY_CHECKS = [
 ]
 
 
-def test_singularity_intervals(benchmark_records):
+def test_singularity_intervals(benchmark_sweep):
+    curves = benchmark_sweep[1].depth_curves()
     details = []
     for alpha, (exp_lo, exp_hi) in SINGULARITY_CHECKS:
-        recs = [r for r in benchmark_records if r.alpha == alpha]
-        lo, hi = singularity_interval(depth_curve(recs, F(3, 4)))
+        lo, hi = singularity_interval(curves[(F(3, 4), 5, alpha)])
         assert lo is not None and hi is not None
         assert abs(float(lo) - exp_lo) <= 0.04, f"alpha={alpha} lo {float(lo):.3f}"
         assert abs(float(hi) - exp_hi) <= 0.04, f"alpha={alpha} hi {float(hi):.3f}"
@@ -197,19 +199,15 @@ def test_singularity_intervals(benchmark_records):
 
 # --- Criterion: determinism under parallelism ----------------------------------
 
-def test_desk_preset_worker_determinism(tmp_path):
-    grid = desk_grid(master_seed=42)
-    serial = run_grid(grid, workers=1)
-    parallel = run_grid(grid, workers=8)
-    paths = []
-    for label, records in (("serial", serial), ("parallel", parallel)):
-        base = tmp_path / label
-        base.mkdir()
-        write_records_csv(records, base / "runs.csv")
-        table = average_thresholds(records, ())
-        write_threshold_table_csv(table, base / "thresholds_table.csv")
-        paths.append(base)
-    for name in ("runs.csv", "thresholds_table.csv"):
-        assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
+def test_desk_preset_worker_determinism(tmp_path, capsys):
+    trees = []
+    for workers in ("1", "8"):
+        out = tmp_path / f"workers{workers}"
+        assert main(["montecarlo", "--preset", "desk", "--plots", "--workers", workers,
+                     "--out", str(out)]) == 0
+        trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert capsys.readouterr().out.count("wrote 20880 runs") == 2
+    assert len(trees[0]) == 15 and trees[0] == trees[1]
     report("worker-determinism",
-           f"{len(serial)} desk-preset runs byte-identical at 1 and 8 workers")
+           "all 15 desk-preset outputs byte-identical at 1 and 8 workers")

@@ -1,8 +1,15 @@
+import csv
 import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from sweep_reference import (
+    old_csv_row,
+    old_json_line,
+    reference_average_thresholds,
+    reference_sweep,
+)
 
 from netcontagion import montecarlo, svgplot
 from netcontagion.cli import main
@@ -302,18 +309,20 @@ def test_montecarlo_unwritable_out_fails_before_any_search(tmp_path, capsys, mon
     assert json.loads(err)["error"] == "ParameterError"
 
 
-# m, alpha and set sizes out of order; the records still come out sorted.
+# m, alpha and set sizes out of order; the runs still come out sorted.
 UNORDERED_GRID = {"network_size": 30, "m_values": [3, 1, 2], "alpha_values": ["1", "0", "1/2"],
                   "networks_per_m": 2, "sets_per_size": 2, "set_sizes": [12, 4, 25],
                   "q_grid": ["3/4", "1/4"], "master_seed": 13}
 
 
 def whole_list_outputs(records, grid, out):
-    """Every montecarlo output, written from the whole record list."""
+    """Every montecarlo output, written from the whole list of reference runs
+    by ``csv.writer``, ``json.dumps`` and the Fraction reference table."""
     (out / "plots").mkdir(parents=True)
-    montecarlo.write_records_csv(records, out / "runs.csv")
-    montecarlo.write_records_jsonl(records, out / "runs.jsonl")
-    table = montecarlo.average_thresholds(records, grid.q_grid)
+    with open(out / "runs.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([montecarlo.RUN_CSV_COLUMNS, *map(old_csv_row, records)])
+    (out / "runs.jsonl").write_text("".join(map(old_json_line, records)))
+    table = reference_average_thresholds(records, grid.q_grid)
     montecarlo.write_threshold_table_csv(table, out / "thresholds_table.csv")
     montecarlo.write_threshold_stats_csv(table, out / "threshold_stats.csv")
     montecarlo.write_inverse_depth_table_csv(table, out / "inverse_depth_table.csv")
@@ -346,7 +355,7 @@ def test_montecarlo_streams_the_whole_list_bytes(tmp_path, capsys, workers):
         network_size=30, m_values=(3, 1, 2), alpha_values=(1, 0, Fraction(1, 2)),
         networks_per_m=2, sets_per_size=2, set_sizes=(12, 4, 25),
         q_grid=(Fraction(3, 4), Fraction(1, 4)), master_seed=13)
-    records = montecarlo.run_grid(grid)
+    records = reference_sweep(grid)
     whole_list_outputs(records, grid, tmp_path / "want")
     assert (code, stdout) == (0, f"wrote {len(records)} runs to {out}\n")
     got, want = tree_bytes(out), tree_bytes(tmp_path / "want")

@@ -8,36 +8,40 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sweep_reference import (
+    Run,
+    old_csv_row,
+    old_json_line,
+    pack_stream,
+    reference_average_thresholds,
+    reference_sweep,
+    unpack,
+)
 
+import netcontagion
 from netcontagion import contagion, montecarlo
 from netcontagion.contagion import DepthFunction, depth_at, full_contagion_threshold
 from netcontagion.errors import ParameterError
-from netcontagion.game import GameConfig, ParametricGlobalEffect
+from netcontagion.game import GameConfig
 from netcontagion.graphs import generate_ba
 from netcontagion.montecarlo import (
     RUN_CSV_COLUMNS,
     Aggregator,
     ExperimentGrid,
-    RunRecord,
     _run_network_task,
     _size_groups,
-    average_thresholds,
-    depth_curve,
     derive_seed,
     desk_grid,
     draw_players,
     draw_set,
     full_grid,
     inverse_depth,
-    iter_grid,
+    iter_batches,
     m5_benchmark_grid,
     regularized_curve,
-    run_grid,
     singularity_interval,
     write_depth_curves_csv,
     write_inverse_depth_table_csv,
-    write_records_csv,
-    write_records_jsonl,
 )
 from netcontagion.rational import decimal_render, rational_str
 
@@ -51,17 +55,22 @@ def tiny_grid(master_seed=7, alphas=(F(0), F(1, 2), F(1))):
         q_grid=(F(1, 2),), master_seed=master_seed)
 
 
+def sweep_runs(grid, workers=1):
+    """The runs of every batch ``iter_batches`` yields, in stream order."""
+    return [run for batch in iter_batches(grid, workers) for run in unpack(batch)]
+
+
 def test_run_grid_record_count_is_alpha_multiple():
-    records = run_grid(tiny_grid())
-    assert len(records) == 3  # one per alpha value
-    assert [r.alpha for r in records] == [F(0), F(1, 2), F(1)]
+    runs = sweep_runs(tiny_grid())
+    assert len(runs) == 3  # one per alpha value
+    assert [r.alpha for r in runs] == [F(0), F(1, 2), F(1)]
 
 
 def test_run_grid_deterministic():
-    a = run_grid(tiny_grid(master_seed=99))
-    b = run_grid(tiny_grid(master_seed=99))
+    a = sweep_runs(tiny_grid(master_seed=99))
+    b = sweep_runs(tiny_grid(master_seed=99))
     assert a == b
-    c = run_grid(tiny_grid(master_seed=100))
+    c = sweep_runs(tiny_grid(master_seed=100))
     assert a != c
 
 
@@ -70,14 +79,7 @@ def test_run_grid_worker_count_invariant():
         network_size=30, m_values=(1, 2), alpha_values=(F(0), F(1)),
         networks_per_m=2, sets_per_size=2, set_sizes=(4, 10),
         q_grid=(F(1, 2),), master_seed=3)
-    assert run_grid(grid, workers=1) == run_grid(grid, workers=3)
-
-
-def reference_run_grid(grid):
-    """Every task's records in one list, then one global sort."""
-    records = [rec for m in grid.m_values for network_id in range(grid.networks_per_m)
-               for rec in _run_network_task(grid, m, network_id).records()]
-    return sorted(records, key=RunRecord.sort_key)
+    assert sweep_runs(grid, workers=1) == sweep_runs(grid, workers=3)
 
 
 # m, alpha and set sizes out of order: the stream must still be the global sort.
@@ -89,14 +91,11 @@ UNORDERED = ExperimentGrid(
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_iter_grid_streams_the_globally_sorted_records(workers):
-    chunks = list(iter_grid(UNORDERED, workers))
-    assert [(c[0].m, c[0].network_id) for c in chunks] == [
+    batches = list(iter_batches(UNORDERED, workers))
+    assert [(b.m, b.network_id) for b in batches] == [
         (m, i) for m in (1, 2, 3) for i in range(2)]
-    assert all({(r.m, r.network_id) for r in c} == {(c[0].m, c[0].network_id)}
-               for c in chunks)
-    want = reference_run_grid(UNORDERED)
-    assert [rec for c in chunks for rec in c] == want
-    assert run_grid(UNORDERED, workers) == want
+    assert all(b.network_size == b.node_count == 30 for b in batches)
+    assert [run for b in batches for run in unpack(b)] == reference_sweep(UNORDERED)
 
 
 class RecordingPool:
@@ -123,13 +122,13 @@ def test_iter_grid_keeps_at_most_twice_the_workers_in_flight(monkeypatch):
         network_size=20, m_values=(1, 2), alpha_values=(F(0),), networks_per_m=6,
         sets_per_size=1, set_sizes=(3,), q_grid=(), master_seed=5)
     in_flight = []
-    for done, chunk in enumerate(iter_grid(grid, workers=2)):
+    for done, batch in enumerate(iter_batches(grid, workers=2)):
         in_flight.append(RecordingPool.last.submitted - done)
     # Four tasks run ahead of the consumer until the 12 tasks run out.
     assert in_flight == [4] * 9 + [3, 2, 1]
     assert RecordingPool.last.cancelled is True
     # A consumer that stops early leaves the queued tasks cancelled.
-    stream = iter_grid(grid, workers=3)
+    stream = iter_batches(grid, workers=3)
     next(stream)
     stream.close()
     assert RecordingPool.last.submitted == 6 and RecordingPool.last.cancelled is True
@@ -139,7 +138,7 @@ def test_iter_grid_checks_workers_before_running(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_network_task", None)  # never called
     for workers in (0, -2):
         with pytest.raises(ParameterError, match="workers"):
-            iter_grid(UNORDERED, workers)
+            iter_batches(UNORDERED, workers)
 
 
 def test_size_batches_match_one_size_per_batch(monkeypatch):
@@ -154,10 +153,10 @@ def test_size_batches_match_one_size_per_batch(monkeypatch):
                            (10**9, [7])]:
         monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
         assert [len(group) for group in _size_groups(grid)] == widths
-        outcomes.append([_run_network_task(grid, m, network_id).records()
+        outcomes.append([unpack(_run_network_task(grid, m, network_id))
                          for m in grid.m_values for network_id in range(2)])
-    # Records compare equal field by field: q*, depth, subsets_checked, and
-    # the order of RunRecord.sort_key (set size, then replicate, then intensity).
+    # Runs compare equal field by field: q*, depth, subsets_checked, and the
+    # order set size, then replicate, then intensity.
     assert outcomes[0] == outcomes[1] == outcomes[2]
     first = outcomes[0][0]
     assert [(r.set_size, r.replicate_id, r.alpha) for r in first] == [
@@ -239,34 +238,21 @@ def test_draw_set_empty_and_whole_population():
 
 
 def test_records_consistent_with_direct_run():
-    # Two set sizes, three replicates and three alphas: each (size, alpha)
-    # runs as one batch whose rows fill at different stages.
+    # Three set sizes, three replicates and three alphas: each (size, alpha)
+    # runs as one batch whose rows fill at different stages.  Every run's
+    # q*, depth steps and subsets_checked equal a direct search's.
     grid = ExperimentGrid(
         network_size=40, m_values=(2,), alpha_values=(F(0), F(1, 2), F(1)),
         networks_per_m=1, sets_per_size=3, set_sizes=(2, 6, 25),
         q_grid=(F(1, 2),), master_seed=7)
-    records = run_grid(grid)
-    assert len(records) == 27
-    net = generate_ba(40, 2, derive_seed(grid.master_seed, "network", 2, 0))
-    stage_counts = set()
-    for rec in records:
-        rng = np.random.Generator(np.random.PCG64(
-            derive_seed(grid.master_seed, "set", 2, 0, rec.set_size, rec.replicate_id)))
-        start = draw_set(rng, 40, rec.set_size)
-        cfg = GameConfig(network=net,
-                         global_effect=ParametricGlobalEffect(rec.alpha),
-                         infected=start)
-        direct = full_contagion_threshold(cfg, start, collect_members=False)
-        assert rec.q_star == direct.q_star
-        assert rec.depth == DepthFunction.from_threshold(direct)
-        assert rec.subsets_checked == direct.subsets_checked
-        stage_counts.add(len(direct.stages))
-    assert len(stage_counts) >= 3
+    runs = sweep_runs(grid)
+    assert len(runs) == 27
+    assert runs == reference_sweep(grid)
+    assert len({len(run.depth.breakpoints) for run in runs}) >= 3
 
 
 def test_per_record_depth_dominates_seed_fraction():
-    records = run_grid(tiny_grid())
-    for rec in records:
+    for rec in sweep_runs(tiny_grid()):
         for q in (F(0), F(1, 4), F(1, 2), F(1)):
             assert depth_at(rec.depth, q) >= rec.size_fraction
 
@@ -276,9 +262,8 @@ def test_alpha_monotonicity_per_draw():
         network_size=60, m_values=(3,), alpha_values=(F(0), F(1, 2), F(1)),
         networks_per_m=2, sets_per_size=3, set_sizes=(6, 18), q_grid=(),
         master_seed=21)
-    records = run_grid(grid)
     by_draw = {}
-    for rec in records:
+    for rec in sweep_runs(grid):
         by_draw.setdefault((rec.network_id, rec.set_size, rec.replicate_id),
                            {})[rec.alpha] = rec.q_star
     for stars in by_draw.values():
@@ -299,12 +284,20 @@ def test_nested_sets_weakly_increase_threshold():
         small = big
 
 
+def aggregate(batches, q_grid=()):
+    aggregator = Aggregator(q_grid)
+    for batch in batches:
+        aggregator.add(batch)
+    return aggregator.table()
+
+
 def test_average_thresholds_grouping_and_mean():
-    records = run_grid(ExperimentGrid(
+    grid = ExperimentGrid(
         network_size=30, m_values=(2,), alpha_values=(F(0),),
         networks_per_m=2, sets_per_size=3, set_sizes=(5, 29),
-        q_grid=(F(1, 2),), master_seed=1))
-    table = average_thresholds(records, (F(1, 2),))
+        q_grid=(F(1, 2),), master_seed=1)
+    records = sweep_runs(grid)
+    table = aggregate(iter_batches(grid), (F(1, 2),))
     cell = table.thresholds[(2, F(0), 5)]
     manual = [r.q_star for r in records if r.set_size == 5]
     assert cell.count == 6
@@ -314,46 +307,22 @@ def test_average_thresholds_grouping_and_mean():
     assert (2, F(0), F(1, 2), 5) in table.depth_means
 
 
-def reference_average_thresholds(records, q_grid=()):
-    """The whole-list aggregation: group every record, then sum each group."""
-    table = montecarlo.AggregateTable(network_size=records[0].network_size)
-    groups = {}
-    for rec in records:
-        groups.setdefault((rec.m, rec.alpha, rec.set_size), []).append(rec)
-    for key in sorted(groups):
-        vals = [rec.q_star for rec in groups[key]]
-        table.thresholds[key] = montecarlo.ThresholdCell(
-            mean=sum(vals, F(0)) / len(vals), count=len(vals),
-            sd=float(np.std([float(v) for v in vals])))
-    scenarios = {}
-    for rec in records:
-        scenarios.setdefault((rec.m, rec.alpha), []).append(rec)
-    for q in q_grid:
-        for (m, alpha), recs in sorted(scenarios.items()):
-            sums = {}
-            for rec in recs:
-                total, count = sums.get(rec.size_fraction, (F(0), 0))
-                sums[rec.size_fraction] = (total + depth_at(rec.depth, q), count + 1)
-            for frac, (total, count) in sorted(sums.items()):
-                table.depth_means[(m, alpha, q, int(frac * table.network_size))] = total / count
-    return table
-
-
 def test_aggregator_matches_the_whole_list_reference():
-    records = run_grid(UNORDERED)
-    other = run_grid(ExperimentGrid(
+    records = reference_sweep(UNORDERED)
+    other = reference_sweep(ExperimentGrid(
         network_size=40, m_values=(2,), alpha_values=(F(1), F(0)), networks_per_m=2,
         sets_per_size=3, set_sizes=(8, 20), q_grid=(), master_seed=3))
-    # Records of two network sizes, as one stream, in either order.
+    # Runs of two network sizes, as one stream, in either order, in batches
+    # of at most seven runs.
     for stream in (records, records + other, other + records):
         want = reference_average_thresholds(stream, UNORDERED.q_grid)
         aggregator = Aggregator(UNORDERED.q_grid)
         for k in range(0, len(stream), 7):
-            aggregator.add(stream[k:k + 7])
+            for batch in pack_stream(stream[k:k + 7]):
+                aggregator.add(batch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = aggregator.table()
-            assert average_thresholds(stream, UNORDERED.q_grid) == got
         assert got.network_size == want.network_size
         # Same keys in the same order, equal exact means and equal float sd.
         assert list(got.thresholds.items()) == list(want.thresholds.items())
@@ -364,17 +333,19 @@ def test_aggregator_matches_the_whole_list_reference():
                 (float(r.size_fraction), float(r.q_star)) for r in stream
                 if (r.m, r.alpha) == (m, alpha)]
     assert aggregator.points(99, F(0)) == []
-    with pytest.raises(ParameterError, match="no records"):
+    with pytest.raises(ParameterError, match="no runs"):
         Aggregator().table()
 
 
 def test_depth_writers_use_the_table_curves(tmp_path):
     qs = (F(1, 4), F(3, 4))
-    records = run_grid(ExperimentGrid(
+    grid = ExperimentGrid(
         network_size=30, m_values=(2, 3), alpha_values=(F(0), F(1)),
         networks_per_m=1, sets_per_size=2, set_sizes=(3, 12, 24),
-        q_grid=qs, master_seed=4))
-    table = average_thresholds(records, qs)
+        q_grid=qs, master_seed=4)
+    table = aggregate(iter_batches(grid), qs)
+    reference = reference_average_thresholds(reference_sweep(grid), qs)
+    assert table.depth_curves() == reference.depth_curves()
     write_depth_curves_csv(table, tmp_path / "curves.csv")
     write_inverse_depth_table_csv(table, tmp_path / "inverse.csv")
     with open(tmp_path / "curves.csv") as fh:
@@ -384,7 +355,8 @@ def test_depth_writers_use_the_table_curves(tmp_path):
     want_curves, want_inverse = [], []
     for q in qs:
         for m, alpha in [(2, F(0)), (2, F(1)), (3, F(0)), (3, F(1))]:
-            curve = depth_curve([r for r in records if (r.m, r.alpha) == (m, alpha)], q)
+            curve = {F(size, 30): mean for (mm, aa, qq, size), mean
+                     in reference.depth_means.items() if (mm, aa, qq) == (m, alpha, q)}
             want_curves += [[str(m), rational_str(alpha), rational_str(q),
                              str(int(frac * 30)), decimal_render(frac, 3),
                              decimal_render(mean)] for frac, mean in curve.items()]
@@ -393,29 +365,56 @@ def test_depth_writers_use_the_table_curves(tmp_path):
                 "unreachable" if f is None else decimal_render(f, 3) for f in fracs])
     assert curve_rows == want_curves
     assert inverse_rows == want_inverse
+    # Targets are checked before the file is opened.
+    for target in (0, F(11, 10)):
+        with pytest.raises(ParameterError, match="target depth"):
+            write_inverse_depth_table_csv(table, tmp_path / "bad.csv", targets=[1, target])
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_inverse_depth_table_matches_inverse_depth_per_target(tmp_path):
+    # Curves that are not monotone, with ties at the targets and past them.
+    sizes = [F(k, 20) for k in range(1, 20)]
+    table = montecarlo.AggregateTable(network_size=20)
+    rng = np.random.Generator(np.random.PCG64(3))
+    targets = [F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(7, 10), F(9, 10), F(1)]
+    for q in (F(1, 4), F(1, 2), F(3, 4)):
+        for alpha in (F(0), F(1)):
+            for size in sizes:
+                value = F(int(rng.integers(0, 13)), 12)
+                table.depth_means[(2, alpha, q, int(size * 20))] = value
+    write_inverse_depth_table_csv(table, tmp_path / "inverse.csv", targets)
+    with open(tmp_path / "inverse.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    want = [[str(m), rational_str(q), rational_str(alpha)] + [
+        "unreachable" if f is None else decimal_render(f, 3)
+        for f in (inverse_depth(curve, t) for t in targets)]
+        for (q, m, alpha), curve in table.depth_curves().items()]
+    assert rows == want and len(rows) == 6
+    assert any("unreachable" in row for row in rows)
 
 
 def test_depth_curve_sums_exactly_across_network_sizes():
-    # Records of two network sizes share the size fraction 1/10; the curve
+    # Runs of two network sizes share the size fraction 1/10; the curve
     # is the plain mean of their depth_at values.
-    def record(size, nodes, sizes):
+    def run(size, nodes, sizes):
         df = DepthFunction((F(1), F(1, 2), F(1, 3)), sizes, nodes)
-        return RunRecord(m=2, alpha=F(0), network_id=0, set_size=size, replicate_id=0,
-                         q_star=df.q_star, depth=df, subsets_checked=0, network_size=nodes)
+        return Run(m=2, alpha=F(0), network_id=0, set_size=size, replicate_id=0,
+                   q_star=df.q_star, depth=df, subsets_checked=0, network_size=nodes)
 
-    records = [record(2, 20, (3, 7)), record(3, 30, (5, 11)), record(3, 30, (4, 4)),
-               record(4, 20, (9, 13))]
-    for q in (F(0), F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1)):
+    runs = [run(2, 20, (3, 7)), run(3, 30, (5, 11)), run(3, 30, (4, 4)), run(4, 20, (9, 13))]
+    qs = (F(0), F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1))
+    curves = aggregate(pack_stream(runs), qs).depth_curves()
+    for q in qs:
         want = {}
-        for rec in records:
+        for rec in runs:
             want.setdefault(rec.size_fraction, []).append(depth_at(rec.depth, q))
-        assert depth_curve(records, q) == {f: sum(v) / len(v) for f, v in sorted(want.items())}
+        assert curves[(q, 2, F(0))] == {f: sum(v) / len(v) for f, v in sorted(want.items())}
 
 
 def test_depth_curve_q_zero_all_ones():
-    records = run_grid(tiny_grid())
-    curve = depth_curve([r for r in records if r.alpha == 0], 0)
-    assert all(v == 1 for v in curve.values())
+    curves = aggregate(iter_batches(tiny_grid()), (0,)).depth_curves()
+    assert all(v == 1 for v in curves[(F(0), 2, F(0))].values())
 
 
 def test_depth_curve_full_size_is_one():
@@ -423,9 +422,9 @@ def test_depth_curve_full_size_is_one():
         network_size=20, m_values=(2,), alpha_values=(F(0),),
         networks_per_m=1, sets_per_size=1, set_sizes=(19,), q_grid=(),
         master_seed=2)
-    curve = depth_curve(run_grid(grid), F(9, 10))
+    curves = aggregate(iter_batches(grid), (F(9, 10),)).depth_curves()
     # 19 of 20 seeded: the lone holdout always has every neighbor deviating.
-    assert curve[F(19, 20)] == 1
+    assert curves[(F(9, 10), 2, F(0))][F(19, 20)] == 1
 
 
 def test_isotonic_regularization():
@@ -470,22 +469,18 @@ def test_singularity_interval_shape():
         singularity_interval(curve, F(1, 2), F(1, 4))
 
 
-def test_csv_and_jsonl_emission(tmp_path):
-    records = run_grid(tiny_grid())
-    csv_path = tmp_path / "runs.csv"
-    write_records_csv(records, csv_path)
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == RUN_CSV_COLUMNS
-    assert len(rows) == len(records) + 1
-    first = dict(zip(rows[0], rows[1]))
+def test_csv_and_jsonl_emission():
+    [batch] = iter_batches(tiny_grid())
+    records = unpack(batch)
+    rows, lines = zip(*batch.lines())
+    rows = list(csv.reader(io.StringIO("".join(rows), newline="")))
+    assert len(rows[0]) == len(RUN_CSV_COLUMNS)
+    assert len(rows) == len(records)
+    first = dict(zip(RUN_CSV_COLUMNS, rows[0]))
     assert first["m"] == "2" and first["set_size"] == "6"
     assert F(int(first["q_star_num"]), int(first["q_star_den"])) == records[0].q_star
 
-    jsonl_path = tmp_path / "runs.jsonl"
-    write_records_jsonl(records, jsonl_path)
-    lines = jsonl_path.read_text().splitlines()
-    assert len(lines) == len(records)
+    assert len(lines) == len(records) and all(line.endswith("}\n") for line in lines)
     payload = json.loads(lines[0])
     assert payload["network_size"] == 40
     assert payload["q_star"]["num"] == records[0].q_star.numerator
@@ -534,25 +529,6 @@ def test_grid_rejects_repeated_values(field, values):
         ExperimentGrid(**{**fields, field: values})
 
 
-def old_csv_row(rec):
-    """A runs.csv row as csv.writer rendered it from the record's fields."""
-    return [rec.m, rational_str(rec.alpha), rec.network_id, rec.set_size,
-            rec.replicate_id, rec.q_star.numerator, rec.q_star.denominator,
-            decimal_render(rec.q_star), rec.subsets_checked]
-
-
-def old_json_line(rec):
-    """A runs.jsonl line as json.dumps rendered it from the record's fields."""
-    return json.dumps({
-        "m": rec.m, "alpha": rational_str(rec.alpha), "network_id": rec.network_id,
-        "set_size": rec.set_size, "replicate": rec.replicate_id,
-        "q_star": {"num": rec.q_star.numerator, "den": rec.q_star.denominator,
-                   "decimal": decimal_render(rec.q_star)},
-        "subsets_checked": rec.subsets_checked, "network_size": rec.network_size,
-        "depth": rec.depth.to_dict(),
-    }, separators=(",", ":")) + "\n"
-
-
 def unit_fractions(big):
     """q values in [0, 1), with numerators and denominators past 2^63 when ``big``."""
     den = st.integers(2**63, 2**80) if big else st.integers(1, 12)
@@ -561,7 +537,7 @@ def unit_fractions(big):
 
 @st.composite
 def run_records(draw, network_size=None):
-    """A record with a valid depth function: breakpoints fall from 1 to q*
+    """A run with a valid depth function: breakpoints fall from 1 to q*
     (a one-stage search has q* = 1 and no steps) and sizes grow."""
     nodes = network_size or draw(st.integers(6, 10**6))
     qs = draw(st.lists(unit_fractions(draw(st.booleans())), max_size=4, unique=True))
@@ -570,7 +546,7 @@ def run_records(draw, network_size=None):
                                 max_size=len(qs))))
     huge = st.integers(0, 2**70)
     depth = DepthFunction(breakpoints, tuple(sizes), nodes)
-    return RunRecord(
+    return Run(
         m=draw(st.sampled_from([1, 5, 2**64])),
         alpha=draw(st.sampled_from([F(0), F(1, 2), F(1), F(2, 3), F(2**70 - 1, 2**70)])),
         network_id=draw(st.sampled_from([0, 3])), set_size=draw(st.integers(1, nodes - 1)),
@@ -585,22 +561,20 @@ def test_row_formatter_matches_csv_writer_and_json_dumps(records):
     csv.writer(want_csv).writerows(map(old_csv_row, records))
     want_jsonl = "".join(map(old_json_line, records))
     got_jsonl = []
-    for batch in montecarlo._record_batches(records):
+    batches = pack_stream(records)
+    for batch in batches:
         for row, line in batch.lines():
             got_csv.write(row)
             got_jsonl.append(line)
     assert got_csv.getvalue() == want_csv.getvalue()
     assert "".join(got_jsonl) == want_jsonl
-    for rec in records:
-        assert montecarlo.run_csv_row(rec) == [str(field) for field in old_csv_row(rec)]
-        assert montecarlo.run_json_line(rec) == old_json_line(rec)
-    assert [rec for batch in montecarlo._record_batches(records)
-            for rec in batch.records()] == records
+    # The packed columns hold the runs whole.
+    assert [rec for batch in batches for rec in unpack(batch)] == records
 
 
 def test_task_batch_renders_its_records_byte_for_byte():
     batch = _run_network_task(UNORDERED, 3, 1)
-    records = batch.records()
+    records = [run for run in reference_sweep(UNORDERED) if (run.m, run.network_id) == (3, 1)]
     rows, lines = zip(*batch.lines())
     want = io.StringIO()
     csv.writer(want).writerows(map(old_csv_row, records))
@@ -618,7 +592,8 @@ LARGE_Q_GRID = (F(1, 3), F(2**64 + 1, 2**65 + 3), F(2**70 - 5, 2**70), F(0), F(1
 def test_aggregator_batches_equal_the_fraction_reference(records, q_grid):
     q_grid = tuple(dict.fromkeys(q_grid)) + LARGE_Q_GRID
     aggregator = Aggregator(q_grid)
-    aggregator.add(records)
+    for batch in pack_stream(records):
+        aggregator.add(batch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = aggregator.table()
@@ -632,17 +607,24 @@ def test_aggregator_batches_equal_the_fraction_reference(records, q_grid):
 
 
 def test_aggregator_fed_task_batches_equals_fed_their_records():
+    # The sweep's own batches against the Fraction reference over the
+    # direct searches' runs.
     q_grid = UNORDERED.q_grid + LARGE_Q_GRID
-    by_batch, by_record = Aggregator(q_grid), Aggregator(q_grid)
-    for batch in montecarlo.iter_batches(UNORDERED):
-        by_batch.add(batch)
-        by_record.add(batch.records())
+    aggregator = Aggregator(q_grid)
+    for batch in iter_batches(UNORDERED):
+        aggregator.add(batch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert by_batch.table() == by_record.table()
+        got = aggregator.table()
+    runs = reference_sweep(UNORDERED)
+    want = reference_average_thresholds(runs, q_grid)
+    assert list(got.thresholds.items()) == list(want.thresholds.items())
+    assert list(got.depth_means.items()) == list(want.depth_means.items())
     for m in UNORDERED.m_values:
         for alpha in UNORDERED.alpha_values:
-            assert by_batch.points(m, alpha) == by_record.points(m, alpha)
+            assert aggregator.points(m, alpha) == [
+                (float(r.size_fraction), float(r.q_star)) for r in runs
+                if (r.m, r.alpha) == (m, alpha)]
 
 
 def test_network_task_builds_no_per_run_objects(monkeypatch):
@@ -654,8 +636,7 @@ def test_network_task_builds_no_per_run_objects(monkeypatch):
         raise AssertionError("the sweep built a per-run object")
 
     for module, name in [(contagion, "ThresholdResult"), (contagion, "ThresholdStage"),
-                         (contagion, "DepthFunction"), (montecarlo, "DepthFunction"),
-                         (montecarlo, "RunRecord")]:
+                         (contagion, "DepthFunction")]:
         monkeypatch.setattr(module, name, forbidden)
     made = []
     new = Fraction.__new__
@@ -673,3 +654,19 @@ def test_network_task_builds_no_per_run_objects(monkeypatch):
     assert len(rows) == len(batch) == 30
     # A few Fractions per configuration and per aggregated cell, none per stage.
     assert len(made) < len(batch) < stages
+
+
+REMOVED_NAMES = ("RunRecord", "run_grid", "iter_grid", "average_thresholds", "depth_curve",
+                 "write_records_csv", "write_records_jsonl", "run_csv_row", "run_json_line",
+                 "_record_batches")
+
+
+def test_package_exports_resolve_and_omit_the_record_path():
+    assert all(hasattr(netcontagion, name) for name in netcontagion.__all__)
+    assert len(set(netcontagion.__all__)) == len(netcontagion.__all__)
+    assert {"iter_batches", "Aggregator"} <= set(netcontagion.__all__)
+    for name in REMOVED_NAMES:
+        assert name not in netcontagion.__all__
+        assert not hasattr(netcontagion, name) and not hasattr(montecarlo, name)
+    assert not hasattr(montecarlo.RunBatch, "from_records")
+    assert not hasattr(montecarlo.RunBatch, "records")
