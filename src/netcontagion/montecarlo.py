@@ -49,6 +49,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -127,10 +128,6 @@ class ExperimentGrid:
             if not 1 <= s < self.network_size:
                 raise ParameterError(f"set size {s} must be in [1, network_size)")
 
-    @property
-    def runs_per_m_alpha(self) -> int:
-        return self.networks_per_m * self.sets_per_size * len(self.set_sizes)
-
 
 def desk_grid(master_seed: int = 42) -> ExperimentGrid:
     """Small grid that finishes in minutes on one core."""
@@ -178,7 +175,7 @@ PRESETS = {
 
 @dataclass(frozen=True, eq=False)
 class RunBatch:
-    """Runs that share m, network, network size and node count, as integer columns.
+    """Runs that share m, network and network size, as integer columns.
 
     Run ``i`` searched a drawn set of ``set_size[i]`` players (replicate
     ``replicate[i]``) at intensity ``alphas[alpha[i]]``, reached
@@ -194,7 +191,6 @@ class RunBatch:
     m: int
     network_id: int
     network_size: int
-    node_count: int
     alphas: tuple[Fraction, ...]
     alpha: np.ndarray
     set_size: np.ndarray
@@ -225,7 +221,7 @@ class RunBatch:
     def lines(self) -> Iterator[tuple[str, str]]:
         """Each run's ``runs.csv`` row and ``runs.jsonl`` line, line ends
         included, rendered from the integer pairs."""
-        m, net, ns, nodes = self.m, self.network_id, self.network_size, self.node_count
+        m, net, ns = self.m, self.network_id, self.network_size
         alphas = [rational_str(alpha) for alpha in self.alphas]
         steps = [f'{{"q_num":{a},"q_den":{b},"size":{size}}}' for a, b, size in zip(
             self.step_num.tolist(), self.step_den.tolist(), self.step_size.tolist())]
@@ -239,12 +235,12 @@ class RunBatch:
                    f'{{"m":{m},"alpha":"{alpha}","network_id":{net},"set_size":{size},'
                    f'"replicate":{rep},"q_star":{{"num":{qn},"den":{qd},"decimal":"{decimal}"}},'
                    f'"subsets_checked":{checked},"network_size":{ns},"depth":{{"q_star":'
-                   f'{{"num":{qn},"den":{qd}}},"steps":[{depth}],"node_count":{nodes}}}}}\n')
+                   f'{{"num":{qn},"den":{qd}}},"steps":[{depth}],"node_count":{ns}}}}}\n')
 
     def reached(self, q_grid: Sequence[Fraction]) -> np.ndarray:
         """Players each run reaches at each q of ``q_grid``, as ``(runs, len(q_grid))``."""
         runs = len(self)
-        out = np.full((runs, len(q_grid)), self.node_count, dtype=np.int64)
+        out = np.full((runs, len(q_grid)), self.network_size, dtype=np.int64)
         qn, qd, sn, sd = self.q_num, self.q_den, self.step_num, self.step_den
         top = max(int(qd.max(initial=1)), int(sd.max(initial=1)))  # pairs are at most 1
         for j, q in enumerate(q_grid):
@@ -301,10 +297,9 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> RunBatch
     (alpha, set_size, replicate, q_num, q_den, checked, counts,
      step_num, step_den, step_size) = (np.concatenate(col) for col in zip(*parts))
     batch = RunBatch(
-        m=m, network_id=network_id, network_size=grid.network_size,
-        node_count=grid.network_size, alphas=alphas, alpha=alpha, set_size=set_size,
-        replicate=replicate, q_num=q_num, q_den=q_den, subsets_checked=checked,
-        steps=np.concatenate([[0], np.cumsum(counts)]),
+        m=m, network_id=network_id, network_size=grid.network_size, alphas=alphas,
+        alpha=alpha, set_size=set_size, replicate=replicate, q_num=q_num, q_den=q_den,
+        subsets_checked=checked, steps=np.concatenate([[0], np.cumsum(counts)]),
         step_num=step_num, step_den=step_den, step_size=step_size)
     return batch.take(np.lexsort((batch.alpha, batch.replicate, batch.set_size)))
 
@@ -371,45 +366,46 @@ class AggregateTable:
 
 
 class Aggregator:
-    """Exact running summaries of a run stream, without the runs.
+    """Exact running summaries of a run stream of one network size, without the runs.
 
-    It takes :class:`RunBatch`es.  Per (m, alpha, set size) it keeps the
-    exact sum of q* and the q* floats in arrival order, for the same
-    ``np.std`` a list of them would give.  Per (m, alpha) it keeps, for
-    each q of ``q_grid``, integer reached counts by (set size, network
-    size, node count), the numerators of the runs' depths, and the
-    (size fraction, q*) plot points as floats in arrival order.
-    :meth:`table` is the table of every run added so far.
+    It takes :class:`RunBatch`es of the first batch's network size and
+    refuses any other.  Per (m, alpha, set size) it keeps the exact sum of
+    q*, integer reached counts at each q of ``q_grid`` (the numerators of
+    the runs' depths) and the q* floats in arrival order, which count the
+    runs and give the same ``np.std`` a list of them would.  Per (m, alpha)
+    it keeps the (size fraction, q*) plot points as floats in arrival
+    order.  :meth:`table` is the table of every run added so far.
     """
 
     def __init__(self, q_grid: Iterable = ()):
         self.q_grid = tuple(as_unit_rational(q, "q") for q in q_grid)
         self.count = 0
         self.network_size: int | None = None
-        self._sums: dict[tuple[int, Fraction, int], Fraction] = {}
-        self._floats: dict[tuple[int, Fraction, int], array] = {}
-        # (m, alpha) -> (set size, network size, node count) -> [runs, reached per q]
-        self._reached: dict[tuple[int, Fraction], dict[tuple[int, int, int], list[int]]] = {}
+        # (m, alpha, set size) -> ([q* sum, reached per q], q* floats)
+        self._cells: dict[tuple[int, Fraction, int], tuple[list, array]] = {}
         self._points: dict[tuple[int, Fraction], tuple[array, array]] = {}
 
     def add(self, batch: RunBatch) -> None:
-        """Fold in a batch."""
+        """Fold in a batch; one of another network size than the first
+        batch's raises :class:`ParameterError` and changes nothing."""
         if self.network_size is None:
             self.network_size = batch.network_size
+        elif batch.network_size != self.network_size:
+            raise ParameterError(
+                f"an Aggregator summarizes runs of one network size: got a batch of "
+                f"{batch.network_size}-node networks after {self.network_size}-node ones")
         self.count += len(batch)
         # Python's int division, as float(Fraction) is: correctly rounded at any size.
         q_floats = np.array([a / b for a, b in zip(batch.q_num.tolist(), batch.q_den.tolist())])
         reached = batch.reached(self.q_grid)
-        cell_key = (batch.network_size, batch.node_count)
         for runs in _groups(batch.alpha, batch.set_size):
             first = runs[0]
             key = (batch.m, batch.alphas[batch.alpha[first]], int(batch.set_size[first]))
-            self._sums[key] = self._sums.get(key, 0) + _sum(batch.q_num[runs], batch.q_den[runs])
-            self._floats.setdefault(key, array("d")).extend(q_floats[runs].tolist())
-            cell = self._reached.setdefault(key[:2], {}).setdefault(
-                (key[2], *cell_key), [0] * (1 + len(self.q_grid)))
-            for j, total in enumerate([len(runs), *reached[runs].sum(axis=0).tolist()]):
-                cell[j] += total
+            sums, floats = self._cells.setdefault(key, ([0] * (1 + len(self.q_grid)), array("d")))
+            for j, total in enumerate([_sum(batch.q_num[runs], batch.q_den[runs]),
+                                       *reached[runs].sum(axis=0).tolist()]):
+                sums[j] += total
+            floats.extend(q_floats[runs].tolist())
         for runs in _groups(batch.alpha):
             xs, ys = self._points.setdefault((batch.m, batch.alphas[batch.alpha[runs[0]]]),
                                              (array("d"), array("d")))
@@ -431,34 +427,26 @@ class Aggregator:
         if not self.count:
             raise ParameterError("no runs to aggregate")
         table = AggregateTable(network_size=self.network_size)
-        for key in sorted(self._sums):
-            floats = self._floats[key]
+        cells = sorted(self._cells.items())
+        for key, (sums, floats) in cells:
             table.thresholds[key] = ThresholdCell(
-                mean=self._sums[key] / len(floats), count=len(floats),
+                mean=sums[0] / len(floats), count=len(floats),
                 sd=float(np.std(np.frombuffer(floats))))
-        for (m, alpha) in sorted({(k[0], k[1]) for k in self._sums}):
-            means = [(size, table.thresholds[(m, alpha, size)].mean)
-                     for size in sorted({k[2] for k in self._sums if k[:2] == (m, alpha)})]
+        for (m, alpha), group in groupby(table.thresholds.items(), key=lambda item: item[0][:2]):
+            means = [(size, stats.mean) for (_, _, size), stats in group]
             for (s0, v0), (s1, v1) in zip(means, means[1:]):
                 if v1 < v0:
                     warnings.warn(
-                        f"mean threshold dips from {float(v0):.4f} to {float(v1):.4f} "
+                        f"mean threshold dips from {rational_str(v0)} to {rational_str(v1)} "
                         f"between sizes {s0} and {s1} (m={m}, alpha={alpha}); "
                         f"sampling jitter", stacklevel=2)
                     break
         for j, q in enumerate(self.q_grid, 1):
-            for (m, alpha), cells in sorted(self._reached.items()):
-                # A run's depth is reached / node count, so a cell's integer
+            for (m, alpha, size), (sums, floats) in cells:
+                # A run's depth is reached / network size, so a cell's integer
                 # reached count, divided once, is the sum of its runs' depths.
-                curve: dict[Fraction, list] = {}
-                for (size, network_size, nodes), counts in cells.items():
-                    point = curve.setdefault(Fraction(size, network_size), [0, 0])
-                    point[0] += Fraction(counts[j], nodes)
-                    point[1] += counts[0]
-                for frac in sorted(curve):
-                    depths, runs = curve[frac]
-                    table.depth_means[(m, alpha, q, int(frac * table.network_size))] = \
-                        depths / runs
+                table.depth_means[(m, alpha, q, size)] = Fraction(
+                    sums[j], len(floats) * self.network_size)
         return table
 
 

@@ -74,18 +74,17 @@ def _ints(values):
 
 
 def pack(runs):
-    """The ``RunBatch`` of runs that share m, network, network size and node count."""
+    """The ``RunBatch`` of runs that share m, network and network size."""
     first = runs[0]
     alphas = tuple(sorted({run.alpha for run in runs}))
     steps, step_qs, step_sizes = [0], [], []
     for run in runs:
-        assert run.q_star == run.depth.q_star
+        assert run.q_star == run.depth.q_star and run.depth.node_count == run.network_size
         step_qs += run.depth.breakpoints[:-1]
         step_sizes += run.depth.interval_sizes
         steps.append(len(step_sizes))
     return RunBatch(
-        m=first.m, network_id=first.network_id, network_size=first.network_size,
-        node_count=first.depth.node_count, alphas=alphas,
+        m=first.m, network_id=first.network_id, network_size=first.network_size, alphas=alphas,
         alpha=np.array([alphas.index(run.alpha) for run in runs], dtype=np.int64),
         set_size=_ints([run.set_size for run in runs]),
         replicate=_ints([run.replicate_id for run in runs]),
@@ -99,9 +98,9 @@ def pack(runs):
 
 
 def pack_stream(runs):
-    """One batch per stretch of runs that share m, network, network size and node count."""
+    """One batch per stretch of runs that share m, network and network size."""
     return [pack(list(stretch)) for _, stretch in groupby(runs, key=lambda run: (
-        run.m, run.network_id, run.network_size, run.depth.node_count))]
+        run.m, run.network_id, run.network_size))]
 
 
 def unpack(batch):
@@ -116,7 +115,7 @@ def unpack(batch):
             batch.q_num.tolist(), batch.q_den.tolist(), batch.subsets_checked.tolist())):
         lo, hi = bounds[i], bounds[i + 1]
         depth = DepthFunction(tuple(qs[lo:hi]) + (Fraction(qn, qd),), tuple(sizes[lo:hi]),
-                              batch.node_count)
+                              batch.network_size)
         runs.append(Run(m=batch.m, alpha=batch.alphas[a], network_id=batch.network_id,
                         set_size=size, replicate_id=rep, q_star=Fraction(qn, qd), depth=depth,
                         subsets_checked=checked, network_size=batch.network_size))
@@ -143,7 +142,8 @@ def old_json_line(run):
 
 
 def reference_average_thresholds(runs, q_grid=()):
-    """The whole-list aggregation: group every run, then sum each group."""
+    """The whole-list aggregation of runs of one network size: group every
+    run, then sum each group."""
     table = montecarlo.AggregateTable(network_size=runs[0].network_size)
     groups = {}
     for run in runs:
@@ -160,8 +160,8 @@ def reference_average_thresholds(runs, q_grid=()):
         for (m, alpha), group in sorted(scenarios.items()):
             sums = {}
             for run in group:
-                total, count = sums.get(run.size_fraction, (Fraction(0), 0))
-                sums[run.size_fraction] = (total + depth_at(run.depth, q), count + 1)
-            for frac, (total, count) in sorted(sums.items()):
-                table.depth_means[(m, alpha, q, int(frac * table.network_size))] = total / count
+                total, count = sums.get(run.set_size, (Fraction(0), 0))
+                sums[run.set_size] = (total + depth_at(run.depth, q), count + 1)
+            for size, (total, count) in sorted(sums.items()):
+                table.depth_means[(m, alpha, q, size)] = total / count
     return table

@@ -7,6 +7,7 @@ sets over every size multiple of 10) and compare against the published
 reference means; the exact-property criteria run against the brute-force oracle.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ from netcontagion.montecarlo import (
     iter_batches,
     m5_benchmark_grid,
     singularity_interval,
+    write_depth_curves_csv,
+    write_inverse_depth_table_csv,
+    write_threshold_stats_csv,
+    write_threshold_table_csv,
 )
 
 F = Fraction
@@ -153,6 +158,33 @@ def test_threshold_table_reproduction(benchmark_sweep):
     assert sum(len(num) for num, _ in saturated) == 200
     assert all((num == 1).all() and (den == 1).all() for num, den in saturated)
     report("threshold-table", "mean q* vs reference: " + " ".join(details))
+
+
+# SHA-256 digests of the grid's outputs, recorded from the program before
+# any change to the sweep's summaries: a change to one byte of them fails here.
+RUN_LINES_SHA256 = "5ec959f2645d537154a75c4a54b7049861b57072835e85fcc5f31510a5f0bd4b"
+TABLES_SHA256 = "8645b42a6e91351a55ea1d430059a86f0a82d5acd7c271922bc7928759670220"
+
+
+def test_run_lines_keep_their_bytes(benchmark_sweep):
+    digest = hashlib.sha256()
+    for batch in benchmark_sweep[0]:
+        for row, line in batch.lines():
+            digest.update(row.encode())
+            digest.update(line.encode())
+    assert digest.hexdigest() == RUN_LINES_SHA256
+    report("run-lines-digest", "runs.csv rows and runs.jsonl lines of 39,600 runs")
+
+
+def test_tables_keep_their_bytes(benchmark_sweep, tmp_path):
+    digest = hashlib.sha256()
+    for write in (write_threshold_table_csv, write_threshold_stats_csv,
+                  write_inverse_depth_table_csv, write_depth_curves_csv):
+        path = tmp_path / f"{write.__name__}.csv"
+        write(benchmark_sweep[1], path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == TABLES_SHA256
+    report("tables-digest", "the four table files of the grid")
 
 
 # Published sizes are means printed at two decimals, so "full contagion"

@@ -12,6 +12,7 @@ from sweep_reference import (
     Run,
     old_csv_row,
     old_json_line,
+    pack,
     pack_stream,
     reference_average_thresholds,
     reference_sweep,
@@ -94,7 +95,7 @@ def test_iter_grid_streams_the_globally_sorted_records(workers):
     batches = list(iter_batches(UNORDERED, workers))
     assert [(b.m, b.network_id) for b in batches] == [
         (m, i) for m in (1, 2, 3) for i in range(2)]
-    assert all(b.network_size == b.node_count == 30 for b in batches)
+    assert all(b.network_size == 30 for b in batches)
     assert [run for b in batches for run in unpack(b)] == reference_sweep(UNORDERED)
 
 
@@ -312,9 +313,9 @@ def test_aggregator_matches_the_whole_list_reference():
     other = reference_sweep(ExperimentGrid(
         network_size=40, m_values=(2,), alpha_values=(F(1), F(0)), networks_per_m=2,
         sets_per_size=3, set_sizes=(8, 20), q_grid=(), master_seed=3))
-    # Runs of two network sizes, as one stream, in either order, in batches
+    # The 30- and the 40-node stream, each to its own aggregator, in batches
     # of at most seven runs.
-    for stream in (records, records + other, other + records):
+    for stream in (records, other):
         want = reference_average_thresholds(stream, UNORDERED.q_grid)
         aggregator = Aggregator(UNORDERED.q_grid)
         for k in range(0, len(stream), 7):
@@ -333,8 +334,44 @@ def test_aggregator_matches_the_whole_list_reference():
                 (float(r.size_fraction), float(r.q_star)) for r in stream
                 if (r.m, r.alpha) == (m, alpha)]
     assert aggregator.points(99, F(0)) == []
+    # Fed together, in either order, the second network size is refused.
+    for first, second in ((records, other), (other, records)):
+        aggregator = Aggregator(UNORDERED.q_grid)
+        aggregator.add(pack_stream(first)[0])
+        with pytest.raises(ParameterError, match="one network size"):
+            aggregator.add(pack_stream(second)[0])
     with pytest.raises(ParameterError, match="no runs"):
         Aggregator().table()
+
+
+def depth_run(nodes, set_size, sizes, replicate=0):
+    """An m=2, alpha=0 run on ``nodes`` players whose depth steps at 1/2 and 1/3."""
+    df = DepthFunction((F(1), F(1, 2), F(1, 3)), sizes, nodes)
+    return Run(m=2, alpha=F(0), network_id=0, set_size=set_size, replicate_id=replicate,
+               q_star=df.q_star, depth=df, subsets_checked=0, network_size=nodes)
+
+
+def test_aggregator_refuses_a_second_network_size():
+    # Runs of (network size, set size) (30, 3), (40, 3) and (40, 4): set size
+    # 3 is 1/10 of one network and 3/40 of the other, so one table keyed by
+    # set size cannot hold both.
+    qs = (F(1, 4), F(1, 2), F(1))
+    small = depth_run(30, 3, (5, 11))
+    large = [depth_run(40, 3, (4, 9)), depth_run(40, 4, (6, 20))]
+    aggregator = Aggregator(qs)
+    aggregator.add(pack([small]))
+    before = aggregator.table()
+    with pytest.raises(ParameterError, match="one network size: got a batch of 40-node"):
+        aggregator.add(pack(large))
+    assert aggregator.count == 1
+    assert aggregator.table() == before
+    assert aggregator.points(2, F(0)) == [(0.1, 1 / 3)]
+    assert before.depth_curves() == {
+        (F(1, 4), 2, F(0)): {F(1, 10): F(1)}, (F(1, 2), 2, F(0)): {F(1, 10): F(11, 30)},
+        (F(1), 2, F(0)): {F(1, 10): F(5, 30)}}
+    # Each network size summarizes exactly on its own.
+    alone = aggregate([pack(large)], qs)
+    assert alone.depth_curves()[(F(1, 2), 2, F(0))] == {F(3, 40): F(9, 40), F(1, 10): F(20, 40)}
 
 
 def test_depth_writers_use_the_table_curves(tmp_path):
@@ -394,15 +431,11 @@ def test_inverse_depth_table_matches_inverse_depth_per_target(tmp_path):
     assert any("unreachable" in row for row in rows)
 
 
-def test_depth_curve_sums_exactly_across_network_sizes():
-    # Runs of two network sizes share the size fraction 1/10; the curve
-    # is the plain mean of their depth_at values.
-    def run(size, nodes, sizes):
-        df = DepthFunction((F(1), F(1, 2), F(1, 3)), sizes, nodes)
-        return Run(m=2, alpha=F(0), network_id=0, set_size=size, replicate_id=0,
-                   q_star=df.q_star, depth=df, subsets_checked=0, network_size=nodes)
-
-    runs = [run(2, 20, (3, 7)), run(3, 30, (5, 11)), run(3, 30, (4, 4)), run(4, 20, (9, 13))]
+def test_depth_curve_sums_exactly_over_runs_of_one_size():
+    # Several 30-node runs share each size fraction; the curve is the plain
+    # mean of their depth_at values.
+    runs = [depth_run(30, 3, (5, 11)), depth_run(30, 6, (7, 9)), depth_run(30, 3, (4, 4), 1),
+            depth_run(30, 6, (9, 13), 1), depth_run(30, 3, (3, 29), 2)]
     qs = (F(0), F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1))
     curves = aggregate(pack_stream(runs), qs).depth_curves()
     for q in qs:
@@ -410,6 +443,22 @@ def test_depth_curve_sums_exactly_across_network_sizes():
         for rec in runs:
             want.setdefault(rec.size_fraction, []).append(depth_at(rec.depth, q))
         assert curves[(q, 2, F(0))] == {f: sum(v) / len(v) for f, v in sorted(want.items())}
+
+
+def test_dip_warning_tells_close_means_apart():
+    # Mean q* 0.79871 at set size 2 and 0.79869 at 3: equal to four decimals.
+    def run(set_size, q_star):
+        df = DepthFunction((F(1), q_star), (set_size + 1,), 30)
+        return Run(m=2, alpha=F(1, 2), network_id=0, set_size=set_size, replicate_id=0,
+                   q_star=q_star, depth=df, subsets_checked=0, network_size=30)
+
+    means = (F(79871, 100000), F(79869, 100000))
+    assert f"{float(means[0]):.4f}" == f"{float(means[1]):.4f}"
+    with pytest.warns(UserWarning) as caught:
+        aggregate([pack([run(2, means[0]), run(3, means[1])])])
+    assert [str(w.message) for w in caught] == [
+        "mean threshold dips from 79871/100000 to 79869/100000 between sizes 2 and 3 "
+        "(m=2, alpha=1/2); sampling jitter"]
 
 
 def test_depth_curve_q_zero_all_ones():
@@ -492,8 +541,9 @@ def test_presets_shapes():
 
     assert set(PRESETS) == {"desk", "m5-benchmark", "full"}
     # The complete sweep performs 198,000 runs per (m, alpha) scenario.
-    assert full_grid().runs_per_m_alpha == 198_000
-    assert full_grid().network_size == 1000
+    full = full_grid()
+    assert full.networks_per_m * full.sets_per_size * len(full.set_sizes) == 198_000
+    assert full.network_size == 1000
     desk = desk_grid()
     assert desk.network_size == 300
     assert max(desk.set_sizes) < desk.network_size
