@@ -55,8 +55,9 @@ static bound (building the tables enforces ``phi_i <= c*w_i`` as
 the last table value), so a call is decided in int64 when its products fit for
 every live row (``max(qn, qd)*B < 2^63``) and otherwise in Python ints
 (object arrays, the same expressions), which is logged once per engine at
-DEBUG.  The integer tables are built lazily, once per (network, weights,
-global effect, c).
+DEBUG.  The weights arrive in integer form (``L_i``, ``W_i`` and the
+mirrored in-weights, which the weights cache); the rest of the tables is
+built lazily, once per (network, weights, global effect, c).
 
 The max is exact in floats when ``B^2 < 2^50``.  Two distinct ratios
 ``a/b > c/d`` of integers in ``[0, B]`` differ by a relative
@@ -109,31 +110,6 @@ def _memo(build, objs: tuple, extra: tuple = ()):
 
 
 @dataclass(frozen=True)
-class _WeightTables:
-    L: np.ndarray           # row LCMs (object)
-    W: np.ndarray           # scaled row sums (object)
-    in_weights: np.ndarray | None  # per CSR slot (j, nb): L_nb * w[nb][j]; None if unit
-
-
-def _weight_tables(net: Network, weights: InfluenceWeights) -> _WeightTables:
-    deg = np.diff(net.csr[0])
-    if weights.is_unit:
-        return _WeightTables(np.ones(len(deg), dtype=object), deg.astype(object), None)
-    L = [math.lcm(*(w.denominator for w in weights.row(i).values()))
-         for i in range(net.node_count)]
-    W = [int(weights.row_sum(i) * L[i]) for i in range(net.node_count)]
-    in_weights = []
-    for j, nbrs in enumerate(net.adjacency):
-        for nb in nbrs:
-            w = weights.weight(nb, j)
-            in_weights.append(w.numerator * (L[nb] // w.denominator))
-    # Supports accumulate up to W_i, so W decides the dtype of the weights.
-    dtype = np.int64 if max(W) < _INT64_LIMIT else object
-    return _WeightTables(np.array(L, dtype=object), np.array(W, dtype=object),
-                         np.array(in_weights, dtype=dtype))
-
-
-@dataclass(frozen=True)
 class _Steps:
     thresholds: np.ndarray  # o_i at which each step starts; n+1 ends a table
     values: np.ndarray      # step value numerators g over D_i
@@ -159,12 +135,11 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
     indptr, indices = net.csr
     deg = np.diff(indptr)
     pe = np.maximum(n - 1 - deg, 1).astype(object)
-    wt = _memo(_weight_tables, (net, weights))
     steps, an = None, 1  # a tabular effect always has a global term
     if isinstance(effect, ParametricGlobalEffect):
         an, ad = effect.alpha.numerator, effect.alpha.denominator
         M = ad * pe if an else np.ones(n, dtype=object)
-        a = an * wt.L * deg.astype(object)
+        a = an * weights.L * deg.astype(object)
         top = pe
     else:
         D, thresholds, values, first, top = [], [], [], [], []
@@ -177,10 +152,10 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
             thresholds.append(n + 1)
             values.append(0)
         M = np.array(D, dtype=object) * c.numerator
-        a = wt.L * c.denominator
+        a = weights.L * c.denominator
         steps = _Steps(np.array(thresholds, dtype=np.int64), np.array(values, dtype=object),
                        np.array(first, dtype=np.int64))
-    MW = M * wt.W
+    MW = M * weights.W
     over = np.flatnonzero(MW < a * np.array(top, dtype=object))  # den_i < 0 at the largest g_i
     if len(over):
         raise ParameterError(f"global effect of player {over[0]} exceeds "
@@ -192,8 +167,7 @@ def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Ta
             steps = _Steps(steps.thresholds, steps.values.astype(np.int64), steps.first)
     # Shaped as one row, so one-row states combine with them without broadcasting.
     M, MW, a = M.reshape(1, n), MW.reshape(1, n), a.reshape(1, n) if an else None
-    W = deg if wt.in_weights is None else wt.W.astype(wt.in_weights.dtype)
-    return _Tables(indptr, deg, indices, wt.in_weights, W, M, MW, a, steps, bound)
+    return _Tables(indptr, deg, indices, weights.in_weights, weights.W, M, MW, a, steps, bound)
 
 
 class StartSnapshot:

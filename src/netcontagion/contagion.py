@@ -14,8 +14,8 @@ and keeps its stages as a :class:`StageLog` of integer columns (row, q as
 a reduced num/den pair, equilibrium size, marginal player) appended once
 per step for every row that closes a stage.  The search's invariants are
 checked over those arrays; the Monte Carlo sweep reads the log directly,
-and ``full_contagion_threshold`` and ``depth_function`` build their one
-result from it.
+and ``full_contagion_threshold`` builds its one result from it, from which
+``depth_function`` takes its breakpoints.
 
 Waves are synchronous: each flip wave is computed against the frozen
 current set, so flips within a wave do not see each other.
@@ -250,8 +250,8 @@ class StageLog:
     is the attainer of the max that gave the row's next q, -1 on its last
     stage.  The stages of row ``r`` are ``start[r]:start[r + 1]``, in search
     order.  Building the log checks :class:`ThresholdResult`'s invariants
-    over the arrays, so a search needs no per-stage object; ``result`` and
-    ``depth`` build those of one row.
+    over the arrays, so a search needs no per-stage object; ``result``
+    builds those of one row.
     """
 
     start: np.ndarray
@@ -263,14 +263,10 @@ class StageLog:
     node_count: int
     members: list[PlayerSet] | None = None  # per stage, when collected
 
-    def _qs(self, row: int) -> list[Fraction]:
-        lo, hi = self.start[row], self.start[row + 1]
-        return [Fraction(a, b) for a, b in zip(self.q_num[lo:hi].tolist(),
-                                               self.q_den[lo:hi].tolist())]
-
     def result(self, row: int) -> ThresholdResult:
         lo, hi = self.start[row], self.start[row + 1]
-        qs = self._qs(row)
+        qs = [Fraction(a, b) for a, b in zip(self.q_num[lo:hi].tolist(),
+                                             self.q_den[lo:hi].tolist())]
         members = self.members[lo:hi] if self.members is not None else [None] * len(qs)
         return ThresholdResult(
             q_star=qs[-1],
@@ -279,12 +275,6 @@ class StageLog:
             subsets_checked=int(self.subsets_checked[row]),
             marginal_players=tuple(self.marginal[lo:hi - 1].tolist()),
             node_count=self.node_count)
-
-    def depth(self, row: int) -> DepthFunction:
-        lo, hi = self.start[row], self.start[row + 1]
-        return DepthFunction(breakpoints=tuple(self._qs(row)),
-                             interval_sizes=tuple(self.size[lo:hi - 1].tolist()),
-                             node_count=self.node_count)
 
 
 def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
@@ -390,9 +380,8 @@ def _stage_log(pieces, members, evaluations: np.ndarray, n: int,
 
 def depth_function(cfg: GameConfig, start: Iterable[int]) -> DepthFunction:
     """Depth of contagion from ``start`` as a step function of q."""
-    start = cfg.player_set(start)
-    _check_start_incentive(cfg, start, Fraction(1))
-    return _staged_search(cfg, [start | cfg.infected], False).depth(0)
+    return DepthFunction.from_threshold(
+        full_contagion_threshold(cfg, start, collect_members=False))
 
 
 def virality(cfg: GameConfig, start: Iterable[int], q) -> Fraction:

@@ -1,6 +1,7 @@
 """Payoff parameters and exact incentive arithmetic.
 
-A configuration binds a network to per-edge influence weights, a
+A configuration binds a network to influence weights built for that
+network (held as the engine's integers, read here as Fractions), a
 miscoordination cost ``c``, a global-effect rule, and a set of exogenously
 infected players.  Every comparison here is carried out in exact rational
 arithmetic: a player deviates exactly when
@@ -20,6 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
+from operator import attrgetter, index
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,79 +43,111 @@ class InfluenceWeights:
 
     Asymmetry is allowed (``w[i][j] != w[j][i]``), as are zero weights on
     one direction of an edge (unidirectional influence).  Every row sum
-    ``w_i`` must be positive.
+    ``w_i`` must be positive.  They are held in the engine's integer form,
+    aligned with the CSR of ``network``, the network they were built for:
+    per row the LCM ``L_i`` of the denominators (Python ints), per CSR slot
+    ``(i, j)`` the integer ``scaled = L_i*w_ij``, and per row ``W_i =
+    L_i*w_i``, int64 while every ``W_i`` fits.  Unit weights hold no
+    ``scaled`` (None), ``L_i = 1`` and ``W_i = d_i``.  ``row``, ``weight``
+    and ``==`` read Fraction rows, built on first read.
     """
 
     def __init__(self, network: Network, rows: Sequence[Mapping[int, Fraction]]):
-        n = network.node_count
-        if len(rows) != n:
+        if len(rows) != network.node_count:
             raise ParameterError("one weight row per node is required")
-        frozen_rows: list[dict[int, Fraction]] = []
-        row_sums: list[Fraction] = []
-        unit = True
-        for i in range(n):
-            nbrs = network.adjacency[i]
+        flat: list[Fraction] = []
+        for i, nbrs in enumerate(network.adjacency):
             row = rows[i]
             if set(row) != set(nbrs):
                 raise ParameterError(
                     f"weights of node {i} must be defined exactly on its "
                     f"neighbors {list(nbrs)}")
-            clean: dict[int, Fraction] = {}
-            total = Fraction(0)
+            first = len(flat)
             for j in nbrs:
                 w = as_rational(row[j], f"w[{i}][{j}]")
-                if w < 0:
+                if w.numerator < 0:
                     raise ParameterError(f"w[{i}][{j}] is negative")
-                if w != 1:
-                    unit = False
-                clean[j] = w
-                total += w
-            if total <= 0:
+                flat.append(w)
+            if not any(flat[first:]):
                 raise ParameterError(f"row sum w_{i} must be positive")
-            frozen_rows.append(clean)
-            row_sums.append(total)
-        self._rows = tuple(frozen_rows)
-        self._row_sums = tuple(row_sums)
-        self.is_unit = unit
-        self.node_count = n
+        self._store(network, *(np.array(list(map(attrgetter(part), flat)), dtype=object)
+                               for part in ("numerator", "denominator")))
 
     @classmethod
     def unit(cls, network: Network) -> "InfluenceWeights":
-        """Uniform unit weights: w[i][j] = 1, so w_i = d_i.
-
-        Built from the network's degrees alone; the engine reads only
-        ``is_unit`` and those degrees.  The per-node rows are built from
-        ``network.adjacency`` on the first ``row``, ``weight`` or ``==``.
-        """
-        degrees = np.diff(network.csr[0]).tolist()
-        if 0 in degrees:
-            i = degrees.index(0)
+        """Uniform unit weights: w[i][j] = 1, so w_i = d_i."""
+        degrees = np.diff(network.csr[0])
+        if not degrees.all():
+            i = int(np.argmin(degrees))
             raise ParameterError(f"node {i} is isolated, so w_{i} would be 0")
-        row_sum = {d: Fraction(d) for d in set(degrees)}
-        self = cls.__new__(cls)
-        self._network = network
-        self._row_sums = tuple(map(row_sum.__getitem__, degrees))
-        self.is_unit = True
-        self.node_count = network.node_count
-        return self
-
-    @cached_property
-    def _rows(self) -> tuple[dict[int, Fraction], ...]:
-        # Only unit weights get here; the general constructor stores its rows.
-        one = Fraction(1)
-        return tuple(dict.fromkeys(nbrs, one) for nbrs in self._network.adjacency)
+        return cls.__new__(cls)._store(network)
 
     @classmethod
     def from_pairs(cls, network: Network, pairs: Mapping[tuple[int, int], object],
                    default=1) -> "InfluenceWeights":
-        """Unit-like weights with the listed ``(i, j) -> w`` overrides."""
+        """``default`` on every neighbor pair but the listed ``(i, j) -> w``."""
         default = as_rational(default, "default weight")
-        rows = [{j: default for j in nbrs} for nbrs in network.adjacency]
-        for (i, j), w in pairs.items():
-            if not (0 <= i < network.node_count) or j not in network.adjacency[i]:
-                raise ParameterError(f"({i}, {j}) is not a neighbor pair")
-            rows[i][j] = as_rational(w, f"w[{i}][{j}]")
-        return cls(network, rows)
+        n = network.node_count
+        indptr, indices = network.csr
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        # The pairs' keys i*n + j (-1 out of range) among the CSR's increasing
+        # ones, which the sentinel n*n ends: the first miss is not a pair.
+        keys = list(pairs)
+        ij = np.array([(index(i), index(j)) for i, j in keys], dtype=object).reshape(-1, 2)
+        packed = np.where(((ij >= 0) & (ij < n)).all(axis=1), ij[:, 0] * n + ij[:, 1], -1)
+        csr_keys = np.append(row * n + indices, n * n)
+        slot = np.searchsorted(csr_keys, packed.astype(np.int64))
+        stop = int(np.argmin(np.append(csr_keys[slot] == packed, False)))
+        values = [as_rational(w, f"w[{i}][{j}]") for (i, j), w in islice(pairs.items(), stop)]
+        if stop < len(keys):
+            raise ParameterError(f"({keys[stop][0]}, {keys[stop][1]}) is not a neighbor pair")
+        num = np.full(len(indices), default.numerator, dtype=object)
+        den = np.full(len(indices), default.denominator, dtype=object)
+        num[slot[:stop]] = [w.numerator for w in values]
+        den[slot[:stop]] = [w.denominator for w in values]
+        # In row order, as the general constructor checks: a row's negative
+        # weights, then its sum.
+        negative = np.flatnonzero(num < 0)
+        empty = np.flatnonzero(np.bincount(row[num > 0], minlength=n) == 0)
+        if len(negative) and not (len(empty) and empty[0] < row[negative[0]]):
+            raise ParameterError(f"w[{row[negative[0]]}][{indices[negative[0]]}] is negative")
+        if len(empty):
+            raise ParameterError(f"row sum w_{empty[0]} must be positive")
+        return cls.__new__(cls)._store(network, num, den)
+
+    def _store(self, network: Network, num=None, den=None) -> "InfluenceWeights":
+        """Store CSR-aligned numerators and denominators (object arrays; every
+        row sum positive), or unit weights when they are None; return self."""
+        indptr = network.csr[0]
+        L, scaled, W = np.ones(network.node_count, dtype=object), None, np.diff(indptr)
+        if num is not None and not ((num == 1) & (den == 1)).all():
+            L = np.lcm.reduceat(den, indptr[:-1])
+            scaled = num * (np.repeat(L, np.diff(indptr)) // den)
+            W = np.add.reduceat(scaled, indptr[:-1])
+            # Supports accumulate up to W_i, so W decides the dtype of the weights.
+            dtype = np.int64 if W.max() <= np.iinfo(np.int64).max else object
+            scaled, W = scaled.astype(dtype), W.astype(dtype)
+        self.network, self.L, self.scaled, self.W = network, L, scaled, W
+        self.is_unit = scaled is None
+        return self
+
+    @cached_property
+    def in_weights(self) -> np.ndarray | None:
+        """``L_i*w[i][j]`` at each CSR slot ``(j, i)``, what ``j`` adds to
+        ``i``'s support (None for unit weights): ``scaled`` in the order of
+        the mirrored slots' keys."""
+        if self.scaled is None:
+            return None
+        n, (indptr, indices) = self.network.node_count, self.network.csr
+        return self.scaled[np.argsort(indices * n + np.repeat(np.arange(n), np.diff(indptr)))]
+
+    @cached_property
+    def _rows(self) -> tuple[dict[int, Fraction], ...]:
+        bounds = self.network.csr[0].tolist()
+        values = [Fraction(1)] * bounds[-1] if self.scaled is None else list(
+            map(Fraction, self.scaled.tolist(), np.repeat(self.L, np.diff(bounds)).tolist()))
+        return tuple(dict(zip(nbrs, values[a:b]))
+                     for nbrs, a, b in zip(self.network.adjacency, bounds, bounds[1:]))
 
     def weight(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
@@ -121,7 +156,7 @@ class InfluenceWeights:
         return self._rows[i]
 
     def row_sum(self, i: int) -> Fraction:
-        return self._row_sums[i]
+        return Fraction(int(self.W[i]), int(self.L[i]))
 
     def __eq__(self, other):
         return (isinstance(other, InfluenceWeights)
@@ -129,7 +164,7 @@ class InfluenceWeights:
 
     def __repr__(self):
         kind = "unit" if self.is_unit else "general"
-        return f"InfluenceWeights({kind}, nodes={self.node_count})"
+        return f"InfluenceWeights({kind}, nodes={self.network.node_count})"
 
 
 @dataclass(frozen=True)
@@ -226,7 +261,7 @@ class GameConfig:
         n = self.network.node_count
         if self.weights is None:
             object.__setattr__(self, "weights", InfluenceWeights.unit(self.network))
-        if self.weights.node_count != n:
+        if self.weights.network != self.network:
             raise ParameterError("weights were built for a different network")
         object.__setattr__(self, "c", as_rational(self.c, "c"))
         if self.c <= 0:

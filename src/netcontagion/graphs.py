@@ -36,12 +36,11 @@ _MAX_NODES = math.isqrt(2**63 - 1)
 # The line boundaries of ``str.splitlines``; ``\r\n`` is ``\r`` then ``\n``.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = re.compile(f"#[^{_LINE_BREAKS}]*")
-# Byte classes for _parse_plain: a digit's value, a blank, a line break,
-# or any other byte, the other ASCII line breaks (\x0b, \x0c, \x1c-\x1e)
-# included.
+# Byte classes for _parse_plain: a digit's value, a blank, a line break of
+# ``str.splitlines``, or any other byte.
 _BLANK, _BREAK, _OTHER = 16, 32, 255
 _BYTE_CLASS = bytes(c - 48 if 48 <= c <= 57 else _BLANK if c in b" \t"
-                    else _BREAK if c in b"\n\r" else _OTHER for c in range(256))
+                    else _BREAK if chr(c) in _LINE_BREAKS else _OTHER for c in range(256))
 # 64-bit words that generate_ba draws at a time.
 _DRAW_BLOCK = 1024
 
@@ -335,8 +334,9 @@ def load_edge_list(text: str) -> Network:
     :class:`EdgeListParseError` with the 1-based line number.
 
     A document whose text outside comments is only ASCII digits, spaces,
-    tabs, ``\n`` and ``\r``, in lines of two tokens of at most 18 digits,
-    is parsed as one byte array (:func:`_parse_plain`).  Every other
+    tabs and the ASCII line breaks of ``str.splitlines``, in lines of two
+    tokens of at most 18 digits, is parsed as one byte array
+    (:func:`_parse_plain`).  Every other
     document, and one whose endpoints fail a check, goes through the
     per-line loop (:func:`_parse_lines`), which parses what ``int``
     accepts and raises at the first bad line.

@@ -308,6 +308,19 @@ def test_unit_weights_equal_the_general_constructor():
         InfluenceWeights.unit(Network.from_edges(4, [(0, 1), (1, 3)]))
 
 
+def test_weights_of_another_network_are_refused():
+    # Equal node counts are not enough: the weights are aligned with the
+    # CSR slots of the network they were built for.
+    a, b = generate_ba(20, 2, 1), generate_ba(20, 2, 2)
+    general = InfluenceWeights(a, [{j: F(j + 1) for j in nbrs} for nbrs in a.adjacency])
+    for weights in (general, InfluenceWeights.unit(a)):
+        with pytest.raises(ParameterError, match="^weights were built for a different network$"):
+            GameConfig(network=b, weights=weights)
+    # An equal network built anew is the same network.
+    copy = Network.from_edges(20, list(a.edges()))
+    assert GameConfig(network=copy, weights=general).weights is general
+
+
 def test_unidirectional_zero_weight_allowed():
     # Node 1 ignores node 0 entirely while 0 still listens to 1.
     net = load_edge_list("0 1\n1 2")

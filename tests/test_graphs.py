@@ -602,3 +602,10 @@ def test_comment_stripping_stops_at_every_line_break():
     for brk in breaks:
         text = f"0 1 # note{brk}1 2"
         assert load_edge_list(text).degrees == (1, 2, 1)
+
+
+def test_every_ascii_line_break_takes_the_array_path():
+    for brk in filter(str.isascii, _LINE_BREAKS):
+        text = f"0 1{brk}1 2{brk}"
+        assert _parse_plain(text).tolist() == [[0, 1], [1, 2]], repr(brk)
+        assert load_edge_list(text).degrees == (1, 2, 1)
