@@ -55,9 +55,9 @@ static bound (building the tables enforces ``phi_i <= c*w_i`` as
 the last table value), so a call is decided in int64 when its products fit for
 every live row (``max(qn, qd)*B < 2^63``) and otherwise in Python ints
 (object arrays, the same expressions), which is logged once per engine at
-DEBUG.  The weights arrive in integer form (``L_i``, ``W_i`` and the
-mirrored in-weights, which the weights cache); the rest of the tables is
-built lazily, once per (network, weights, global effect, c).
+DEBUG.  The weights and a tabular effect arrive in integer form (the
+weights' ``L_i``, ``W_i`` and cached mirrored in-weights, the effect's
+``steps``); ``GameConfig`` builds the rest of the tables once and holds them.
 
 The max is exact in floats when ``B^2 < 2^50``.  Two distinct ratios
 ``a/b > c/d`` of integers in ``[0, B]`` differ by a relative
@@ -73,8 +73,6 @@ until none is left.
 from __future__ import annotations
 
 import logging
-import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -82,8 +80,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantViolationError, ParameterError
-from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
-from .graphs import Network
+from .game import GameConfig, ParametricGlobalEffect
 
 _log = logging.getLogger(__name__)
 
@@ -93,28 +90,6 @@ _FLOAT_EXACT = 2**50
 # CSR slots that one piece of ``ExactEngine._pieces`` expands at most, which
 # bounds the scratch arrays of a start or an apply whatever the batch size.
 _SLOTS = 2**14
-
-# Tables built from immutable inputs, keyed by the identity of those inputs
-# and dropped when any of them is garbage collected.
-_CACHE: dict[tuple, object] = {}
-
-
-def _memo(build, objs: tuple, extra: tuple = ()):
-    key = (build, *map(id, objs), *extra)
-    value = _CACHE.get(key)
-    if value is None:
-        value = _CACHE[key] = build(*objs, *extra)
-        for obj in objs:
-            weakref.finalize(obj, _CACHE.pop, key, None)
-    return value
-
-
-@dataclass(frozen=True)
-class _Steps:
-    thresholds: np.ndarray  # o_i at which each step starts; n+1 ends a table
-    values: np.ndarray      # step value numerators g over D_i
-    first: np.ndarray       # index of each player's first step
-
 
 @dataclass(frozen=True)
 class _Tables:
@@ -126,48 +101,51 @@ class _Tables:
     M: np.ndarray
     MW: np.ndarray
     a: np.ndarray | None    # None without a global term (alpha = 0), where M_i = 1
-    steps: _Steps | None    # None for a parametric effect
+    thresholds: np.ndarray | None  # o_i at which each step starts; n+1 ends a table
+    values: np.ndarray | None      # step value numerators g over D_i
+    first: np.ndarray | None       # each player's first step (all three None: parametric)
     bound: int              # max M_i*W_i, bounding every num_i and den_i
 
 
-def _tables(net: Network, weights: InfluenceWeights, effect, c: Fraction) -> _Tables:
-    n = net.node_count
-    indptr, indices = net.csr
+def _tables(cfg: GameConfig) -> _Tables:
+    n, weights, effect, c = cfg.network.node_count, cfg.weights, cfg.global_effect, cfg.c
+    indptr, indices = cfg.network.csr
     deg = np.diff(indptr)
-    pe = np.maximum(n - 1 - deg, 1).astype(object)
-    steps, an = None, 1  # a tabular effect always has a global term
+    pe = np.maximum(n - 1 - deg, 1)
+    an, thresholds, values, first = 1, None, None, None  # a tabular effect has a global term
     if isinstance(effect, ParametricGlobalEffect):
         an, ad = effect.alpha.numerator, effect.alpha.denominator
+        top = pe = pe.astype(object)
         M = ad * pe if an else np.ones(n, dtype=object)
         a = an * weights.L * deg.astype(object)
-        top = pe
     else:
-        D, thresholds, values, first, top = [], [], [], [], []
-        for i, table in enumerate(effect.tables):
-            D.append(math.lcm(*(v.denominator for _, v in table)))
-            first.append(len(thresholds))
-            thresholds.extend(math.ceil(bp * pe[i]) for bp, _ in table)
-            values.extend(int(v * D[i]) for _, v in table)
-            top.append(values[-1])
-            thresholds.append(n + 1)
-            values.append(0)
-        M = np.array(D, dtype=object) * c.numerator
+        st = effect.steps
+        if len(st.count) != n:
+            raise ParameterError("one global-effect table per player is required")
+        last = np.cumsum(st.count + 1) - 1  # each player's steps, then its sentinel
+        first = last - st.count
+        step = np.repeat(st.first - first, st.count + 1) + np.arange(last[-1] + 1)
+        step[last] = 0  # a (0, 0) step, so a sentinel's value is 0
+        # ceil(bp * pe_i), in int64 where the effect holds its breakpoints so.
+        thresholds = -(-st.bp_num[step] * np.repeat(pe, st.count + 1) // st.bp_den[step])
+        thresholds = thresholds.astype(np.int64)
+        thresholds[last] = n + 1
+        values = st.values[step]  # int64 whenever B is: every g is at most B
+        M = st.D * c.numerator
         a = weights.L * c.denominator
-        steps = _Steps(np.array(thresholds, dtype=np.int64), np.array(values, dtype=object),
-                       np.array(first, dtype=np.int64))
+        top = values[last - 1]
     MW = M * weights.W
-    over = np.flatnonzero(MW < a * np.array(top, dtype=object))  # den_i < 0 at the largest g_i
+    over = np.flatnonzero(MW < a * top)  # den_i < 0 at the largest g_i
     if len(over):
         raise ParameterError(f"global effect of player {over[0]} exceeds "
                              f"c*w_i = {c * weights.row_sum(over[0])}")
     bound = int(MW.max())
     if bound < _INT64_LIMIT:
         M, MW, a = M.astype(np.int64), MW.astype(np.int64), a.astype(np.int64)
-        if steps is not None:
-            steps = _Steps(steps.thresholds, steps.values.astype(np.int64), steps.first)
     # Shaped as one row, so one-row states combine with them without broadcasting.
     M, MW, a = M.reshape(1, n), MW.reshape(1, n), a.reshape(1, n) if an else None
-    return _Tables(indptr, deg, indices, weights.in_weights, weights.W, M, MW, a, steps, bound)
+    return _Tables(indptr, deg, indices, weights.in_weights, weights.W, M, MW, a,
+                   thresholds, values, first, bound)
 
 
 class StartSnapshot:
@@ -197,7 +175,7 @@ class ExactEngine:
 
     def __init__(self, cfg: GameConfig):
         self.n = cfg.network.node_count
-        self.tables = _memo(_tables, (cfg.network, cfg.weights, cfg.global_effect), (cfg.c,))
+        self.tables = cfg.engine_tables
         self._game = (cfg.network, cfg.weights)
         self._logged_python_ints = False
 
@@ -227,8 +205,8 @@ class ExactEngine:
         if t.a is not None:
             self.o = self.K[:, None] - (self.S if k is None else k) - 1
             self.o += self.outside
-        if t.steps is not None:
-            self.ptr = np.tile(t.steps.first, (rows, 1))
+        if t.thresholds is not None:
+            self.ptr = np.tile(t.first, (rows, 1))
             self._advance_steps()
         # deviating's pairs and products, for int64 tables: allocated
         # once per search, as arrays this large allocated anew on every step
@@ -327,15 +305,14 @@ class ExactEngine:
                 np.add.at(S[window], targets, t.in_weights[slots])
             if o is not None:
                 o[window] -= gained
-        if t.steps is not None:
+        if t.thresholds is not None:
             self._advance_steps()
         return self._retire() if (self.K == n).any() else []
 
     def _advance_steps(self) -> None:
         """Move each tabular step pointer to the last step its ``o`` reaches."""
-        steps = self.tables.steps
         while True:
-            move = steps.thresholds[self.ptr + 1] <= self.o
+            move = self.tables.thresholds[self.ptr + 1] <= self.o
             if not move.any():
                 break
             self.ptr += move
@@ -348,7 +325,7 @@ class ExactEngine:
         self.outside, self.S = self.outside[keep], self.S[keep]
         if self.o is not None:
             self.o = self.o[keep]
-        if self.tables.steps is not None:
+        if self.tables.thresholds is not None:
             self.ptr = self.ptr[keep]
         return filled
 
@@ -358,7 +335,7 @@ class ExactEngine:
         t = self.tables
         if t.a is None:
             return self.S[pos], t.MW
-        g = self.o[pos] if t.steps is None else t.steps.values[self.ptr[pos]]
+        g = self.o[pos] if t.values is None else t.values[self.ptr[pos]]
         if out is None:
             return t.M * self.S[pos], t.MW - t.a * g
         num, den = out

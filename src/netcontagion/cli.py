@@ -84,7 +84,7 @@ def _int(value, what: str) -> int:
 def _read_network(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, TypeError, ValueError) as exc:  # also a non-string path, NUL, not text
         raise ParameterError(f"cannot read network file {path}: {exc}") from exc
     return load_edge_list(text)
 

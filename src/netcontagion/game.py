@@ -18,6 +18,7 @@ start check, the effect bound) use ``_engines.ExactEngine``'s integer form.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -184,37 +185,62 @@ class ParametricGlobalEffect:
         return self.alpha == 0
 
 
+TableSteps = namedtuple("TableSteps", "bp_num bp_den values D first count")
+
+
 @dataclass(frozen=True)
 class TabularGlobalEffect:
     """Per-player weakly increasing step tables ``p -> phi_i(p)``.
 
     Each table is a tuple of ``(p, value)`` breakpoints with rational
     entries; the effect at ``p`` is the value of the largest breakpoint
-    ``<= p``.  The first breakpoint must be ``(0, 0)``.
+    ``<= p``.  The first breakpoint must be ``(0, 0)``.  A table object that
+    players share, as ``uniform``'s do, is checked and stored once.
+    ``steps`` holds the distinct tables as integers: per step the breakpoint
+    as a reduced ``bp_num / bp_den`` (int64 while ``bp_den`` times the node
+    count fits) and the value's numerator over ``D``, the LCM of its table's
+    value denominators (int64 while all fit); per player ``D`` (Python ints),
+    the index ``first`` of its table's first step and the step ``count``.
     """
 
     tables: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 
     def __post_init__(self):
+        tables = tuple(self.tables)  # holds every input table, so their ids stay distinct
+        number: dict[int, int] = {}  # the id of each distinct table -> its index in clean_tables
         clean_tables = []
-        for idx, table in enumerate(self.tables):
-            clean = tuple((as_unit_rational(p, f"table[{idx}] breakpoint"),
-                           as_rational(v, f"table[{idx}] value"))
-                          for p, v in table)
-            if not clean or clean[0] != (Fraction(0), Fraction(0)):
-                raise ParameterError(
-                    f"table[{idx}] must start with the (0, 0) breakpoint")
-            for (p0, v0), (p1, v1) in zip(clean, clean[1:]):
-                if p1 <= p0:
-                    raise ParameterError(f"table[{idx}] breakpoints must increase")
-                if v1 < v0:
-                    raise ParameterError(f"table[{idx}] values must not decrease")
-            clean_tables.append(clean)
-        object.__setattr__(self, "tables", tuple(clean_tables))
+        for idx, table in enumerate(tables):
+            if number.setdefault(id(table), len(clean_tables)) == len(clean_tables):
+                clean = tuple((as_unit_rational(p, f"table[{idx}] breakpoint"),
+                               as_rational(v, f"table[{idx}] value"))
+                              for p, v in table)
+                if not clean or clean[0] != (Fraction(0), Fraction(0)):
+                    raise ParameterError(
+                        f"table[{idx}] must start with the (0, 0) breakpoint")
+                for (p0, v0), (p1, v1) in zip(clean, clean[1:]):
+                    if p1 <= p0:
+                        raise ParameterError(f"table[{idx}] breakpoints must increase")
+                    if v1 < v0:
+                        raise ParameterError(f"table[{idx}] values must not decrease")
+                clean_tables.append(clean)
+        which = [number[id(table)] for table in tables]
+        object.__setattr__(self, "tables", tuple(map(clean_tables.__getitem__, which)))
+        flat = [x for table in clean_tables for step in table for x in step]  # p0, v0, p1, ...
+        num, den = (np.array(list(map(attrgetter(part), flat)), dtype=object)
+                    for part in ("numerator", "denominator"))
+        sizes = np.array(list(map(len, clean_tables)), dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        D = np.lcm.reduceat(den[1::2], starts)
+        values = num[1::2] * (np.repeat(D, sizes) // den[1::2])
+        dtype = np.int64 if den[::2].max(initial=0) * len(tables) < 2**63 else object
+        values = values.astype(np.int64 if values.max(initial=0) < 2**63 else object)
+        object.__setattr__(self, "steps", TableSteps(
+            num[::2].astype(dtype), den[::2].astype(dtype), values, D[which], starts[which],
+            sizes[which]))
 
     @classmethod
     def uniform(cls, table, node_count: int) -> "TabularGlobalEffect":
-        return cls(tuple(tuple(table) for _ in range(node_count)))
+        return cls((tuple(table),) * node_count)
 
     def value(self, i: int, p: Fraction, c: Fraction, degree: int) -> Fraction:
         result = Fraction(0)
@@ -247,7 +273,7 @@ class GameConfig:
     ``infected`` is the set of players for whom deviation is strictly
     dominant.  A disconnected network triggers a warning (the dynamics
     remain well defined componentwise) unless ``strict_connectivity`` asks
-    for an error.
+    for an error.  ``engine_tables`` holds the integer tables its engines read.
     """
 
     network: Network
@@ -271,21 +297,15 @@ class GameConfig:
             if not 0 <= i < n:
                 raise ParameterError(f"infected player {i} out of range")
         object.__setattr__(self, "infected", infected)
-        self._check_effect_bound()
+        # Global effects must never make deviation dominant on their own:
+        # phi_i(p) <= c * w_i for all p, which building the engine's tables checks.
+        from ._engines import _tables
+        object.__setattr__(self, "engine_tables", _tables(self))
         if not is_connected(self.network):
             if self.strict_connectivity:
                 raise ConnectivityError("network is disconnected")
             warnings.warn("network is disconnected; results apply componentwise",
                           stacklevel=2)
-
-    def _check_effect_bound(self):
-        # Global effects must never make deviation dominant on their own:
-        # phi_i(p) <= c * w_i for all p, which building the engine's tables checks.
-        from ._engines import ExactEngine
-        ge = self.global_effect
-        if isinstance(ge, TabularGlobalEffect) and len(ge.tables) != self.network.node_count:
-            raise ParameterError("one global-effect table per player is required")
-        ExactEngine(self)
 
     @property
     def node_count(self) -> int:

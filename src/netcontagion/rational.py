@@ -13,7 +13,9 @@ from .errors import ParameterError
 
 
 def as_rational(value, name: str = "value") -> Fraction:
-    """Convert ``value`` to an exact Fraction, rejecting floats."""
+    """Convert ``value`` to an exact Fraction, rejecting floats and booleans."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be a rational, not a boolean; got {value!r}")
     if isinstance(value, float):
         raise ParameterError(
             f"{name} must be an exact rational (int, Fraction, or string like "

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sweep_reference import (
     old_csv_row,
     old_json_line,
@@ -180,11 +184,29 @@ GRID = {"network_size": 30, "m_values": [2], "alpha_values": ["0"], "networks_pe
      {"grid.json": GRID}),
     (["verify", "--max-i", "3"], {}),
     (["verify", "--trials", "-1"], {}),
+    (["threshold", "--config", "@game.json"],
+     {"game.json": {"network": {"path": 5}, "infected": [0]}}),
+    (["threshold", "--config", "@game.json"],
+     {"game.json": {"network": {"path": None}, "infected": [0]}}),
+    (["threshold", "--config", "@game.json"],
+     {"game.json": {"network": {"path": "net\0.edges"}, "infected": [0]}}),
+    (["threshold", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0], "c": True}}),
+    (["threshold", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0], "alpha": False}}),
+    (["threshold", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0], "weights": [[0, 1, True]]}}),
+    (["threshold", "--generate", "3,1,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0], "global_tables": [[[0, 0], [True, 1]]] * 3}}),
+    (["depth", "--generate", "30,2,1", "--config", "@game.json"],
+     {"game.json": {"infected": [0], "q": [True]}}),
 ], ids=["seeds", "missing-network", "weights-arity", "generate-without-m",
         "infected-string", "infected-fraction", "table-entry", "q-number", "grid-missing-field", "grid-mistyped-field",
         "grid-zero-step", "generate-negative-seed", "generate-flag-negative-seed",
         "config-negative-seed", "no-workers", "negative-workers", "grid-repeated-m",
-        "out-under-a-file", "verify-max-i-below-4", "verify-negative-trials"])
+        "out-under-a-file", "verify-max-i-below-4", "verify-negative-trials",
+        "network-path-number", "network-path-null", "network-path-nul", "c-boolean",
+        "alpha-boolean", "weight-boolean", "table-boolean", "q-boolean"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, files):
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -426,3 +448,99 @@ def test_verify_reports_injected_bug():
     assert failing
     sample = failing[0].failures[0]
     assert "edges" in sample["instance"] and "q" in sample["instance"]
+
+
+# JSON values for the fields of a game document.  Numbers stay small where
+# the CLI could take them as a network size; the huge ones are refused there.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.sampled_from([2**63, -2**70, 10**30]),
+    st.floats(),
+    st.sampled_from(["", "x", "unit", "1/2", "0.25", "3", "-1", "7/3", "1/0", "1e3", "\0"]))
+VALUES = st.recursive(SCALARS, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+    st.sampled_from(["n", "m", "seed", "path", "generate"]), kids, max_size=3), max_leaves=6)
+SMALL = st.one_of(st.integers(-1, 30), SCALARS)
+NETWORKS = st.one_of(
+    st.fixed_dictionaries({"generate": st.fixed_dictionaries(
+        {"n": SMALL, "m": SMALL}, optional={"seed": SMALL})}),
+    st.fixed_dictionaries({"path": st.one_of(st.sampled_from(["@edges", "@dir", "@missing"]),
+                                             VALUES)}),
+    VALUES)
+# Plausible entries, booleans among them.
+GOOD = st.sampled_from([0, 1, "1/4", "1/2", "3/2", True, False])
+
+
+def mostly(good, anything):
+    """Mostly ``good``, sometimes ``anything``."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else anything)
+
+
+@st.composite
+def game_documents(draw):
+    n = draw(st.integers(2, 30))
+    doc = {"network": draw(mostly(st.just({"generate": {"n": n, "m": 1}}), NETWORKS)),
+           "infected": draw(mostly(st.lists(st.integers(0, 1), min_size=1, max_size=2),
+                                   st.one_of(VALUES, st.lists(SMALL, max_size=3))))}
+    table = st.lists(st.lists(GOOD, min_size=2, max_size=2), max_size=2).map(
+        lambda steps: [[0, 0], *steps])
+    # Players 0 and 1 are neighbours in every generated network.
+    triple = st.tuples(st.integers(0, 1), st.integers(0, 1), GOOD).map(list)
+    fields = {
+        "c": mostly(GOOD, VALUES),
+        "alpha": mostly(GOOD, VALUES),
+        "weights": mostly(st.one_of(st.just("unit"), st.lists(triple, max_size=2)), VALUES),
+        "global_tables": mostly(st.lists(table, min_size=n, max_size=n), VALUES),
+        "q": mostly(st.lists(GOOD, min_size=1, max_size=3), VALUES),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(fields)), unique=True)):
+        doc[key] = draw(fields[key])
+    return doc
+
+
+def holds_boolean(value) -> bool:
+    if isinstance(value, list):
+        return any(map(holds_boolean, value))
+    if isinstance(value, dict):
+        return any(map(holds_boolean, value.values()))
+    return isinstance(value, bool)
+
+
+@pytest.fixture(scope="module")
+def document_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("documents")
+    (path / "net.edges").write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+    (path / "dir").mkdir()
+    return path
+
+
+@given(doc=game_documents(), command=st.sampled_from(["threshold", "depth"]),
+       json_errors=st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_game_document_ends_in_an_answer_or_one_typed_error(document_dir, doc, command,
+                                                                json_errors):
+    # Every run exits 0, or 2 with one error line; a JSON boolean is no
+    # rational, so a field the command reads that holds one is refused.
+    text = json.dumps(doc)
+    for name, target in (("@edges", "net.edges"), ("@dir", "dir"), ("@missing", "missing")):
+        text = text.replace(f'"{name}"', json.dumps(str(document_dir / target)))
+    path = document_dir / "game.json"
+    path.write_text(text)
+    argv = ["--json-errors"] * json_errors + [command, "--config", str(path), "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a disconnected network warns
+        code = main(argv)
+    read = [doc.get(key) for key in ("c", "weights", "global_tables", "infected")]
+    read += [doc.get("q") if command == "depth" else None,
+             None if "global_tables" in doc else doc.get("alpha")]
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
+        assert not holds_boolean(read), read
+        return
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    if json_errors:
+        assert json.loads(lines[0])["error"]
+    else:
+        assert lines[0].startswith("error: ")

@@ -429,16 +429,24 @@ def test_tabular_matching_parametric_gives_identical_dynamics(seed):
 
 
 def test_tables_are_built_once_per_game():
+    # Each config builds its tables once, and all its engines read them; a
+    # config that differs only in its infected set builds equal ones.
     net = generate_ba(20, 2, 3)
     weights = InfluenceWeights.from_pairs(net, {(0, net.adjacency[0][0]): F(3, 2)})
-    effect = ParametricGlobalEffect(F(1, 3))
-    first = ExactEngine(GameConfig(network=net, weights=weights, global_effect=effect))
-    again = ExactEngine(GameConfig(network=net, weights=weights, global_effect=effect,
-                                   infected=frozenset({4})))
-    assert again.tables is first.tables
-    other_c = ExactEngine(GameConfig(network=net, weights=weights, c=F(2),
-                                     global_effect=effect))
-    assert other_c.tables is not first.tables
+    rng = np.random.Generator(np.random.PCG64(4))
+    for effect in (ParametricGlobalEffect(F(1, 3)), random_tables(rng, net, F(1), weights)):
+        cfg = GameConfig(network=net, weights=weights, global_effect=effect)
+        first, again = ExactEngine(cfg), ExactEngine(cfg)
+        assert first.tables is again.tables is cfg.engine_tables
+        seeded = replace(cfg, infected=frozenset({4})).engine_tables
+        assert seeded is not first.tables
+        for name in first.tables.__dataclass_fields__:
+            mine, theirs = getattr(first.tables, name), getattr(seeded, name)
+            assert type(mine) is type(theirs)
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            else:
+                assert mine == theirs
 
 
 def row_axis_game(kind):

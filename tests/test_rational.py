@@ -30,6 +30,15 @@ def test_as_rational_rejects_floats_and_junk():
         as_rational("1/0")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_not_rationals(value):
+    # bool is an int subclass, so Fraction(True) would read it as 1.
+    with pytest.raises(ParameterError, match="not a boolean"):
+        as_rational(value, "c")
+    with pytest.raises(ParameterError, match="not a boolean"):
+        as_unit_rational(value, "alpha")
+
+
 def test_as_unit_rational_range():
     assert as_unit_rational("1") == 1
     with pytest.raises(ParameterError):
