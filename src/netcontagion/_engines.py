@@ -52,12 +52,28 @@ A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
 ``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
 static bound (building the tables enforces ``phi_i <= c*w_i`` as
 ``den_i >= 0`` at the largest ``g_i``: ``pe_i``, even on an empty pool, or
-the last table value), so a call is decided in int64 when its products fit for
-every live row (``max(qn, qd)*B < 2^63``) and otherwise in Python ints
-(object arrays, the same expressions), which is logged once per engine at
-DEBUG.  The weights and a tabular effect arrive in integer form (the
-weights' ``L_i``, ``W_i`` and cached mirrored in-weights, the effect's
-``steps``); ``GameConfig`` builds the rest of the tables once and holds them.
+the last table value).  The engine works in one of three tiers:
+
+- int32 when ``B^2 < 2^31`` (and ``n < 2^31``): ``M``, ``MW``, ``a``, the
+  step values, ``W``, the degrees, the supports ``S``, the counts ``k`` and
+  ``o`` and the work arrays are int32.  Every value they hold lies in
+  ``[0, B]`` or in ``[0, n]``, so none can wrap; products are formed in
+  the tier each call picks (below).
+- int64 when ``B < 2^63``: the same arrays are int64.
+- Python ints (object arrays) beyond that.
+
+A call to ``deviating`` is decided in the tables' dtype when its products
+fit it (``max(qn, qd)*B < 2^31`` for int32 tables), else in int64 when
+``max(qn, qd)*B < 2^63``, else in Python ints (object arrays, the same
+expressions), which is logged once per engine at DEBUG.  The staged search's
+q pairs are stage maxima, pairs of at most B, so its calls never leave the
+tables' tier; a ``cascade`` or ``is_nash`` at a q with large terms may.
+Every mixed-dtype step casts explicitly, since a value cast into a
+narrower ``out=`` array wraps silently on numpy versions before 2.
+The weights and a tabular effect arrive in integer form (the weights'
+``L_i``, ``W_i`` and cached mirrored in-weights, the effect's ``steps``);
+``GameConfig`` builds the rest of the tables once and holds them, computing
+them in int64 where their factors' maxima allow and in Python ints beyond.
 
 The max is exact in floats when ``B^2 < 2^50``.  Two distinct ratios
 ``a/b > c/d`` of integers in ``[0, B]`` differ by a relative
@@ -73,6 +89,7 @@ until none is left.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -84,6 +101,7 @@ from .game import GameConfig, ParametricGlobalEffect
 
 _log = logging.getLogger(__name__)
 
+_INT32_LIMIT = 2**31
 _INT64_LIMIT = 2**63
 # Tables with B^2 below this take max_threshold's float argmax as exact.
 _FLOAT_EXACT = 2**50
@@ -94,11 +112,11 @@ _SLOTS = 2**14
 @dataclass(frozen=True)
 class _Tables:
     indptr: np.ndarray
-    degree: np.ndarray
+    degree: np.ndarray      # in the dtype of the counts k and o
     indices: np.ndarray
     in_weights: np.ndarray | None
     W: np.ndarray           # row sums W_i, in the supports' dtype
-    M: np.ndarray
+    M: np.ndarray           # M, MW, a and values in the tier's dtype
     MW: np.ndarray
     a: np.ndarray | None    # None without a global term (alpha = 0), where M_i = 1
     thresholds: np.ndarray | None  # o_i at which each step starts; n+1 ends a table
@@ -107,17 +125,29 @@ class _Tables:
     bound: int              # max M_i*W_i, bounding every num_i and den_i
 
 
+def _product(*factors) -> np.ndarray:
+    """The elementwise product of nonnegative integer arrays and ints: in
+    int64 when the product of the factors' maxima fits, else in Python ints."""
+    tops = [int(f.max(initial=0)) if isinstance(f, np.ndarray) else f for f in factors]
+    dtype = np.int64 if math.prod(max(top, 1) for top in tops) < _INT64_LIMIT else object
+    out = 1
+    for f in factors:
+        out = out * (f.astype(dtype, copy=False) if isinstance(f, np.ndarray) else f)
+    return out
+
+
 def _tables(cfg: GameConfig) -> _Tables:
     n, weights, effect, c = cfg.network.node_count, cfg.weights, cfg.global_effect, cfg.c
     indptr, indices = cfg.network.csr
     deg = np.diff(indptr)
     pe = np.maximum(n - 1 - deg, 1)
-    an, thresholds, values, first = 1, None, None, None  # a tabular effect has a global term
+    L = np.ones(n, dtype=np.int64) if weights.is_unit else weights.L  # objects: Python ints
+    thresholds, values, first = None, None, None
     if isinstance(effect, ParametricGlobalEffect):
         an, ad = effect.alpha.numerator, effect.alpha.denominator
-        top = pe = pe.astype(object)
-        M = ad * pe if an else np.ones(n, dtype=object)
-        a = an * weights.L * deg.astype(object)
+        M = _product(ad, pe) if an else np.ones(n, dtype=np.int64)
+        a = _product(an, L, deg) if an else None
+        top = pe
     else:
         st = effect.steps
         if len(st.count) != n:
@@ -131,20 +161,29 @@ def _tables(cfg: GameConfig) -> _Tables:
         thresholds = thresholds.astype(np.int64)
         thresholds[last] = n + 1
         values = st.values[step]  # int64 whenever B is: every g is at most B
-        M = st.D * c.numerator
-        a = weights.L * c.denominator
+        M = _product(st.D, c.numerator)
+        a = _product(L, c.denominator)
         top = values[last - 1]
-    MW = M * weights.W
-    over = np.flatnonzero(MW < a * top)  # den_i < 0 at the largest g_i
-    if len(over):
-        raise ParameterError(f"global effect of player {over[0]} exceeds "
-                             f"c*w_i = {c * weights.row_sum(over[0])}")
+    MW = _product(M, weights.W)
+    if a is not None:
+        over = np.flatnonzero(MW < _product(a, top))  # den_i < 0 at the largest g_i
+        if len(over):
+            raise ParameterError(f"global effect of player {over[0]} exceeds "
+                                 f"c*w_i = {c * weights.row_sum(over[0])}")
     bound = int(MW.max())
-    if bound < _INT64_LIMIT:
-        M, MW, a = M.astype(np.int64), MW.astype(np.int64), a.astype(np.int64)
+    W = weights.W
+    if bound**2 < _INT32_LIMIT and n < _INT32_LIMIT:
+        deg, W = deg.astype(np.int32), W.astype(np.int32)
+        dtype = np.int32
+    else:
+        dtype = np.int64 if bound < _INT64_LIMIT else object
     # Shaped as one row, so one-row states combine with them without broadcasting.
-    M, MW, a = M.reshape(1, n), MW.reshape(1, n), a.reshape(1, n) if an else None
-    return _Tables(indptr, deg, indices, weights.in_weights, weights.W, M, MW, a,
+    M, MW = M.astype(dtype).reshape(1, n), MW.astype(dtype).reshape(1, n)
+    if a is not None:
+        a = a.astype(dtype).reshape(1, n)
+    if values is not None and dtype is not object:
+        values = values.astype(dtype)
+    return _Tables(indptr, deg, indices, weights.in_weights, W, M, MW, a,
                    thresholds, values, first, bound)
 
 
@@ -152,8 +191,9 @@ class StartSnapshot:
     """The part of a batch's start that depends only on the network, the
     weights and the sets: ``K``, ``outside``, ``S`` and, where the weights are
     not unit, the infected-neighbour counts.  ``ExactEngine.start`` fills an
-    empty snapshot and copies a filled one, so games that differ only in
-    their global effect or c start the same sets from one CSR expansion."""
+    empty snapshot and copies a filled one, cast to its own tier's dtypes,
+    so games that differ only in their global effect or c start the same
+    sets from one CSR expansion, whatever their tiers."""
 
     def __init__(self):
         self.game: tuple | None = None   # the (network, weights) it belongs to
@@ -193,8 +233,11 @@ class ExactEngine:
                 snapshot.game, snapshot.state = self._game, self._begin(initials)
             elif not all(a is b for a, b in zip(snapshot.game, self._game)):
                 raise InvariantViolationError("a start snapshot serves one network and weights")
-            # The snapshot keeps its arrays; the search changes its own.
-            state = [None if arr is None else arr.copy() for arr in snapshot.state]
+            # The snapshot keeps its arrays; the search changes its own copies,
+            # in its own dtypes, as the snapshot may come from another tier.
+            K, outside, S, k = snapshot.state
+            state = (K.copy(), outside.copy(), S.astype(t.W.dtype),
+                     None if k is None else k.astype(t.degree.dtype))
         self.K, self.outside, self.S, k = state
         rows = len(self.K)
         self.live = np.arange(rows)
@@ -203,16 +246,17 @@ class ExactEngine:
         # which only a global term reads.
         self.o = None
         if t.a is not None:
-            self.o = self.K[:, None] - (self.S if k is None else k) - 1
+            self.o = (self.K - 1).astype(t.degree.dtype)[:, None] - (self.S if k is None else k)
             self.o += self.outside
         if t.thresholds is not None:
             self.ptr = np.tile(t.first, (rows, 1))
             self._advance_steps()
-        # deviating's pairs and products, for int64 tables: allocated
-        # once per search, as arrays this large allocated anew on every step
-        # cost more in page faults than in arithmetic.  Without a global
-        # term the pairs are the state itself, and only the products remain.
-        self._work = (np.empty((2 if t.a is None else 4, rows, n), dtype=np.int64)
+        # deviating's pairs and products in the tables' dtype, for int32 and
+        # int64 tables: allocated once per search, as arrays this large
+        # allocated anew on every step cost more in page faults than in
+        # arithmetic.  Without a global term the pairs are the state itself,
+        # and only the products remain.
+        self._work = (np.empty((2 if t.a is None else 4, rows, n), dtype=t.M.dtype)
                       if t.bound < _INT64_LIMIT else None)
         return self._retire() if (self.K == n).any() else []
 
@@ -231,12 +275,14 @@ class ExactEngine:
         wide = 2 * K > n
         flips = np.flatnonzero(outside ^ ~wide[:, None])  # each row's smaller side
         players = flips % n
-        k = np.zeros((rows, n), dtype=np.int64)
-        S = k if t.in_weights is None else np.zeros((rows, n), dtype=t.in_weights.dtype)
+        k = np.zeros((rows, n), dtype=t.degree.dtype)
+        S = k if t.in_weights is None else np.zeros((rows, n), dtype=t.W.dtype)
         for window, targets, slots in self._pieces(players, flips - players):
-            k.reshape(-1)[window] += np.bincount(targets, minlength=window.stop - window.start)
+            k.reshape(-1)[window] += np.bincount(
+                targets, minlength=window.stop - window.start).astype(k.dtype, copy=False)
             if S is not k:
-                np.add.at(S.reshape(-1)[window], targets, t.in_weights[slots])
+                np.add.at(S.reshape(-1)[window], targets,
+                          t.in_weights[slots].astype(S.dtype, copy=False))
         if wide.any():
             k[wide] = t.degree - k[wide]
             if S is not k:
@@ -294,15 +340,18 @@ class ExactEngine:
         self.outside.reshape(-1)[flips] = False
         S, o = self.S.reshape(-1), None
         if self.o is not None:
-            self.o += added if base is None else added[:, None]
+            self.o += added if base is None else added.astype(self.o.dtype)[:, None]
             o = self.o.reshape(-1)
             o[flips] -= 1
         for window, targets, slots in self._pieces(players, base):
-            gained = np.bincount(targets, minlength=window.stop - window.start)
+            # Counts in the state's dtype: adding int64 into int32 would cast
+            # in a slower mixed loop.
+            gained = np.bincount(targets, minlength=window.stop - window.start).astype(
+                t.degree.dtype, copy=False)
             if t.in_weights is None:
                 S[window] += gained
             else:
-                np.add.at(S[window], targets, t.in_weights[slots])
+                np.add.at(S[window], targets, t.in_weights[slots].astype(S.dtype, copy=False))
             if o is not None:
                 o[window] -= gained
         if t.thresholds is not None:
@@ -370,17 +419,26 @@ class ExactEngine:
             top = int(qs.max(initial=0))
         # Tables beyond int64 (no work arrays) make every call Python ints.
         work = None if self._work is None else self._work[:, :rows]
-        python_ints = work is None or top * self.tables.bound >= _INT64_LIMIT
         num, den = self._evaluated = self._pairs(out=None if work is None else work[:2])
-        if rows != 1:
-            qs = qs.astype(object if python_ints else np.int64, copy=False)
-            qn, qd = qs[:, :1], qs[:, 1:]
-        if python_ints:
+        # The call's tier: the tables' own while its products fit it.
+        products = top * self.tables.bound
+        dtype = (object if work is None or products >= _INT64_LIMIT else
+                 np.int64 if products >= _INT32_LIMIT else work.dtype.type)
+        in_work = work is not None and dtype is work.dtype.type
+        if dtype is object:
             num, den = self._python_ints(num, den)
-            lhs, rhs = num * qd, qn * den
+        elif not in_work:  # int32 tables at a q whose products need int64
+            num, den = num.astype(dtype), den.astype(dtype)
+        if rows == 1:
+            qn, qd = (qn, qd) if dtype is object else (dtype(qn), dtype(qd))
         else:
+            qs = qs.astype(dtype, copy=False)
+            qn, qd = qs[:, :1], qs[:, 1:]
+        if in_work:
             lhs = np.multiply(num, qd, out=work[-2])
             rhs = np.multiply(den, qn, out=work[-1])
+        else:
+            lhs, rhs = num * qd, qn * den
         return lhs >= rhs
 
     def flip_candidates(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
@@ -398,8 +456,9 @@ class ExactEngine:
         the given ascending positions, with its lowest-indexed attainer.
 
         Returns three arrays over the positions: the max's numerator and
-        denominator as the engine holds them (not reduced; int64 when
-        ``B^2 < 2^63``, else Python ints) and the attainer.
+        denominator as the engine holds them (not reduced; in the tables'
+        int32 or int64 when ``B^2 < 2^63``, else Python ints) and the
+        attainer.
         """
         pos = slice(None) if len(positions) == len(self.K) else positions
         if self._evaluated is None:

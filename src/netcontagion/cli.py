@@ -120,15 +120,17 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
         for i, j, w in _entries(weights_spec, 3, "weights"):
             pairs[(_int(i, "weight i"), _int(j, "weight j"))] = as_rational(w, "weight")
         weights = InfluenceWeights.from_pairs(net, pairs)
-    alpha = args.alpha if getattr(args, "alpha", None) is not None \
-        else doc.get("alpha", "0")
-    if "global_tables" in doc and getattr(args, "alpha", None) is None:
-        tables = tuple(
-            tuple((as_unit_rational(p, "p"), as_rational(v, "phi"))
-                  for p, v in _entries(table, 2, "global table"))
-            for table in _list(doc["global_tables"], "global_tables"))
-        effect = TabularGlobalEffect(tables)
+    flag_alpha = getattr(args, "alpha", None)
+    if "global_tables" in doc:
+        if "alpha" in doc or flag_alpha is not None:
+            raise ParameterError("a game has one global effect: give alpha (or --alpha) "
+                                 "or global_tables, not both")
+        # The effect parses each entry, naming its table in any error.
+        effect = TabularGlobalEffect(tuple(
+            _entries(table, 2, "global table")
+            for table in _list(doc["global_tables"], "global_tables")))
     else:
+        alpha = flag_alpha if flag_alpha is not None else doc.get("alpha", "0")
         effect = ParametricGlobalEffect(as_unit_rational(alpha, "alpha"))
     c = as_rational(args.c if getattr(args, "c", None) is not None
                     else doc.get("c", "1"), "c")

@@ -294,7 +294,8 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
     engine = ExactEngine(cfg)
     filled = engine.start(initials, snapshot)
     # Each row's q as max_threshold gives it, a pair of at most B: int64
-    # when B fits; the log reduces the pairs once.
+    # when B fits, for int32 tables too (deviating casts them to its tier,
+    # and the log's columns stay int64); the log reduces the pairs once.
     pairs = np.ones((rows, 2), dtype=object if engine.tables.bound >= _INT64_LIMIT
                     else np.int64)
     # Log pieces: (rows, q pairs, sizes, marginals), one per closing event.

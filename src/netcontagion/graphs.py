@@ -196,10 +196,16 @@ class Network:
         return f"Network(node_count={self.node_count!r}, adjacency={self.adjacency!r})"
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency[i]
+        """``adjacency[i]``, read off the CSR without building ``adjacency``."""
+        indptr, indices = self.csr
+        i = range(self.node_count)[i]  # the tuple's indexing: negatives count back
+        return tuple(indices[indptr[i]:indptr[i + 1]].tolist())
 
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        """``len(adjacency[i])``, read off the CSR."""
+        indptr = self.csr[0]
+        i = range(self.node_count)[i]
+        return int(indptr[i + 1] - indptr[i])
 
     @property
     def degrees(self) -> tuple[int, ...]:

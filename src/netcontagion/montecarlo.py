@@ -10,10 +10,13 @@ global-effect intensity, reusing the same draw across intensities.
 The searches of one network and intensity run in batches of consecutive
 set sizes: every draw of a size group is a row of a single engine state,
 advanced together by the staged search of ``contagion``.  A group holds as
-many whole sizes (at least one) as keep ``rows * network_size`` within
-``_BATCH_ELEMENTS``, which bounds the engine's memory whatever the grid;
-draws, seeds and the run order do not depend on the grouping.  One
-``GameConfig`` serves each (network, intensity) without an infected set.
+many whole sizes (at least one) as keep each ``(rows, network_size)`` state
+array within ``_BATCH_BYTES``, at the itemsize of the task's widest engine
+tier (see ``_engines``), which bounds the engine's memory whatever the grid:
+games whose tables are int32 at every intensity, as all of the desk preset's
+are, batch twice the rows of int64 ones.  Draws, seeds and the run order do
+not depend on the grouping.  One ``GameConfig`` serves each (network,
+intensity) without an infected set.
 No per-search config or start check is needed: every start is seeded
 exogenously, so every member deviates at q = 1, and the engine sees the
 seeding only through the union of start and infected set, which is the
@@ -62,9 +65,10 @@ from .graphs import generate_ba
 from .rational import as_rational, as_unit_rational, decimal_ratio, decimal_render, rational_str
 
 
-# Engine state elements (rows * network size) that one batch of a network
-# task may hold; a set size whose replicates alone exceed it runs alone.
-_BATCH_ELEMENTS = 2**15
+# Bytes of one (rows, network size) engine state array that a batch of a
+# network task may hold, 2^15 int64 elements; a set size whose replicates
+# alone exceed it runs alone.
+_BATCH_BYTES = 2**18
 
 
 def derive_seed(master_seed: int, *fields) -> int:
@@ -257,24 +261,32 @@ class RunBatch:
         return out
 
 
-def _size_groups(grid: ExperimentGrid) -> list[tuple[int, ...]]:
+def _task_games(grid: ExperimentGrid, m: int, network_id: int) -> list[GameConfig]:
+    """A network task's games: one per intensity, ascending, on its network
+    with unit weights."""
+    net = generate_ba(grid.network_size, m,
+                      derive_seed(grid.master_seed, "network", m, network_id))
+    weights = InfluenceWeights.unit(net)
+    return [GameConfig(network=net, weights=weights, global_effect=ParametricGlobalEffect(alpha))
+            for alpha in sorted(grid.alpha_values)]
+
+
+def _size_groups(grid: ExperimentGrid, games: Sequence[GameConfig]) -> list[tuple[int, ...]]:
     """Consecutive set sizes, each group as many whole sizes (at least one)
-    as keep its ``rows * network_size`` within ``_BATCH_ELEMENTS``."""
-    per_size = grid.sets_per_size * grid.network_size
-    width = max(1, _BATCH_ELEMENTS // per_size)
+    as keep its ``(rows, network_size)`` state arrays within ``_BATCH_BYTES``
+    in the widest of the games' engine tiers."""
+    itemsize = max(cfg.engine_tables.M.itemsize for cfg in games)
+    per_size = grid.sets_per_size * grid.network_size * itemsize
+    width = max(1, _BATCH_BYTES // per_size)
     return [grid.set_sizes[i:i + width] for i in range(0, len(grid.set_sizes), width)]
 
 
 def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> RunBatch:
-    net = generate_ba(grid.network_size, m,
-                      derive_seed(grid.master_seed, "network", m, network_id))
-    weights = InfluenceWeights.unit(net)
-    alphas = tuple(sorted(grid.alpha_values))
-    configs = [GameConfig(network=net, weights=weights,
-                          global_effect=ParametricGlobalEffect(alpha)) for alpha in alphas]
+    configs = _task_games(grid, m, network_id)
+    alphas = tuple(cfg.global_effect.alpha for cfg in configs)
     reps = grid.sets_per_size
     parts = []  # the columns of each staged search
-    for sizes in _size_groups(grid):
+    for sizes in _size_groups(grid, configs):
         starts = []
         for set_size in sizes:
             for replicate in range(reps):

@@ -219,6 +219,35 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, files):
     assert code == 2 and json.loads(err)["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("field, step", [("breakpoint", [True, 1]), ("value", ["1/2", True])])
+def test_a_bad_table_entry_names_its_table(tmp_path, capsys, field, step):
+    # The effect parses each entry once and names the table it sits in.
+    tables = [[[0, 0], ["1/2", 1]] for _ in range(5)]
+    tables[3][1] = step
+    (tmp_path / "game.json").write_text(json.dumps({"infected": [0], "global_tables": tables}))
+    code, out, err = run_cli(capsys, "threshold", "--generate", "5,1,1",
+                             "--config", str(tmp_path / "game.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: table[3] {field} ") and "boolean" in err
+
+
+@pytest.mark.parametrize("alpha, flag", [("1/2", None), ("0", None), (True, None),
+                                         (None, "1/2"), ("0", "1")])
+def test_a_game_with_alpha_and_global_tables_is_refused(tmp_path, capsys, alpha, flag):
+    # A document's alpha or the --alpha flag next to global_tables: one global
+    # effect too many, whichever is given.
+    doc = {"infected": [0], "global_tables": [[[0, 0]]] * 5}
+    if alpha is not None:
+        doc["alpha"] = alpha
+    (tmp_path / "game.json").write_text(json.dumps(doc))
+    for command in (["threshold"], ["depth", "--q", "1/2"]):
+        code, out, err = run_cli(capsys, *command, "--generate", "5,1,1",
+                                 "--config", str(tmp_path / "game.json"),
+                                 *(["--alpha", flag] if flag else []))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "alpha" in err and "global_tables" in err
+
+
 def test_queries_on_a_loaded_network_build_no_per_node_objects(tmp_path, capsys, monkeypatch):
     # threshold and depth read only the CSR arrays and the degrees: neither
     # the neighbour tuples nor the unit-weight rows are ever built.
@@ -531,8 +560,7 @@ def test_any_game_document_ends_in_an_answer_or_one_typed_error(document_dir, do
         warnings.simplefilter("ignore")  # a disconnected network warns
         code = main(argv)
     read = [doc.get(key) for key in ("c", "weights", "global_tables", "infected")]
-    read += [doc.get("q") if command == "depth" else None,
-             None if "global_tables" in doc else doc.get("alpha")]
+    read += [doc.get("q") if command == "depth" else None, doc.get("alpha")]
     if code == 0:
         assert err.getvalue() == "" and json.loads(out.getvalue())
         assert not holds_boolean(read), read

@@ -12,11 +12,15 @@ from hypothesis import given, settings, strategies as st
 from netcontagion import _engines
 from netcontagion._engines import ExactEngine, StartSnapshot, _row_max
 from netcontagion.contagion import (
+    DepthFunction,
     ThresholdResult,
     ThresholdStage,
     _stage_log,
     _staged_search,
+    cascade,
+    depth_function,
     full_contagion_threshold,
+    is_nash,
 )
 from netcontagion.errors import InvariantViolationError
 from netcontagion.game import (
@@ -24,6 +28,7 @@ from netcontagion.game import (
     InfluenceWeights,
     ParametricGlobalEffect,
     TabularGlobalEffect,
+    has_incentive,
 )
 from netcontagion.graphs import Network, generate_ba
 
@@ -473,6 +478,10 @@ def row_axis_game(kind):
         return GameConfig(network=net, weights=InfluenceWeights.from_pairs(net, pairs)), rows
     rng = np.random.Generator(np.random.PCG64(77))
     net = generate_ba(40, 2, 8)
+    if kind in ("int32", "int64"):
+        return tier_limit_game(net, TIER_BOUNDS[kind]), [
+            frozenset({39}), frozenset(range(40)), frozenset(range(0, 40, 2)),
+            frozenset({39}), frozenset(range(3, 40)), frozenset({0, 1, 2}), frozenset({5})]
     weights = (InfluenceWeights.unit(net) if kind in ("unit", "alpha-0")
                else random_weights(rng, net))
     effect = (random_tables(rng, net, F(1), weights) if kind == "tabular"
@@ -483,7 +492,25 @@ def row_axis_game(kind):
     return GameConfig(network=net, weights=weights, global_effect=effect), rows
 
 
-ROW_AXIS_KINDS = ["unit", "weighted", "tabular", "alpha-0", "python-ints", "beyond-int64"]
+# The bounds on either side of the int32 tier's limit: 46340^2 < 2^31 <= 46341^2.
+TIER_BOUNDS = {"int32": 46340, "int64": 46341}
+
+
+def tier_limit_game(net, bound):
+    """A tabular game whose B is ``bound``: each player's row sum lifted to
+    ``bound`` minus a multiple of 4099 by one integer weight, and integer
+    step values at c = 1, so that every M_i and a_i is 1 and B the largest
+    row sum.  Its stage thresholds have denominators up to B."""
+    weights = InfluenceWeights.from_pairs(net, {
+        (i, net.neighbors(i)[i % net.degree(i)]): bound - net.degree(i) + 1 - 4099 * (i % 9)
+        for i in range(net.node_count)})
+    tables = tuple(((F(0), F(0)), (F(1, 3), F(int(weights.W[i]) // 6)),
+                    (F(2, 3), F(int(weights.W[i]) // 4))) for i in range(net.node_count))
+    return GameConfig(network=net, weights=weights, global_effect=TabularGlobalEffect(tables))
+
+
+ROW_AXIS_KINDS = ["unit", "weighted", "tabular", "alpha-0", "python-ints", "beyond-int64",
+                  "int32", "int64"]
 
 
 @pytest.mark.parametrize("kind", ROW_AXIS_KINDS)
@@ -534,7 +561,7 @@ def check_row_batch(kind, caplog):
             assert batch == single == reference
     stages = [len(result.stages) for result in batch]
     assert stages[rows.index(frozenset(range(cfg.network.node_count)))] == 1
-    if kind in ("unit", "weighted", "tabular", "alpha-0"):
+    if kind in ("unit", "weighted", "tabular", "alpha-0", "int32", "int64"):
         # Rows retire while others still have several stages to go.
         assert max(stages) - min(stages) >= 3
     slow = [r for r in caplog.records if "Python ints" in r.getMessage()]
@@ -731,3 +758,70 @@ def test_row_max_takes_floats_below_two_to_the_fifty(bound, floats):
     num, den = np.array([[big, big + 1, 0]]), np.array([[big + 1, big + 2, 1]])
     assert num[0, 0] / den[0, 0] == num[0, 1] / den[0, 1]
     assert _row_max(num, den, outside, bound)[2].tolist() == [0 if floats else 1]
+
+
+@pytest.mark.parametrize("kind", ["int32", "int64"])
+def test_tables_either_side_of_the_int32_limit_match_the_reference(kind, monkeypatch):
+    cfg, rows = row_axis_game(kind)
+    t = cfg.engine_tables
+    assert t.bound == TIER_BOUNDS[kind]
+    for arr in (t.M, t.MW, t.a, t.values, t.W, t.degree):
+        assert arr.dtype == kind
+    log = _staged_search(cfg, rows, True)
+    assert results(log) == [fraction_search(cfg, row, True) for row in rows]
+    # With the int32 tier switched off the same game runs in int64 and logs
+    # the same stages.
+    monkeypatch.setattr(_engines, "_INT32_LIMIT", 0)
+    wide = replace(cfg)
+    assert wide.engine_tables.M.dtype == np.int64
+    assert_logs_equal(_staged_search(wide, rows, True), log)
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1, 2)])
+def test_int32_games_at_q_beyond_the_tier_match_the_reference(alpha, caplog):
+    # Products max(qn, qd) * B reach 2^40 * B here, past int32 but within
+    # int64, so a call leaves the tables' tier; at q = 1/10^6 the alpha = 0
+    # game stays int32 (B is the largest degree) and the alpha = 1/2 one does
+    # not.  Neither needs Python ints.
+    net = generate_ba(300, 5, 1)
+    cfg = GameConfig(network=net, global_effect=ParametricGlobalEffect(alpha))
+    assert cfg.engine_tables.M.dtype == np.int32
+    assert (10**6 * cfg.engine_tables.bound < 2**31) == (alpha == 0)
+    rng = np.random.Generator(np.random.PCG64(6))
+    start = frozenset(int(i) for i in rng.choice(300, 60, replace=False))
+    seeded = replace(cfg, infected=start)
+    with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
+        for q in (F(2**40 - 1, 2**40), F(1, 10**6)):
+            result = cascade(seeded, start, q)
+            waves, final = run_fixed_q(FractionEngine(seeded), start, q)
+            assert [sorted(wave) for wave in result.waves] == waves
+            assert result.final == final
+            assert is_nash(seeded, final, q)
+            for members in (final, start):
+                assert is_nash(seeded, members, q) == (
+                    [i for i in range(300) if has_incentive(seeded, i, members, q)]
+                    == sorted(members))
+        df = depth_function(seeded, start)
+        assert df == DepthFunction.from_threshold(fraction_search(seeded, start, False))
+    assert not [r for r in caplog.records if "Python ints" in r.getMessage()]
+
+
+def test_a_snapshot_serves_games_of_both_tiers():
+    # On a 1000-node network the alpha = 0 game is int32 and the alpha = 1
+    # game int64; whichever fills the snapshot, each search from it logs the
+    # stages of its own start.
+    net = generate_ba(1000, 5, 3)
+    weights = InfluenceWeights.unit(net)
+    games = [GameConfig(network=net, weights=weights, global_effect=ParametricGlobalEffect(alpha))
+             for alpha in (F(0), F(1))]
+    assert [cfg.engine_tables.M.dtype for cfg in games] == [np.int32, np.int64]
+    rng = np.random.Generator(np.random.PCG64(12))
+    rows = [rng.choice(1000, size, replace=False) for size in (10, 200, 600, 990)]
+    alone = [_staged_search(cfg, rows, False) for cfg in games]
+    for order in ([0, 1], [1, 0]):
+        snapshot = StartSnapshot()
+        for k in order:
+            assert_logs_equal(_staged_search(games[k], rows, False, snapshot), alone[k])
+            engine = ExactEngine(games[k])
+            engine.start(rows, snapshot)
+            assert engine.S.dtype == games[k].engine_tables.M.dtype

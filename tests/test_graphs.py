@@ -489,6 +489,21 @@ def test_adjacency_is_built_once_on_first_read():
     assert len({id(j) for row in adjacency for j in row}) == net.node_count
 
 
+def test_degree_and_neighbors_read_the_csr():
+    net = generate_ba(300, 3, 4)
+    for i in [*range(net.node_count), -1, -300, np.int64(7)]:
+        assert type(net.degree(i)) is int
+        assert all(type(j) is int for j in net.neighbors(i))
+    assert "adjacency" not in vars(net)  # neither builds the neighbour tuples
+    for i in [*range(net.node_count), -1, -300, np.int64(7)]:
+        assert net.neighbors(i) == net.adjacency[i]
+        assert net.degree(i) == len(net.adjacency[i])
+    for i in (300, -301):
+        for read in (net.neighbors, net.degree):
+            with pytest.raises(IndexError):
+                read(i)
+
+
 def test_csr_matches_adjacency_and_is_read_only():
     net = load_edge_list("0 3\n3 1\n1 2\n2 3\n5 4")
     indptr, indices = net.csr

@@ -31,6 +31,7 @@ from netcontagion.montecarlo import (
     ExperimentGrid,
     _run_network_task,
     _size_groups,
+    _task_games,
     derive_seed,
     desk_grid,
     draw_players,
@@ -147,13 +148,16 @@ def test_size_batches_match_one_size_per_batch(monkeypatch):
         network_size=30, m_values=(1, 3), alpha_values=(F(0), F(1, 2), F(1)),
         networks_per_m=2, sets_per_size=3, set_sizes=(2, 5, 9, 14, 20, 25, 29),
         q_grid=(F(1, 2),), master_seed=11)
-    per_size = grid.sets_per_size * grid.network_size
+    # Every game of this grid is int32: 4 bytes per state element.
+    games = [_task_games(grid, m, network_id) for m in grid.m_values for network_id in range(2)]
+    assert {cfg.engine_tables.M.dtype for task in games for cfg in task} == {np.dtype(np.int32)}
+    per_size = grid.sets_per_size * grid.network_size * 4
     outcomes = []
     # One size per batch, uneven groups of three, and every size in one batch.
     for budget, widths in [(1, [1] * 7), (3 * per_size + 1, [3, 3, 1]),
                            (10**9, [7])]:
-        monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
-        assert [len(group) for group in _size_groups(grid)] == widths
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTES", budget)
+        assert [len(group) for group in _size_groups(grid, games[0])] == widths
         outcomes.append([unpack(_run_network_task(grid, m, network_id))
                          for m in grid.m_values for network_id in range(2)])
     # Runs compare equal field by field: q*, depth, subsets_checked, and the
@@ -167,10 +171,20 @@ def test_size_batches_match_one_size_per_batch(monkeypatch):
 
 
 def test_presets_batch_sizes_within_the_element_budget():
-    assert [len(g) for g in _size_groups(desk_grid())] == [10, 10, 9]
-    # 20 and 50 rows of 1000 players: one size per batch.
-    assert {len(g) for g in _size_groups(m5_benchmark_grid())} == {1}
-    assert {len(g) for g in _size_groups(full_grid())} == {1}
+    # The byte budget holds 2^15 int64 or 2^16 int32 elements per state array.
+    # Every desk game is int32 (B^2 < 2^31 at n = 300 for any alpha), so 21
+    # sizes of 10 rows of 300 players fit.
+    desk = desk_grid()
+    for m in desk.m_values:
+        games = _task_games(desk, m, 0)
+        assert {cfg.engine_tables.M.dtype for cfg in games} == {np.dtype(np.int32)}
+        assert [len(g) for g in _size_groups(desk, games)] == [21, 8]
+    # 20 and 50 rows of 1000 players, whose alpha = 1 games are int64: one
+    # size per batch.
+    for grid in (m5_benchmark_grid(), full_grid()):
+        games = _task_games(grid, 5, 0)
+        assert games[-1].engine_tables.M.dtype == np.int64
+        assert {len(g) for g in _size_groups(grid, games)} == {1}
 
 
 def test_derive_seed_stable_golden():

@@ -84,10 +84,11 @@ def assert_same(net, weights, c, effect, tables):
     assert t.values.tolist() == want["values"] and t.first.tolist() == want["first"]
     assert t.M.ravel().tolist() == want["M"] and t.a.ravel().tolist() == want["a"]
     assert t.bound == want["bound"]
-    dtype = np.int64 if t.bound < 2**63 else object
+    # Three tiers: int32 while B^2 < 2^31, int64 while B < 2^63, else Python ints.
+    dtype = np.int32 if t.bound**2 < 2**31 else np.int64 if t.bound < 2**63 else object
     assert t.M.dtype == t.a.dtype == dtype
-    if dtype is np.int64:
-        assert t.values.dtype == np.int64
+    if dtype is not object:
+        assert t.values.dtype == dtype
 
 
 @pytest.mark.parametrize("seed", range(16))
