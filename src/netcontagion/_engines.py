@@ -327,9 +327,11 @@ class ExactEngine:
                 window = slice(first, last + n)
             yield window, targets, slots
 
-    def _add(self, flips: np.ndarray) -> list[int]:
-        """Infect the flat ids; return the batch rows this filled, now retired."""
+    def apply(self, flips: np.ndarray) -> list[int]:
+        """Infect the flips (flat ids), row by row as ``flip_candidates``
+        gives them; return the batch rows they filled, now retired."""
         t, n = self.tables, self.n
+        flips = np.asarray(flips, dtype=np.int64)
         self._evaluated = None
         if len(self.K) == 1:  # one live row: the flat ids are its players
             players, base, added = flips, None, len(flips)
@@ -445,11 +447,6 @@ class ExactEngine:
         """Flat ids of the outsiders that deviate, at ``q[row]`` in each live row."""
         return np.flatnonzero(self.deviating(q) & self.outside)
 
-    def apply(self, flips: np.ndarray) -> list[int]:
-        """Infect the flips, row by row as ``flip_candidates`` gives them;
-        return the batch rows they filled."""
-        return self._add(np.asarray(flips, dtype=np.int64))
-
     def max_threshold(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray,
                                                                np.ndarray]:
         """Exact max of num_i/den_i over the outsiders of each live row at
@@ -463,7 +460,7 @@ class ExactEngine:
         pos = slice(None) if len(positions) == len(self.K) else positions
         if self._evaluated is None:
             num, den = self._pairs(pos)
-        else:  # the pairs of the last deviating call hold until the next _add
+        else:  # the pairs of the last deviating call hold until the next apply
             num, den = self._evaluated
             num = num[pos]
             if len(den) > 1:  # else the constant MW, or the one live row

@@ -116,10 +116,10 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
     if weights_spec == "unit":
         weights = InfluenceWeights.unit(net)
     else:
-        pairs = {}
-        for i, j, w in _entries(weights_spec, 3, "weights"):
-            pairs[(_int(i, "weight i"), _int(j, "weight j"))] = as_rational(w, "weight")
-        weights = InfluenceWeights.from_pairs(net, pairs)
+        # The raw weights: from_pairs parses each once and names its w[i][j].
+        weights = InfluenceWeights.from_pairs(net, {
+            (_int(i, "weight i"), _int(j, "weight j")): w
+            for i, j, w in _entries(weights_spec, 3, "weights")})
     flag_alpha = getattr(args, "alpha", None)
     if "global_tables" in doc:
         if "alpha" in doc or flag_alpha is not None:

@@ -342,14 +342,12 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
                 members.extend(engine.infected_set(r) for r in closed.tolist())
             pairs[closed, 0], pairs[closed, 1] = num, den
         filled = engine.apply(flips) if len(flips) else []
-    return _stage_log(pieces, members, evaluations, n,
-                      engine.tables.bound**2 >= _INT64_LIMIT)
+    return _stage_log(pieces, members, evaluations, n)
 
 
-def _stage_log(pieces, members, evaluations: np.ndarray, n: int,
-               python_ints: bool) -> StageLog:
+def _stage_log(pieces, members, evaluations: np.ndarray, n: int) -> StageLog:
     """Group the logged stages by row, reduce their q pairs, and check the
-    search's invariants on them; ``python_ints`` when products of two q
+    search's invariants on them, in Python ints where a product of two q
     terms may exceed int64."""
     row, q, size, marginal = (np.concatenate(col) for col in zip(*pieces))
     order = np.argsort(row, kind="stable")
@@ -358,7 +356,7 @@ def _stage_log(pieces, members, evaluations: np.ndarray, n: int,
     counts = np.bincount(row, minlength=len(evaluations))
     start = np.concatenate([[0], np.cumsum(counts)])
     first, last = start[:-1], start[1:] - 1
-    qn, qd = (q[:, 0], q[:, 1]) if not python_ints else (
+    qn, qd = (q[:, 0], q[:, 1]) if int(q.max()) ** 2 < _INT64_LIMIT else (
         q[:, 0].astype(object), q[:, 1].astype(object))
     same = row[1:] == row[:-1]  # consecutive stages of one row
     descent = np.ones(len(row), dtype=bool)

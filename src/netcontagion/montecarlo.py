@@ -27,13 +27,14 @@ Every random draw flows from ``master_seed`` through a documented split:
 runs are bit-identical regardless of worker count or scheduling.
 
 A network task returns one :class:`RunBatch`: integer columns per run
-(intensity, set size, replicate, q* as a reduced num/den pair, subsets
-checked) and per depth step (q pair, equilibrium size), taken from the
-staged searches' integer stage logs and already in the global run
-order.  No per-stage or per-run object is built: the rows of ``runs.csv``
-and ``runs.jsonl`` are rendered from the batch's integers, and
-:class:`Aggregator` sums them exactly, with integer cross-products for
-the reached counts.  A sweep streams: :func:`iter_batches` yields one
+(intensity, set size, replicate, subsets checked) and per stage (q as a
+reduced num/den pair, equilibrium size), the staged searches' integer
+stage logs as they are, already in the global run order; a run's last
+stage is q*, and the ones before it are its depth steps.  No per-stage
+or per-run object is built: the rows of ``runs.csv`` and ``runs.jsonl``
+are rendered from the batch's integers, and :class:`Aggregator` sums
+them exactly, with integer cross-products for the reached counts and
+one q* float per run.  A sweep streams: :func:`iter_batches` yields one
 task's batch at a time, so neither the writers nor the aggregator hold
 the whole run, and a worker process returns its batch as arrays.
 :meth:`AggregateTable.depth_curves` gives the mean-depth curves that
@@ -182,14 +183,15 @@ class RunBatch:
     """Runs that share m, network and network size, as integer columns.
 
     Run ``i`` searched a drawn set of ``set_size[i]`` players (replicate
-    ``replicate[i]``) at intensity ``alphas[alpha[i]]``, reached
-    q* = ``q_num[i] / q_den[i]`` and checked ``subsets_checked[i]``
-    subsets.  Its depth function's steps, the stages before q*, are
-    ``steps[i]:steps[i + 1]`` of ``step_num``, ``step_den`` (q as a reduced
-    pair) and ``step_size`` (the equilibrium reached at that q).  Pairs are
-    int64, or Python ints where one exceeds int64.  A network task's batch
-    lists its runs by set size, then replicate, then intensity, with
-    ``alphas`` ascending.
+    ``replicate[i]``) at intensity ``alphas[alpha[i]]`` and checked
+    ``subsets_checked[i]`` subsets.  Its stages, as the staged search's
+    ``StageLog`` holds them, are ``stages[i]:stages[i + 1]`` of ``q_num``,
+    ``q_den`` (q as a reduced pair) and ``size`` (the equilibrium reached at
+    that q): they fall from q = 1, the last is q* with the full network, and
+    the ones before it are the run's depth steps.  Pairs are int64, or
+    Python ints where one exceeds int64.  A network task's batch lists its
+    runs by set size, then replicate, then intensity, with ``alphas``
+    ascending.
     """
 
     m: int
@@ -199,42 +201,41 @@ class RunBatch:
     alpha: np.ndarray
     set_size: np.ndarray
     replicate: np.ndarray
+    subsets_checked: np.ndarray
+    stages: np.ndarray
     q_num: np.ndarray
     q_den: np.ndarray
-    subsets_checked: np.ndarray
-    steps: np.ndarray
-    step_num: np.ndarray
-    step_den: np.ndarray
-    step_size: np.ndarray
+    size: np.ndarray
 
     def __len__(self) -> int:
         return len(self.alpha)
 
     def take(self, order: np.ndarray) -> "RunBatch":
-        """The runs at ``order``, each with its steps."""
-        counts = np.diff(self.steps)[order]
-        steps = np.concatenate([[0], np.cumsum(counts)])
-        at = np.repeat(self.steps[:-1][order] - steps[:-1], counts) + np.arange(steps[-1])
+        """The runs at ``order``, each with its stages."""
+        counts = np.diff(self.stages)[order]
+        stages = np.concatenate([[0], np.cumsum(counts)])
+        at = np.repeat(self.stages[:-1][order] - stages[:-1], counts) + np.arange(stages[-1])
         return replace(
             self, alpha=self.alpha[order], set_size=self.set_size[order],
-            replicate=self.replicate[order], q_num=self.q_num[order], q_den=self.q_den[order],
-            subsets_checked=self.subsets_checked[order], steps=steps,
-            step_num=self.step_num[at], step_den=self.step_den[at],
-            step_size=self.step_size[at])
+            replicate=self.replicate[order], subsets_checked=self.subsets_checked[order],
+            stages=stages, q_num=self.q_num[at], q_den=self.q_den[at], size=self.size[at])
 
     def lines(self) -> Iterator[tuple[str, str]]:
         """Each run's ``runs.csv`` row and ``runs.jsonl`` line, line ends
         included, rendered from the integer pairs."""
         m, net, ns = self.m, self.network_id, self.network_size
         alphas = [rational_str(alpha) for alpha in self.alphas]
-        steps = [f'{{"q_num":{a},"q_den":{b},"size":{size}}}' for a, b, size in zip(
-            self.step_num.tolist(), self.step_den.tolist(), self.step_size.tolist())]
-        bounds = self.steps.tolist()
-        for i, (a, size, rep, qn, qd, checked) in enumerate(zip(
+        nums, dens = self.q_num.tolist(), self.q_den.tolist()
+        steps = [f'{{"q_num":{a},"q_den":{b},"size":{size}}}'
+                 for a, b, size in zip(nums, dens, self.size.tolist())]
+        bounds = self.stages.tolist()
+        for i, (a, size, rep, checked) in enumerate(zip(
                 self.alpha.tolist(), self.set_size.tolist(), self.replicate.tolist(),
-                self.q_num.tolist(), self.q_den.tolist(), self.subsets_checked.tolist())):
+                self.subsets_checked.tolist())):
+            last = bounds[i + 1] - 1  # q*
+            qn, qd = nums[last], dens[last]
             alpha, decimal = alphas[a], decimal_ratio(qn, qd)
-            depth = ",".join(steps[bounds[i]:bounds[i + 1]])
+            depth = ",".join(steps[bounds[i]:last])
             yield (f"{m},{alpha},{net},{size},{rep},{qn},{qd},{decimal},{checked}\r\n",
                    f'{{"m":{m},"alpha":"{alpha}","network_id":{net},"set_size":{size},'
                    f'"replicate":{rep},"q_star":{{"num":{qn},"den":{qd},"decimal":"{decimal}"}},'
@@ -243,21 +244,19 @@ class RunBatch:
 
     def reached(self, q_grid: Sequence[Fraction]) -> np.ndarray:
         """Players each run reaches at each q of ``q_grid``, as ``(runs, len(q_grid))``."""
-        runs = len(self)
-        out = np.full((runs, len(q_grid)), self.network_size, dtype=np.int64)
-        qn, qd, sn, sd = self.q_num, self.q_den, self.step_num, self.step_den
-        top = max(int(qd.max(initial=1)), int(sd.max(initial=1)))  # pairs are at most 1
+        out = np.empty((len(self), len(q_grid)), dtype=np.int64)
+        qn, qd = self.q_num, self.q_den
+        top = int(qd.max(initial=1))  # pairs are at most 1
         for j, q in enumerate(q_grid):
             a, b = q.numerator, q.denominator
             if max(a, b) * top >= _INT64_LIMIT:
-                qn, qd, sn, sd = (col.astype(object) for col in (qn, qd, sn, sd))
-            # Above q* a run reaches the size at its smallest breakpoint >= q.
-            # The breakpoints fall from 1, so the steps at or above q are the
-            # first ``count`` of the run's, and the last of them is that one.
-            above = np.flatnonzero(a * qd > qn * b)
-            seen = np.concatenate([[0], np.cumsum(sn * b >= a * sd)])
-            count = seen[self.steps[1:]] - seen[self.steps[:-1]]
-            out[above, j] = self.step_size[(self.steps[:-1] + count - 1)[above]]
+                qn, qd = qn.astype(object), qd.astype(object)
+            # A run reaches the size at its smallest stage q >= q: the full
+            # network at q* for every q <= q*.  The stage qs fall from 1, so
+            # those >= q are the first ``count`` of the run's.
+            seen = np.concatenate([[0], np.cumsum(qn * b >= a * qd)])
+            count = seen[self.stages[1:]] - seen[self.stages[:-1]]
+            out[:, j] = self.size[self.stages[:-1] + count - 1]
         return out
 
 
@@ -299,20 +298,15 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> RunBatch
         snapshot = StartSnapshot()
         for a, cfg in enumerate(configs):
             log = _staged_search(cfg, starts, collect_members=False, snapshot=snapshot)
-            # A run's last stage is at q*; the stages before it are its depth steps.
-            last = log.start[1:] - 1
             parts.append((np.full(len(starts), a), np.repeat(sizes, reps),
-                          np.tile(np.arange(reps), len(sizes)), log.q_num[last],
-                          log.q_den[last], log.subsets_checked, np.diff(log.start) - 1,
-                          np.delete(log.q_num, last), np.delete(log.q_den, last),
-                          np.delete(log.size, last)))
-    (alpha, set_size, replicate, q_num, q_den, checked, counts,
-     step_num, step_den, step_size) = (np.concatenate(col) for col in zip(*parts))
+                          np.tile(np.arange(reps), len(sizes)), log.subsets_checked,
+                          np.diff(log.start), log.q_num, log.q_den, log.size))
+    (alpha, set_size, replicate, checked, counts, q_num, q_den, size) = (
+        np.concatenate(col) for col in zip(*parts))
     batch = RunBatch(
         m=m, network_id=network_id, network_size=grid.network_size, alphas=alphas,
-        alpha=alpha, set_size=set_size, replicate=replicate, q_num=q_num, q_den=q_den,
-        subsets_checked=checked, steps=np.concatenate([[0], np.cumsum(counts)]),
-        step_num=step_num, step_den=step_den, step_size=step_size)
+        alpha=alpha, set_size=set_size, replicate=replicate, subsets_checked=checked,
+        stages=np.concatenate([[0], np.cumsum(counts)]), q_num=q_num, q_den=q_den, size=size)
     return batch.take(np.lexsort((batch.alpha, batch.replicate, batch.set_size)))
 
 
@@ -382,20 +376,21 @@ class Aggregator:
 
     It takes :class:`RunBatch`es of the first batch's network size and
     refuses any other.  Per (m, alpha, set size) it keeps the exact sum of
-    q*, integer reached counts at each q of ``q_grid`` (the numerators of
-    the runs' depths) and the q* floats in arrival order, which count the
-    runs and give the same ``np.std`` a list of them would.  Per (m, alpha)
-    it keeps the (size fraction, q*) plot points as floats in arrival
-    order.  :meth:`table` is the table of every run added so far.
+    q* and integer reached counts at each q of ``q_grid`` (the numerators
+    of the runs' depths).  Per (m, alpha) it keeps each run's set size and
+    q* float in arrival order: they count each cell's runs, give the same
+    ``np.std`` a list of the cell's q* floats would, and are the plot
+    points.  :meth:`table` is the table of every run added so far.
     """
 
     def __init__(self, q_grid: Iterable = ()):
         self.q_grid = tuple(as_unit_rational(q, "q") for q in q_grid)
         self.count = 0
         self.network_size: int | None = None
-        # (m, alpha, set size) -> ([q* sum, reached per q], q* floats)
-        self._cells: dict[tuple[int, Fraction, int], tuple[list, array]] = {}
-        self._points: dict[tuple[int, Fraction], tuple[array, array]] = {}
+        # (m, alpha, set size) -> [q* sum, reached per q]
+        self._cells: dict[tuple[int, Fraction, int], list] = {}
+        # (m, alpha) -> (set sizes, q* floats)
+        self._runs: dict[tuple[int, Fraction], tuple[array, array]] = {}
 
     def add(self, batch: RunBatch) -> None:
         """Fold in a batch; one of another network size than the first
@@ -407,27 +402,28 @@ class Aggregator:
                 f"an Aggregator summarizes runs of one network size: got a batch of "
                 f"{batch.network_size}-node networks after {self.network_size}-node ones")
         self.count += len(batch)
+        last = batch.stages[1:] - 1  # q*
+        q_num, q_den = batch.q_num[last], batch.q_den[last]
         # Python's int division, as float(Fraction) is: correctly rounded at any size.
-        q_floats = np.array([a / b for a, b in zip(batch.q_num.tolist(), batch.q_den.tolist())])
+        q_floats = np.array([a / b for a, b in zip(q_num.tolist(), q_den.tolist())])
         reached = batch.reached(self.q_grid)
         for runs in _groups(batch.alpha, batch.set_size):
             first = runs[0]
             key = (batch.m, batch.alphas[batch.alpha[first]], int(batch.set_size[first]))
-            sums, floats = self._cells.setdefault(key, ([0] * (1 + len(self.q_grid)), array("d")))
-            for j, total in enumerate([_sum(batch.q_num[runs], batch.q_den[runs]),
+            sums = self._cells.setdefault(key, [0] * (1 + len(self.q_grid)))
+            for j, total in enumerate([_sum(q_num[runs], q_den[runs]),
                                        *reached[runs].sum(axis=0).tolist()]):
                 sums[j] += total
-            floats.extend(q_floats[runs].tolist())
         for runs in _groups(batch.alpha):
-            xs, ys = self._points.setdefault((batch.m, batch.alphas[batch.alpha[runs[0]]]),
-                                             (array("d"), array("d")))
-            xs.extend((batch.set_size[runs] / batch.network_size).tolist())
-            ys.extend(q_floats[runs].tolist())
+            sizes, floats = self._runs.setdefault((batch.m, batch.alphas[batch.alpha[runs[0]]]),
+                                                  (array("q"), array("d")))
+            sizes.extend(batch.set_size[runs].tolist())
+            floats.extend(q_floats[runs].tolist())
 
     def points(self, m: int, alpha: Fraction) -> list[tuple[float, float]]:
         """(size fraction, q*) of every (m, alpha) run, in arrival order."""
-        xs, ys = self._points.get((m, alpha), ((), ()))
-        return list(zip(xs, ys))
+        sizes, floats = self._runs.get((m, alpha), ((), ()))
+        return [(size / self.network_size, y) for size, y in zip(sizes, floats)]
 
     def table(self) -> AggregateTable:
         """Arithmetic means of q* (exact) grouped by (m, alpha, set size),
@@ -439,11 +435,14 @@ class Aggregator:
         if not self.count:
             raise ParameterError("no runs to aggregate")
         table = AggregateTable(network_size=self.network_size)
-        cells = sorted(self._cells.items())
-        for key, (sums, floats) in cells:
-            table.thresholds[key] = ThresholdCell(
-                mean=sums[0] / len(floats), count=len(floats),
-                sd=float(np.std(np.frombuffer(floats))))
+        # One scenario's floats at a time, each cell's in arrival order.
+        for (m, alpha), (sizes, floats) in sorted(self._runs.items()):
+            sizes, floats = np.frombuffer(sizes, dtype=np.int64), np.frombuffer(floats)
+            for runs in _groups(sizes):
+                key = (m, alpha, int(sizes[runs[0]]))
+                table.thresholds[key] = ThresholdCell(
+                    mean=self._cells[key][0] / len(runs), count=len(runs),
+                    sd=float(np.std(floats[runs])))
         for (m, alpha), group in groupby(table.thresholds.items(), key=lambda item: item[0][:2]):
             means = [(size, stats.mean) for (_, _, size), stats in group]
             for (s0, v0), (s1, v1) in zip(means, means[1:]):
@@ -454,11 +453,11 @@ class Aggregator:
                         f"sampling jitter", stacklevel=2)
                     break
         for j, q in enumerate(self.q_grid, 1):
-            for (m, alpha, size), (sums, floats) in cells:
+            for (m, alpha, size), cell in table.thresholds.items():
                 # A run's depth is reached / network size, so a cell's integer
                 # reached count, divided once, is the sum of its runs' depths.
                 table.depth_means[(m, alpha, q, size)] = Fraction(
-                    sums[j], len(floats) * self.network_size)
+                    self._cells[(m, alpha, size)][j], cell.count * self.network_size)
         return table
 
 

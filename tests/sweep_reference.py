@@ -74,27 +74,27 @@ def _ints(values):
 
 
 def pack(runs):
-    """The ``RunBatch`` of runs that share m, network and network size."""
+    """The ``RunBatch`` of runs that share m, network and network size: a
+    run's stages are its breakpoints, with its interval sizes and then the
+    full network at q*."""
     first = runs[0]
     alphas = tuple(sorted({run.alpha for run in runs}))
-    steps, step_qs, step_sizes = [0], [], []
+    stages, qs, sizes = [0], [], []
     for run in runs:
         assert run.q_star == run.depth.q_star and run.depth.node_count == run.network_size
-        step_qs += run.depth.breakpoints[:-1]
-        step_sizes += run.depth.interval_sizes
-        steps.append(len(step_sizes))
+        qs += run.depth.breakpoints
+        sizes += [*run.depth.interval_sizes, run.network_size]
+        stages.append(len(sizes))
     return RunBatch(
         m=first.m, network_id=first.network_id, network_size=first.network_size, alphas=alphas,
         alpha=np.array([alphas.index(run.alpha) for run in runs], dtype=np.int64),
         set_size=_ints([run.set_size for run in runs]),
         replicate=_ints([run.replicate_id for run in runs]),
-        q_num=_ints([run.q_star.numerator for run in runs]),
-        q_den=_ints([run.q_star.denominator for run in runs]),
         subsets_checked=_ints([run.subsets_checked for run in runs]),
-        steps=np.array(steps, dtype=np.int64),
-        step_num=_ints([q.numerator for q in step_qs]),
-        step_den=_ints([q.denominator for q in step_qs]),
-        step_size=_ints(step_sizes))
+        stages=np.array(stages, dtype=np.int64),
+        q_num=_ints([q.numerator for q in qs]),
+        q_den=_ints([q.denominator for q in qs]),
+        size=_ints(sizes))
 
 
 def pack_stream(runs):
@@ -104,20 +104,20 @@ def pack_stream(runs):
 
 
 def unpack(batch):
-    """The batch's columns as runs: alpha, size, replicate, the q* pair,
-    subsets checked and the depth steps."""
-    bounds = batch.steps.tolist()
-    qs = [Fraction(a, b) for a, b in zip(batch.step_num.tolist(), batch.step_den.tolist())]
-    sizes = batch.step_size.tolist()
+    """The batch's columns as runs: alpha, size, replicate, subsets checked
+    and the stages, the last of them q* with the full network."""
+    bounds = batch.stages.tolist()
+    qs = [Fraction(a, b) for a, b in zip(batch.q_num.tolist(), batch.q_den.tolist())]
+    sizes = batch.size.tolist()
     runs = []
-    for i, (a, size, rep, qn, qd, checked) in enumerate(zip(
+    for i, (a, set_size, rep, checked) in enumerate(zip(
             batch.alpha.tolist(), batch.set_size.tolist(), batch.replicate.tolist(),
-            batch.q_num.tolist(), batch.q_den.tolist(), batch.subsets_checked.tolist())):
-        lo, hi = bounds[i], bounds[i + 1]
-        depth = DepthFunction(tuple(qs[lo:hi]) + (Fraction(qn, qd),), tuple(sizes[lo:hi]),
-                              batch.network_size)
+            batch.subsets_checked.tolist())):
+        lo, last = bounds[i], bounds[i + 1] - 1
+        assert sizes[last] == batch.network_size
+        depth = DepthFunction(tuple(qs[lo:last + 1]), tuple(sizes[lo:last]), batch.network_size)
         runs.append(Run(m=batch.m, alpha=batch.alphas[a], network_id=batch.network_id,
-                        set_size=size, replicate_id=rep, q_star=Fraction(qn, qd), depth=depth,
+                        set_size=set_size, replicate_id=rep, q_star=qs[last], depth=depth,
                         subsets_checked=checked, network_size=batch.network_size))
     return runs
 

@@ -153,8 +153,9 @@ def test_threshold_table_reproduction(benchmark_sweep):
         assert abs(float(cell.mean) - expected) <= 0.02, \
             f"alpha={alpha} size={size}: {float(cell.mean):.4f} vs {expected}"
         details.append(f"{float(cell.mean):.3f}/{expected}")
-    saturated = [(b.q_num[at], b.q_den[at]) for b in batches
-                 for at in [(b.set_size == 400) & (b.alpha == b.alphas.index(F(1)))]]
+    saturated = [(b.q_num[last], b.q_den[last]) for b in batches  # q* is a run's last stage
+                 for last in [(b.stages[1:] - 1)[(b.set_size == 400)
+                                                 & (b.alpha == b.alphas.index(F(1)))]]]
     assert sum(len(num) for num, _ in saturated) == 200
     assert all((num == 1).all() and (den == 1).all() for num, den in saturated)
     report("threshold-table", "mean q* vs reference: " + " ".join(details))

@@ -18,7 +18,7 @@ from sweep_reference import (
 from netcontagion import montecarlo, svgplot
 from netcontagion.cli import main
 from netcontagion.game import InfluenceWeights
-from netcontagion.graphs import Network, load_edge_list
+from netcontagion.graphs import Network, generate_ba, load_edge_list
 from netcontagion.rational import rational_str
 
 
@@ -229,6 +229,18 @@ def test_a_bad_table_entry_names_its_table(tmp_path, capsys, field, step):
                              "--config", str(tmp_path / "game.json"))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: table[3] {field} ") and "boolean" in err
+
+
+def test_a_bad_weight_names_its_pair(tmp_path, capsys):
+    # The CLI hands each raw weight to from_pairs, which parses it once and
+    # names the neighbour pair it sits on.
+    i, j = next(iter(generate_ba(30, 2, 1).edges()))
+    doc = {"infected": [0], "weights": [[i, j, "1/2"], [j, i, True]]}
+    (tmp_path / "game.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "threshold", "--generate", "30,2,1",
+                             "--config", str(tmp_path / "game.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: w[{j}][{i}] must be a rational, not a boolean; got True\n"
 
 
 @pytest.mark.parametrize("alpha, flag", [("1/2", None), ("0", None), (True, None),

@@ -610,7 +610,14 @@ def log_pieces(qs, sizes, marginals):
 GOOD_LOG = ([(1, 1), (1, 2), (1, 3)], [1, 3, 4], [2, 3, -1])
 
 
-@pytest.mark.parametrize("python_ints", [False, True])
+def big(q, K=2**32):
+    """A q with terms past 2^32, whose products leave int64, in the same
+    order against every q of a log: a/b -> (aK + 1)/(bK + 1), 1 kept."""
+    a, b = q
+    return (a * K + 1, b * K + 1)
+
+
+@pytest.mark.parametrize("big_terms", [False, True])
 @pytest.mark.parametrize("changes, message", [
     ({0: [(9, 10), (1, 2), (1, 3)]}, "must start at q_0 = 1"),
     ({0: [(1, 1), (1, 2), (1, 2)]}, "q must strictly decrease"),
@@ -621,18 +628,24 @@ GOOD_LOG = ([(1, 1), (1, 2), (1, 3)], [1, 3, 4], [2, 3, -1])
     ({2: [2, -1, -1]}, "one marginal player per stage descent"),
 ], ids=["first-q", "q-flat", "q-rising", "size-flat", "last-not-full",
         "marginals-long", "marginals-short"])
-def test_stage_log_checks_the_threshold_invariants(changes, message, python_ints):
+def test_stage_log_checks_the_threshold_invariants(changes, message, big_terms):
+    # With big terms the log compares its q pairs in Python ints.
     n = 4
-    log = _stage_log(log_pieces(*GOOD_LOG), None, np.array([5, 0]), n, python_ints)
+
+    def pieces(qs, sizes, marginals):
+        return log_pieces([big(q) for q in qs] if big_terms else qs, sizes, marginals)
+
+    log = _stage_log(pieces(*GOOD_LOG), None, np.array([5, 0]), n)
     assert log.start.tolist() == [0, 3, 4]
     assert log.subsets_checked.tolist() == [3, 0]
+    qs = [F(*big(q)) if big_terms else F(*q) for q in GOOD_LOG[0]]
+    assert (max(log.q_den.tolist()) >= 2**32) == big_terms
     assert log.result(0) == ThresholdResult(
-        q_star=F(1, 3), stages=tuple(ThresholdStage(q, size) for q, size in
-                                     [(F(1), 1), (F(1, 2), 3), (F(1, 3), 4)]),
+        q_star=qs[-1], stages=tuple(ThresholdStage(q, size) for q, size in zip(qs, [1, 3, 4])),
         subsets_checked=3, marginal_players=(2, 3), node_count=n)
     bad = [changes.get(k, column) for k, column in enumerate(GOOD_LOG)]
     with pytest.raises(InvariantViolationError, match=message):
-        _stage_log(log_pieces(*bad), None, np.array([5, 0]), n, python_ints)
+        _stage_log(pieces(*bad), None, np.array([5, 0]), n)
 
 
 def state(engine):

@@ -654,10 +654,18 @@ LARGE_Q_GRID = (F(1, 3), F(2**64 + 1, 2**65 + 3), F(2**70 - 5, 2**70), F(0), F(1
        st.lists(unit_fractions(True) | unit_fractions(False), max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_aggregator_batches_equal_the_fraction_reference(records, q_grid):
-    q_grid = tuple(dict.fromkeys(q_grid)) + LARGE_Q_GRID
+    # The records' own stage qs put reached at exact stage boundaries.
+    stage_qs = tuple(dict.fromkeys(q for r in records for q in r.depth.breakpoints))
+    q_grid = tuple(dict.fromkeys((*q_grid, *stage_qs))) + LARGE_Q_GRID
     aggregator = Aggregator(q_grid)
     for batch in pack_stream(records):
         aggregator.add(batch)
+        # Past LARGE_Q_GRID's terms beyond 2^63 it decides in Python ints:
+        # the stage boundaries again, there.
+        python_ints = LARGE_Q_GRID + stage_qs
+        assert batch.reached(python_ints).tolist() == [
+            [depth_at(run.depth, q) * run.network_size for q in python_ints]
+            for run in unpack(batch)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = aggregator.table()
@@ -714,7 +722,7 @@ def test_network_task_builds_no_per_run_objects(monkeypatch):
     rows = list(batch.lines())
     Aggregator(grid.q_grid).add(batch)
     monkeypatch.undo()
-    stages = len(batch.step_size) + len(batch)
+    stages = len(batch.size)
     assert len(rows) == len(batch) == 30
     # A few Fractions per configuration and per aggregated cell, none per stage.
     assert len(made) < len(batch) < stages
