@@ -176,7 +176,7 @@ def _cmd_generate(args) -> int:
 def _cmd_threshold(args) -> int:
     doc = _load_config(args.config) if args.config else {}
     cfg, start = _game_from_args(args, doc)
-    result = full_contagion_threshold(cfg, start, collect_members=args.members)
+    result = full_contagion_threshold(cfg, start)
     if args.json:
         print(json.dumps(result.to_dict(include_members=args.members), indent=2))
         return 0
@@ -188,7 +188,7 @@ def _cmd_threshold(args) -> int:
         print(f"{idx:>5} {rational_str(stage.q):>12} "
               f"{decimal_render(stage.q):>10} {stage.size:>6}")
         if args.members:
-            print(f"      members: {sorted(stage.members)}")
+            print(f"      members: {sorted(result.members(idx))}")
     if result.marginal_players:
         print(f"marginal players per stage: {list(result.marginal_players)}")
     return 0
@@ -355,12 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", help="JSON file of [i, j, w] weight triples")
         p.add_argument("--endogenous", action="store_true",
                        help="do not seed the starting set exogenously")
-        p.add_argument("--members", action="store_true",
-                       help="list equilibrium members")
         p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("threshold", help="full-network contagion threshold")
     game_flags(p)
+    p.add_argument("--members", action="store_true", help="list equilibrium members")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("depth", help="contagion depth and virality at given q")

@@ -15,7 +15,9 @@ a reduced num/den pair, equilibrium size, marginal player) appended once
 per step for every row that closes a stage.  The search's invariants are
 checked over those arrays; the Monte Carlo sweep reads the log directly,
 and ``full_contagion_threshold`` builds its one result from it, from which
-``depth_function`` takes its breakpoints.
+``depth_function`` takes its breakpoints.  The log also keeps each step's
+flips: the stage equilibria nest, so a row's join order (its initial set,
+then its flips step by step) lists every stage's members as a prefix.
 
 Waves are synchronous: each flip wave is computed against the frozen
 current set, so flips within a wave do not see each other.
@@ -76,16 +78,9 @@ class ThresholdStage:
 
     q: Fraction
     size: int
-    members: PlayerSet | None = None
 
-    def to_dict(self, include_members: bool = False) -> dict:
-        out = {
-            "q": rational_json(self.q),
-            "equilibrium_size": self.size,
-        }
-        if include_members and self.members is not None:
-            out["equilibrium_members"] = sorted(self.members)
-        return out
+    def to_dict(self) -> dict:
+        return {"q": rational_json(self.q), "equilibrium_size": self.size}
 
 
 @dataclass(frozen=True)
@@ -96,6 +91,8 @@ class ThresholdResult:
     q_n; the q's strictly decrease from 1 to q* while the equilibria
     strictly grow to the full set.  ``marginal_players[n]`` is the
     lowest-indexed attainer of the max that produced ``stages[n+1].q``.
+    ``order`` lists the players as they joined, the initial set and then
+    each step's flips ascending: stage n's members are its first ``stages[n].size``.
     """
 
     q_star: Fraction
@@ -103,6 +100,7 @@ class ThresholdResult:
     subsets_checked: int
     marginal_players: tuple[int, ...]
     node_count: int
+    order: tuple[int, ...]
 
     def __post_init__(self):
         if not self.stages or self.stages[0].q != 1:
@@ -117,11 +115,19 @@ class ThresholdResult:
             raise InvariantViolationError("q_star must equal the last stage q")
         if len(self.marginal_players) != len(self.stages) - 1:
             raise InvariantViolationError("one marginal player per stage descent")
+        order = np.fromiter(self.order, dtype=np.int64, count=len(self.order))
+        if not np.array_equal(np.sort(order), np.arange(self.node_count)):
+            raise InvariantViolationError("the join order must list every player once")
+
+    def members(self, k: int) -> PlayerSet:
+        """The equilibrium of stage ``k``."""
+        return frozenset(self.order[:self.stages[k].size])
 
     def to_dict(self, include_members: bool = False) -> dict:
         return {
             "q_star": rational_json(self.q_star),
-            "stages": [st.to_dict(include_members) for st in self.stages],
+            "stages": [{**st.to_dict(), "equilibrium_members": sorted(self.members(k))}
+                       if include_members else st.to_dict() for k, st in enumerate(self.stages)],
             "subsets_checked": self.subsets_checked,
             "marginal_players": list(self.marginal_players),
         }
@@ -226,19 +232,17 @@ def cascade(cfg: GameConfig, start: Iterable[int], q) -> CascadeResult:
                          initial=initial, subsets_checked=checked)
 
 
-def full_contagion_threshold(cfg: GameConfig, start: Iterable[int], *,
-                             collect_members: bool = True) -> ThresholdResult:
+def full_contagion_threshold(cfg: GameConfig, start: Iterable[int]) -> ThresholdResult:
     """Find the contagion threshold q* and the stagewise equilibria.
 
     Every starting player must have the incentive at q = 1 (as exogenously
     infected players do).  Each stage resumes the cascade from the previous
     equilibrium at the largest q that switches some outsider; by the
     bootstrap property the resumed cascade reaches exactly C(start, q).
-    ``collect_members=False`` keeps only equilibrium sizes.
     """
     start = cfg.player_set(start)
     _check_start_incentive(cfg, start, Fraction(1))
-    return _staged_search(cfg, [start | cfg.infected], collect_members).result(0)
+    return _staged_search(cfg, [start | cfg.infected]).result(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +253,10 @@ class StageLog:
     cascading at ``q_num[k] / q_den[k]`` (a reduced pair); ``marginal[k]``
     is the attainer of the max that gave the row's next q, -1 on its last
     stage.  The stages of row ``r`` are ``start[r]:start[r + 1]``, in search
-    order.  Building the log checks :class:`ThresholdResult`'s invariants
-    over the arrays, so a search needs no per-stage object; ``result``
-    builds those of one row.
+    order.  ``steps`` holds each step's live rows before it and its flips:
+    row ``r``'s are the flat ids ``f`` with ``live[f // n] == r``.  Building
+    the log checks :class:`ThresholdResult`'s invariants over the arrays, so
+    a search needs no per-stage object; ``result`` builds those of one row.
     """
 
     start: np.ndarray
@@ -261,63 +266,57 @@ class StageLog:
     marginal: np.ndarray
     subsets_checked: np.ndarray  # per row
     node_count: int
-    members: list[PlayerSet] | None = None  # per stage, when collected
+    initials: Sequence[Iterable[int]]
+    steps: list[tuple[np.ndarray, np.ndarray]]
 
     def result(self, row: int) -> ThresholdResult:
         lo, hi = self.start[row], self.start[row + 1]
         qs = [Fraction(a, b) for a, b in zip(self.q_num[lo:hi].tolist(),
                                              self.q_den[lo:hi].tolist())]
-        members = self.members[lo:hi] if self.members is not None else [None] * len(qs)
+        n, initial = self.node_count, self.initials[row]
+        order = [np.sort(np.fromiter(initial, dtype=np.int64, count=len(initial)))]
+        order += [flips[live[flips // n] == row] % n for live, flips in self.steps]
         return ThresholdResult(
             q_star=qs[-1],
-            stages=tuple([ThresholdStage(q, size, m) for q, size, m in
-                          zip(qs, self.size[lo:hi].tolist(), members)]),
+            stages=tuple([ThresholdStage(q, size) for q, size in
+                          zip(qs, self.size[lo:hi].tolist())]),
             subsets_checked=int(self.subsets_checked[row]),
             marginal_players=tuple(self.marginal[lo:hi - 1].tolist()),
-            node_count=self.node_count)
+            node_count=n, order=tuple(np.concatenate(order).tolist()))
 
 
 def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
-                   collect_members: bool, snapshot: StartSnapshot | None = None) -> StageLog:
+                   snapshot: StartSnapshot | None = None) -> StageLog:
     """The staged search from every initial set at once, one engine row each.
 
     ``initials`` are the engine's starting sets (start plus infected); the
     caller has checked that every member deviates at q = 1.  Rows advance
     in lockstep: each step evaluates every live row at its own q, applies
     the rows that flip, and closes a stage on each row that does not.
-    Each step appends its closed stages to the log as arrays.  Searches of
-    the same sets on one network and weights may share a ``snapshot`` of
-    their start (see ``ExactEngine.start``).
+    Each step appends its closed stages and its flips to the log as arrays.
+    Searches of the same sets on one network and weights may share a
+    ``snapshot`` of their start (see ``ExactEngine.start``).
     """
     n = cfg.network.node_count
-    rows = len(initials)
     engine = ExactEngine(cfg)
     filled = engine.start(initials, snapshot)
     # Each row's q as max_threshold gives it, a pair of at most B: int64
     # when B fits, for int32 tables too (deviating casts them to its tier,
     # and the log's columns stay int64); the log reduces the pairs once.
-    pairs = np.ones((rows, 2), dtype=object if engine.tables.bound >= _INT64_LIMIT
+    pairs = np.ones((len(initials), 2), dtype=object if engine.tables.bound >= _INT64_LIMIT
                     else np.int64)
     # Log pieces: (rows, q pairs, sizes, marginals), one per closing event.
     pieces: list[tuple[np.ndarray, ...]] = []
-    members: list[PlayerSet] | None = [] if collect_members else None
-    # Every live row is evaluated once per step, so a row has been
-    # evaluated as many times as the steps taken before it filled.
-    evaluations = np.zeros(rows, dtype=np.int64)
-    steps = 0
-    full = frozenset(range(n)) if collect_members else None
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
     while True:
         if filled:
             done = np.array(filled)
             pieces.append((done, pairs[done], np.full(len(done), n), np.full(len(done), -1)))
-            evaluations[done] = steps
-            if members is not None:
-                members.extend([full] * len(done))
         live = engine.live
         if not len(live):
             break
         flips = engine.flip_candidates(pairs)
-        steps += 1
+        steps.append((live, flips))
         # Positions of the rows without flips; a lone row owns every flip.
         if len(live) == 1:
             ended = np.arange(0 if len(flips) else 1)
@@ -338,22 +337,23 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
                     f"stage threshold {Fraction(int(num[k]), int(den[k]))} did not "
                     f"decrease below {Fraction(int(q[k, 0]), int(q[k, 1]))}")
             pieces.append((closed, q, engine.K[ended], marginal))
-            if members is not None:
-                members.extend(engine.infected_set(r) for r in closed.tolist())
             pairs[closed, 0], pairs[closed, 1] = num, den
         filled = engine.apply(flips) if len(flips) else []
-    return _stage_log(pieces, members, evaluations, n)
+    return _stage_log(pieces, n, initials, steps)
 
 
-def _stage_log(pieces, members, evaluations: np.ndarray, n: int) -> StageLog:
+def _stage_log(pieces, n: int, initials, steps) -> StageLog:
     """Group the logged stages by row, reduce their q pairs, and check the
     search's invariants on them, in Python ints where a product of two q
-    terms may exceed int64."""
+    terms may exceed int64; count each row's evaluations from the steps."""
     row, q, size, marginal = (np.concatenate(col) for col in zip(*pieces))
     order = np.argsort(row, kind="stable")
     row, q, size, marginal = row[order], q[order], size[order], marginal[order]
     q = q // np.gcd(q[:, :1], q[:, 1:])
-    counts = np.bincount(row, minlength=len(evaluations))
+    evaluations = np.zeros(len(initials), dtype=np.int64)
+    for live, _ in steps:  # every live row is evaluated once per step
+        evaluations[live] += 1
+    counts = np.bincount(row, minlength=len(initials))
     start = np.concatenate([[0], np.cumsum(counts)])
     first, last = start[:-1], start[1:] - 1
     qn, qd = (q[:, 0], q[:, 1]) if int(q.max()) ** 2 < _INT64_LIMIT else (
@@ -373,14 +373,12 @@ def _stage_log(pieces, members, evaluations: np.ndarray, n: int) -> StageLog:
     # previous stage; it is counted once, not twice.
     return StageLog(start=start, q_num=q[:, 0], q_den=q[:, 1], size=size,
                     marginal=marginal, subsets_checked=evaluations - (counts - 1),
-                    node_count=n,
-                    members=None if members is None else [members[k] for k in order.tolist()])
+                    node_count=n, initials=initials, steps=steps)
 
 
 def depth_function(cfg: GameConfig, start: Iterable[int]) -> DepthFunction:
     """Depth of contagion from ``start`` as a step function of q."""
-    return DepthFunction.from_threshold(
-        full_contagion_threshold(cfg, start, collect_members=False))
+    return DepthFunction.from_threshold(full_contagion_threshold(cfg, start))
 
 
 def virality(cfg: GameConfig, start: Iterable[int], q) -> Fraction:
@@ -450,5 +448,5 @@ def is_uniformly_at_most_cohesive(cfg: GameConfig, members: Iterable[int], r) ->
     A = cfg.player_set(members)
     complement = frozenset(range(cfg.network.node_count)) - A
     seeded = replace(cfg, infected=complement)
-    result = full_contagion_threshold(seeded, complement, collect_members=False)
+    result = full_contagion_threshold(seeded, complement)
     return 1 - r <= result.q_star

@@ -225,17 +225,17 @@ class RunBatch:
         included, rendered from the integer pairs."""
         m, net, ns = self.m, self.network_id, self.network_size
         alphas = [rational_str(alpha) for alpha in self.alphas]
-        nums, dens = self.q_num.tolist(), self.q_den.tolist()
-        steps = [f'{{"q_num":{a},"q_den":{b},"size":{size}}}'
-                 for a, b, size in zip(nums, dens, self.size.tolist())]
-        bounds = self.stages.tolist()
-        for i, (a, size, rep, checked) in enumerate(zip(
-                self.alpha.tolist(), self.set_size.tolist(), self.replicate.tolist(),
-                self.subsets_checked.tolist())):
-            last = bounds[i + 1] - 1  # q*
-            qn, qd = nums[last], dens[last]
+        last = self.stages[1:] - 1  # q*
+        at = np.delete(np.arange(len(self.size)), last)
+        steps = [f'{{"q_num":{a},"q_den":{b},"size":{size}}}' for a, b, size in zip(
+            self.q_num[at].tolist(), self.q_den[at].tolist(), self.size[at].tolist())]
+        # Run i's depth steps, its stages but q*, are steps[bounds[i]:bounds[i + 1]].
+        bounds = (self.stages - np.arange(len(self.stages))).tolist()
+        for i, (a, size, rep, checked, qn, qd) in enumerate(zip(*(column.tolist() for column in (
+                self.alpha, self.set_size, self.replicate, self.subsets_checked,
+                self.q_num[last], self.q_den[last])))):
             alpha, decimal = alphas[a], decimal_ratio(qn, qd)
-            depth = ",".join(steps[bounds[i]:last])
+            depth = ",".join(steps[bounds[i]:bounds[i + 1]])
             yield (f"{m},{alpha},{net},{size},{rep},{qn},{qd},{decimal},{checked}\r\n",
                    f'{{"m":{m},"alpha":"{alpha}","network_id":{net},"set_size":{size},'
                    f'"replicate":{rep},"q_star":{{"num":{qn},"den":{qd},"decimal":"{decimal}"}},'
@@ -297,7 +297,7 @@ def _run_network_task(grid: ExperimentGrid, m: int, network_id: int) -> RunBatch
         # The alphas share the network, the weights and the sets: one start.
         snapshot = StartSnapshot()
         for a, cfg in enumerate(configs):
-            log = _staged_search(cfg, starts, collect_members=False, snapshot=snapshot)
+            log = _staged_search(cfg, starts, snapshot)
             parts.append((np.full(len(starts), a), np.repeat(sizes, reps),
                           np.tile(np.arange(reps), len(sizes)), log.subsets_checked,
                           np.diff(log.start), log.q_num, log.q_den, log.size))
@@ -464,8 +464,11 @@ class Aggregator:
 def _groups(*columns: np.ndarray) -> list[np.ndarray]:
     """The runs of each combination of column values, in run order."""
     order = np.lexsort(columns[::-1])
-    keys = np.stack(columns)[:, order]
-    return np.split(order, np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1)
+    starts = np.zeros(len(order), dtype=bool)  # whether a run starts a group
+    for column in columns:
+        keys = column[order]
+        starts[1:] |= keys[1:] != keys[:-1]
+    return np.split(order, np.flatnonzero(starts))
 
 
 def _sum(nums: np.ndarray, dens: np.ndarray) -> Fraction:

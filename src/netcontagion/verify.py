@@ -255,10 +255,10 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
 
     ok = True
     detail = ""
-    for stage in thr.stages:
+    for k, stage in enumerate(thr.stages):
+        members = thr.members(k)
         direct = bat.cascade(cfg_thr, seed_set, stage.q)
-        if not contagion.is_nash(cfg_thr, stage.members, stage.q) \
-                or direct.final != stage.members:
+        if not contagion.is_nash(cfg_thr, members, stage.q) or direct.final != members:
             ok = False
             detail = f"stage at q={stage.q} is inconsistent"
             break
@@ -343,8 +343,7 @@ def run_cohesion_checks(trials: int = 30, max_i: int = 12,
         start = frozenset(int(i) for i in range(n) if rng.random() < 0.3) \
             or frozenset({int(rng.integers(0, n))})
         comp = frozenset(range(n)) - start
-        thr = contagion.full_contagion_threshold(
-            replace(cfg, infected=start), start, collect_members=False)
+        thr = contagion.full_contagion_threshold(replace(cfg, infected=start), start)
         uniform = oracle.brute_uniform_cohesion(net, comp, 1 - q)
         bat.check("uniform-cohesion-threshold", uniform == (q <= thr.q_star),
                   {**ser, "start": sorted(start)},

@@ -56,7 +56,7 @@ def reference_sweep(grid):
                     for alpha in sorted(grid.alpha_values):
                         cfg = GameConfig(network=net, infected=start,
                                          global_effect=ParametricGlobalEffect(alpha))
-                        result = full_contagion_threshold(cfg, start, collect_members=False)
+                        result = full_contagion_threshold(cfg, start)
                         runs.append(Run(
                             m=m, alpha=alpha, network_id=network_id, set_size=size,
                             replicate_id=replicate, q_star=result.q_star,

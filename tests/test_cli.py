@@ -81,19 +81,10 @@ def test_threshold_json_members(cycle_file, capsys):
     assert payload["stages"][-1]["equilibrium_members"] == [0, 1, 2, 3]
 
 
-def test_threshold_collects_members_only_for_members(cycle_file, capsys, monkeypatch):
-    # The search keeps each stage's members only when --members prints
-    # them; the JSON is that of a search that kept them, with or without.
-    from netcontagion import cli
+def test_threshold_collects_members_only_for_members(cycle_file, capsys):
+    # The JSON lists each stage's members only with --members.
     from netcontagion.contagion import full_contagion_threshold
     from netcontagion.game import GameConfig
-    asked = []
-
-    def spy(cfg, start, *, collect_members=True):
-        asked.append(collect_members)
-        return full_contagion_threshold(cfg, start, collect_members=collect_members)
-
-    monkeypatch.setattr(cli, "full_contagion_threshold", spy)
     net = load_edge_list(open(cycle_file).read())
     result = full_contagion_threshold(GameConfig(network=net, infected=frozenset({0})), {0})
     for flags, members in (((), False), (("--members",), True)):
@@ -103,7 +94,17 @@ def test_threshold_collects_members_only_for_members(cycle_file, capsys, monkeyp
     _, out, _ = run_cli(capsys, "threshold", "--network", cycle_file, "--seeds", "0",
                         "--members")
     assert "members: [0, 1, 2, 3]" in out
-    assert asked == [False, True, True]
+
+
+def test_depth_has_no_members_flag(cycle_file, capsys):
+    # --members lists threshold stages; depth prints none, so it refuses the flag.
+    with pytest.raises(SystemExit) as exited:
+        main(["depth", "--network", cycle_file, "--seeds", "0", "--q", "1/2", "--members"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--members" in errors[0]
 
 
 def test_threshold_alpha_monotone(cycle_file, capsys):

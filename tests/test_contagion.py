@@ -128,11 +128,10 @@ def test_threshold_characterization(cycle4_seeded):
 
 def test_threshold_stage_members_nash(cycle4_seeded):
     result = full_contagion_threshold(cycle4_seeded, {0})
-    for stage in result.stages:
-        assert is_nash(cycle4_seeded, stage.members, stage.q)
-    slim = full_contagion_threshold(cycle4_seeded, {0}, collect_members=False)
-    assert slim.stages[0].members is None
-    assert slim.q_star == result.q_star
+    for k, stage in enumerate(result.stages):
+        assert len(result.members(k)) == stage.size
+        assert is_nash(cycle4_seeded, result.members(k), stage.q)
+    assert result.members(len(result.stages) - 1) == frozenset(range(4))
 
 
 def test_depth_function_cycle(cycle4_seeded):
@@ -435,11 +434,15 @@ GOOD_STAGES = stage_list((1, 1), ("1/2", 3), ("1/3", 4))
     ({"q_star": F(2, 6) + F(1, 10**30)}, "q_star must equal the last stage q"),
     ({"marginal_players": (2,)}, "one marginal player per stage descent"),
     ({"marginal_players": (2, 3, 0)}, "one marginal player per stage descent"),
+    ({"order": (0, 1, 1, 3)}, "join order must list every player once"),
+    ({"order": (0, 1, 2)}, "join order must list every player once"),
+    ({"order": (0, 1, 2, 3, 4)}, "join order must list every player once"),
 ], ids=["first-q", "no-stages", "q-flat", "q-rising", "size-flat", "size-flat-at-end",
-        "last-not-full", "q-star", "q-star-near", "marginals-short", "marginals-long"])
+        "last-not-full", "q-star", "q-star-near", "marginals-short", "marginals-long",
+        "order-repeats", "order-short", "order-outside"])
 def test_threshold_result_rejects_malformed_stages(changes, message):
     fields = dict(q_star=F(1, 3), stages=GOOD_STAGES, subsets_checked=4,
-                  marginal_players=(2, 3), node_count=4)
+                  marginal_players=(2, 3), node_count=4, order=(2, 0, 3, 1))
     ThresholdResult(**fields)
     with pytest.raises(InvariantViolationError, match=message):
         ThresholdResult(**{**fields, **changes})

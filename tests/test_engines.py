@@ -163,12 +163,13 @@ def run_fixed_q(engine, initial, q):
         waves.append(flips)
 
 
-def fraction_search(cfg, initial, collect_members):
-    """The staged search over the reference engine, one start at a time."""
+def fraction_search(cfg, initial):
+    """The staged search over the reference engine, one start at a time; its
+    join order is the initial set, then each wave, each ascending."""
     engine = FractionEngine(cfg)
     engine.start(initial)
     n = cfg.network.node_count
-    q, stages, marginals, checked = F(1), [], [], 0
+    q, stages, marginals, checked, order = F(1), [], [], 0, sorted(initial)
     while True:
         first_evaluation = True
         while engine.uninfected_count() > 0:
@@ -179,12 +180,14 @@ def fraction_search(cfg, initial, collect_members):
             if not flips:
                 break
             engine.apply(flips)
-        stages.append(ThresholdStage(
-            q=q, size=n - engine.uninfected_count(),
-            members=engine.infected_set() if collect_members else None))
+            order += flips
+        # The reference's stage set is the order so far.
+        assert engine.infected_set() == frozenset(order)
+        stages.append(ThresholdStage(q=q, size=n - engine.uninfected_count()))
         if engine.uninfected_count() == 0:
             return ThresholdResult(q_star=q, stages=tuple(stages), subsets_checked=checked,
-                                   marginal_players=tuple(marginals), node_count=n)
+                                   marginal_players=tuple(marginals), node_count=n,
+                                   order=tuple(order))
         q, first = engine.max_threshold()
         marginals.append(first)
 
@@ -428,8 +431,7 @@ def test_tabular_matching_parametric_gives_identical_dynamics(seed):
     a = full_contagion_threshold(parametric, start)
     b = full_contagion_threshold(tabular, start)
     assert a.q_star == b.q_star
-    assert [(st.q, st.members) for st in a.stages] == \
-        [(st.q, st.members) for st in b.stages]
+    assert (a.stages, a.order) == (b.stages, b.order)
     assert a.subsets_checked == b.subsets_checked
 
 
@@ -544,21 +546,23 @@ def test_start_pieces_span_rows_and_players(monkeypatch):
         pieces.start(rows)
         for name in ("K", "outside", "S", "o"):
             assert np.array_equal(getattr(pieces, name), getattr(whole, name)), name
-        assert results(_staged_search(cfg, rows, True)) == [
-            fraction_search(cfg, row, True) for row in rows]
+        assert results(_staged_search(cfg, rows)) == [fraction_search(cfg, row) for row in rows]
         monkeypatch.undo()
 
 
 def check_row_batch(kind, caplog):
     cfg, rows = row_axis_game(kind)
     with caplog.at_level(logging.DEBUG, logger="netcontagion._engines"):
-        for collect_members in (True, False):
-            batch = results(_staged_search(cfg, rows, collect_members))
-            single = [_staged_search(cfg, [row], collect_members).result(0) for row in rows]
-            reference = [fraction_search(cfg, row, collect_members) for row in rows]
-            # Equal results compare q*, every stage (members included when
-            # collected), subsets_checked and the marginal players.
-            assert batch == single == reference
+        batch = results(_staged_search(cfg, rows))
+        single = [_staged_search(cfg, [row]).result(0) for row in rows]
+        reference = [fraction_search(cfg, row) for row in rows]
+        # Equal results compare q*, every stage, subsets_checked, the
+        # marginal players and the join order, whose prefixes are the stages.
+        assert batch == single == reference
+        for row, result in zip(rows, batch):
+            seeded = replace(cfg, infected=row)
+            for k, stage in enumerate(result.stages):
+                assert result.members(k) == cascade(seeded, row, stage.q).final
     stages = [len(result.stages) for result in batch]
     assert stages[rows.index(frozenset(range(cfg.network.node_count)))] == 1
     if kind in ("unit", "weighted", "tabular", "alpha-0", "int32", "int64"):
@@ -585,14 +589,14 @@ def test_staged_search_rejects_a_row_whose_threshold_does_not_fall(monkeypatch):
 
     monkeypatch.setattr(ExactEngine, "max_threshold", stuck)
     with pytest.raises(InvariantViolationError, match="did not decrease"):
-        _staged_search(cfg, rows, False)
+        _staged_search(cfg, rows)
     assert patched
 
 
 def test_staged_search_beyond_int64_matches_one_row_searches():
     # Tables beyond int64: the q pairs and the stage log are Python ints.
     cfg, rows = row_axis_game("beyond-int64")
-    log = _staged_search(cfg, rows, True)
+    log = _staged_search(cfg, rows)
     assert log.q_num.dtype == log.q_den.dtype == object
     assert max(log.q_den.tolist()) >= 2**63
     assert results(log) == [full_contagion_threshold(replace(cfg, infected=row), row)
@@ -605,6 +609,13 @@ def log_pieces(qs, sizes, marginals):
     return [(np.array([1]), np.array([[1, 1]]), np.array([4]), np.array([-1]))] + [
         (np.array([0]), np.array([q]), np.array([size]), np.array([marginal]))
         for q, size, marginal in zip(qs, sizes, marginals)]
+
+
+# Row 0 of ``log_pieces`` starts from {0} and is evaluated five times (two
+# of them close a stage); row 1 starts full.
+LOG_INITIALS = [frozenset({0}), frozenset(range(4))]
+LOG_STEPS = [(np.array([0]), np.array(flips, dtype=np.int64))
+             for flips in ([], [1], [2], [], [3])]
 
 
 GOOD_LOG = ([(1, 1), (1, 2), (1, 3)], [1, 3, 4], [2, 3, -1])
@@ -635,17 +646,17 @@ def test_stage_log_checks_the_threshold_invariants(changes, message, big_terms):
     def pieces(qs, sizes, marginals):
         return log_pieces([big(q) for q in qs] if big_terms else qs, sizes, marginals)
 
-    log = _stage_log(pieces(*GOOD_LOG), None, np.array([5, 0]), n)
+    log = _stage_log(pieces(*GOOD_LOG), n, LOG_INITIALS, LOG_STEPS)
     assert log.start.tolist() == [0, 3, 4]
     assert log.subsets_checked.tolist() == [3, 0]
     qs = [F(*big(q)) if big_terms else F(*q) for q in GOOD_LOG[0]]
     assert (max(log.q_den.tolist()) >= 2**32) == big_terms
     assert log.result(0) == ThresholdResult(
         q_star=qs[-1], stages=tuple(ThresholdStage(q, size) for q, size in zip(qs, [1, 3, 4])),
-        subsets_checked=3, marginal_players=(2, 3), node_count=n)
+        subsets_checked=3, marginal_players=(2, 3), node_count=n, order=(0, 1, 2, 3))
     bad = [changes.get(k, column) for k, column in enumerate(GOOD_LOG)]
     with pytest.raises(InvariantViolationError, match=message):
-        _stage_log(pieces(*bad), None, np.array([5, 0]), n)
+        _stage_log(pieces(*bad), n, LOG_INITIALS, LOG_STEPS)
 
 
 def state(engine):
@@ -689,7 +700,7 @@ def test_complement_start_matches_direct_start(kind, slots, monkeypatch):
 def assert_logs_equal(a, b):
     for name in ("start", "q_num", "q_den", "size", "marginal", "subsets_checked"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.members == b.members
+    assert results(a) == results(b)
 
 
 def test_shared_start_snapshot_gives_each_game_a_fresh_search():
@@ -708,8 +719,8 @@ def test_shared_start_snapshot_gives_each_game_a_fresh_search():
             snapshot = StartSnapshot()
             for effect in effects:
                 cfg = GameConfig(network=net, weights=weights, global_effect=effect)
-                assert_logs_equal(_staged_search(cfg, batch, True, snapshot),
-                                  _staged_search(cfg, batch, True))
+                assert_logs_equal(_staged_search(cfg, batch, snapshot),
+                                  _staged_search(cfg, batch))
         other = GameConfig(network=net, weights=InfluenceWeights.from_pairs(
             net, {(0, net.adjacency[0][0]): F(3, 2)}))
         with pytest.raises(InvariantViolationError, match="one network and weights"):
@@ -780,14 +791,14 @@ def test_tables_either_side_of_the_int32_limit_match_the_reference(kind, monkeyp
     assert t.bound == TIER_BOUNDS[kind]
     for arr in (t.M, t.MW, t.a, t.values, t.W, t.degree):
         assert arr.dtype == kind
-    log = _staged_search(cfg, rows, True)
-    assert results(log) == [fraction_search(cfg, row, True) for row in rows]
+    log = _staged_search(cfg, rows)
+    assert results(log) == [fraction_search(cfg, row) for row in rows]
     # With the int32 tier switched off the same game runs in int64 and logs
     # the same stages.
     monkeypatch.setattr(_engines, "_INT32_LIMIT", 0)
     wide = replace(cfg)
     assert wide.engine_tables.M.dtype == np.int64
-    assert_logs_equal(_staged_search(wide, rows, True), log)
+    assert_logs_equal(_staged_search(wide, rows), log)
 
 
 @pytest.mark.parametrize("alpha", [F(0), F(1, 2)])
@@ -815,7 +826,7 @@ def test_int32_games_at_q_beyond_the_tier_match_the_reference(alpha, caplog):
                     [i for i in range(300) if has_incentive(seeded, i, members, q)]
                     == sorted(members))
         df = depth_function(seeded, start)
-        assert df == DepthFunction.from_threshold(fraction_search(seeded, start, False))
+        assert df == DepthFunction.from_threshold(fraction_search(seeded, start))
     assert not [r for r in caplog.records if "Python ints" in r.getMessage()]
 
 
@@ -830,11 +841,11 @@ def test_a_snapshot_serves_games_of_both_tiers():
     assert [cfg.engine_tables.M.dtype for cfg in games] == [np.int32, np.int64]
     rng = np.random.Generator(np.random.PCG64(12))
     rows = [rng.choice(1000, size, replace=False) for size in (10, 200, 600, 990)]
-    alone = [_staged_search(cfg, rows, False) for cfg in games]
+    alone = [_staged_search(cfg, rows) for cfg in games]
     for order in ([0, 1], [1, 0]):
         snapshot = StartSnapshot()
         for k in order:
-            assert_logs_equal(_staged_search(games[k], rows, False, snapshot), alone[k])
+            assert_logs_equal(_staged_search(games[k], rows, snapshot), alone[k])
             engine = ExactEngine(games[k])
             engine.start(rows, snapshot)
             assert engine.S.dtype == games[k].engine_tables.M.dtype

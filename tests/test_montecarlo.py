@@ -293,8 +293,8 @@ def test_nested_sets_weakly_increase_threshold():
         big = small | draw_set(rng, 80, extra)
         cfg_small = GameConfig(network=net, infected=small)
         cfg_big = GameConfig(network=net, infected=big)
-        a = full_contagion_threshold(cfg_small, small, collect_members=False)
-        b = full_contagion_threshold(cfg_big, big, collect_members=False)
+        a = full_contagion_threshold(cfg_small, small)
+        b = full_contagion_threshold(cfg_big, big)
         assert a.q_star <= b.q_star
         small = big
 

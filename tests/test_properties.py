@@ -156,7 +156,7 @@ def test_coexistence_iff_above_threshold(game):
     seeds = cfg.infected or frozenset({0})
     cfg = GameConfig(network=cfg.network, weights=cfg.weights,
                      global_effect=cfg.global_effect, infected=seeds)
-    thr = full_contagion_threshold(cfg, seeds, collect_members=False)
+    thr = full_contagion_threshold(cfg, seeds)
     between = coexisting_conventions(cfg, seeds, q)
     assert (between is not None) == (q > thr.q_star)
     v = virality(cfg, seeds, q)
