@@ -35,7 +35,8 @@ touches at most half of each row's slots.  ``o_i = K - k_i - [i inside]``
 then follows in one array pass, and tabular step pointers advance once.
 The start state depends only on the network, the weights and the sets, so
 searches that differ only in their global effect or c can share it through a
-``StartSnapshot``.  ``deviating`` evaluates every player of every live row at
+``StartSnapshot``, which every start fills or copies.  q enters as integer
+pairs only.  ``deviating`` evaluates every player of every live row at
 that row's q; ``flip_candidates`` keeps its deviating outsiders as flat ids
 ``position * n + player``, which ``apply`` infects.  A row whose set fills
 the network is retired: its state is dropped, so later waves do not scan it,
@@ -44,9 +45,9 @@ and the live rows after it move up one position.  Without a global term
 1) the engine holds no ``o``: ``num`` is ``S`` itself and ``den`` the
 constant ``MW``, so each step compares the state against one row of
 constants.  ``max_threshold`` serves the rows that end a stage, with each
-row's max and its lowest-indexed attainer returned as integer arrays.  A
-single row is the case that ``cascade``, ``full_contagion_threshold`` and
-``is_nash`` run.
+row's max and its lowest-indexed attainer returned as integer arrays,
+from the pairs of the last ``deviating`` call.  A single row is the case
+that ``cascade``, ``full_contagion_threshold`` and ``is_nash`` run.
 
 A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
 ``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
@@ -91,7 +92,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -226,19 +226,16 @@ class ExactEngine:
         A filled ``snapshot`` of the same network and weights stands in for
         ``initials``' expansion (see :class:`StartSnapshot`)."""
         t, n = self.tables, self.n
-        if snapshot is None:
-            state = self._begin(initials)
-        else:
-            if snapshot.state is None:
-                snapshot.game, snapshot.state = self._game, self._begin(initials)
-            elif not all(a is b for a, b in zip(snapshot.game, self._game)):
-                raise InvariantViolationError("a start snapshot serves one network and weights")
-            # The snapshot keeps its arrays; the search changes its own copies,
-            # in its own dtypes, as the snapshot may come from another tier.
-            K, outside, S, k = snapshot.state
-            state = (K.copy(), outside.copy(), S.astype(t.W.dtype),
-                     None if k is None else k.astype(t.degree.dtype))
-        self.K, self.outside, self.S, k = state
+        snapshot = StartSnapshot() if snapshot is None else snapshot
+        if snapshot.state is None:
+            snapshot.game, snapshot.state = self._game, self._begin(initials)
+        elif not all(a is b for a, b in zip(snapshot.game, self._game)):
+            raise InvariantViolationError("a start snapshot serves one network and weights")
+        # The snapshot keeps its arrays; the search changes its own copies,
+        # in its own dtypes, as the snapshot may come from another tier.
+        K, outside, S, k = snapshot.state
+        self.K, self.outside, self.S = K.copy(), outside.copy(), S.astype(t.W.dtype)
+        k = None if k is None else k.astype(t.degree.dtype)
         rows = len(self.K)
         self.live = np.arange(rows)
         self._evaluated = None
@@ -292,12 +289,6 @@ class ExactEngine:
     def uninfected_count(self) -> int:
         """Outsiders summed over the live rows."""
         return int(self.n * len(self.K) - self.K.sum())
-
-    def infected_set(self, row: int = 0) -> frozenset[int]:
-        at = np.flatnonzero(self.live == row)
-        if not len(at):  # retired rows are full
-            return frozenset(range(self.n))
-        return frozenset(np.flatnonzero(~self.outside[at[0]]).tolist())
 
     def _pieces(self, players: np.ndarray, base: np.ndarray | None):
         """The CSR slots of the players' neighbours, in pieces of at most
@@ -380,17 +371,17 @@ class ExactEngine:
             self.ptr = self.ptr[keep]
         return filled
 
-    def _pairs(self, pos=slice(None), out=None) -> tuple[np.ndarray, np.ndarray]:
-        """``num`` and ``den`` of the rows at ``pos``; without a global term
-        they are ``S`` itself and the constant one-row ``MW``."""
+    def _pairs(self, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """``num`` and ``den`` of the live rows; without a global term they
+        are ``S`` itself and the constant one-row ``MW``."""
         t = self.tables
         if t.a is None:
-            return self.S[pos], t.MW
-        g = self.o[pos] if t.values is None else t.values[self.ptr[pos]]
+            return self.S, t.MW
+        g = self.o if t.values is None else t.values[self.ptr]
         if out is None:
-            return t.M * self.S[pos], t.MW - t.a * g
+            return t.M * self.S, t.MW - t.a * g
         num, den = out
-        np.multiply(t.M, self.S[pos], out=num)
+        np.multiply(t.M, self.S, out=num)
         np.subtract(t.MW, np.multiply(t.a, g, out=den), out=den)
         return num, den
 
@@ -401,23 +392,19 @@ class ExactEngine:
                        self.tables.bound, self.n)
         return [arr.astype(object) for arr in arrays]
 
-    def deviating(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
+    def deviating(self, q: np.ndarray) -> np.ndarray:
         """A ``(live rows, n)`` bool array: whether each player deviates at ``q[row]``.
 
-        ``q`` holds a Fraction per batch row, or is the ``(rows, 2)`` array
-        of their numerators and denominators, which a caller that evaluates
-        many rows keeps to skip the per-row conversion: int64 while they fit,
-        as they do for any q of tables with ``B < 2^63``, else objects.
+        ``q`` is the ``(rows, 2)`` array of each batch row's numerator and
+        denominator: int64 while they fit, as they do for any q of tables
+        with ``B < 2^63``, else objects.
         """
         rows = len(self.live)
         if rows == 1:  # plain ints: array calls would cost more than the row
-            row = q[self.live[0]]
-            qn, qd = row.as_integer_ratio() if isinstance(row, Fraction) else map(int, row)
+            qn, qd = map(int, q[self.live[0]])
             top = max(qn, qd)
         else:
-            qs = q[self.live] if isinstance(q, np.ndarray) else np.array(
-                [(q[r].numerator, q[r].denominator) for r in self.live], dtype=object)
-            qs = qs.reshape(-1, 2)
+            qs = q[self.live]
             top = int(qs.max(initial=0))
         # Tables beyond int64 (no work arrays) make every call Python ints.
         work = None if self._work is None else self._work[:, :rows]
@@ -443,7 +430,7 @@ class ExactEngine:
             lhs, rhs = num * qd, qn * den
         return lhs >= rhs
 
-    def flip_candidates(self, q: Sequence[Fraction] | np.ndarray) -> np.ndarray:
+    def flip_candidates(self, q: np.ndarray) -> np.ndarray:
         """Flat ids of the outsiders that deviate, at ``q[row]`` in each live row."""
         return np.flatnonzero(self.deviating(q) & self.outside)
 
@@ -452,19 +439,21 @@ class ExactEngine:
         """Exact max of num_i/den_i over the outsiders of each live row at
         the given ascending positions, with its lowest-indexed attainer.
 
-        Returns three arrays over the positions: the max's numerator and
-        denominator as the engine holds them (not reduced; in the tables'
-        int32 or int64 when ``B^2 < 2^63``, else Python ints) and the
-        attainer.
+        Reads the pairs of the last ``deviating`` call, which hold until the
+        next ``start`` or ``apply``.  Returns three arrays over the
+        positions: the max's numerator and denominator as the engine holds
+        them (not reduced; in the tables' int32 or int64 when
+        ``B^2 < 2^63``, else Python ints) and the attainer.
         """
-        pos = slice(None) if len(positions) == len(self.K) else positions
         if self._evaluated is None:
-            num, den = self._pairs(pos)
-        else:  # the pairs of the last deviating call hold until the next apply
-            num, den = self._evaluated
-            num = num[pos]
-            if len(den) > 1:  # else the constant MW, or the one live row
-                den = den[pos]
+            raise InvariantViolationError(
+                "max_threshold reads the last deviating call's pairs, and a start "
+                "or an apply came after it")
+        pos = slice(None) if len(positions) == len(self.K) else positions
+        num, den = self._evaluated
+        num = num[pos]
+        if len(den) > 1:  # else the constant MW, or the one live row
+            den = den[pos]
         outside = self.outside[pos]
         bad = (den <= 0) & outside
         if bad.any():

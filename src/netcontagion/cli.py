@@ -6,8 +6,8 @@ chosen q values), ``montecarlo`` (grid sweep emitting CSV/JSONL/SVG), and
 ``verify`` (randomized oracle cross-checks).  Game and grid descriptions
 can come from JSON documents; command-line flags override file values.
 
-Errors exit nonzero; with ``--json-errors`` they are emitted as one JSON
-object on stderr.
+Errors exit 2, usage errors included, as one ``error:`` line on stderr;
+with ``--json-errors`` as one JSON object instead.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also NUL in the path, not JSON or not text
         raise ParameterError(f"cannot read JSON document {path}: {exc}") from exc
 
 
@@ -167,7 +167,10 @@ def _cmd_generate(args) -> int:
     net = generate_ba(args.n, args.m, args.seed)
     text = dump_edge_list(net, header=True)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except (OSError, ValueError) as exc:  # also NUL in the path
+            raise ParameterError(f"cannot write to -o {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -274,7 +277,7 @@ def _cmd_montecarlo(args) -> int:
                 plot_dir.mkdir(exist_ok=True)
             runs_csv = files.enter_context(open(out / "runs.csv", "w", newline=""))
             runs_jsonl = files.enter_context(open(out / "runs.jsonl", "w"))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # also NUL in the path
             raise ParameterError(f"cannot write to --out {out}: {exc}") from exc
         csv.writer(runs_csv).writerow(montecarlo.RUN_CSV_COLUMNS)
         for batch in sweep:
@@ -305,14 +308,15 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials == 0:
-        print("warning: trials=0, every property passes vacuously",
-              file=sys.stderr)
     reports = verify.run_checks(trials=args.trials, max_i=args.max_i,
                                 seed=args.seed)
     reports += verify.run_cohesion_checks(
         trials=max(1, args.trials // 4) if args.trials else 0,
         max_i=min(args.max_i, 12), seed=args.seed)
+    # Warned once the arguments are known good: an error is the only line.
+    if args.trials == 0:
+        print("warning: trials=0, every property passes vacuously",
+              file=sys.stderr)
     failed = False
     for report in sorted(reports, key=lambda r: r.name):
         status = "PASS" if report.passed else "FAIL"
@@ -325,8 +329,16 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a :class:`ParameterError`, so that ``main``
+    reports it as it reports every other error, instead of exiting here."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netcontagion",
         description="Contagion thresholds and depth for network coordination "
                     "games with local and global effects")
@@ -342,13 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     def game_flags(p):
-        p.add_argument("--network", help="edge-list file")
-        p.add_argument("--generate", metavar="N,M,SEED",
-                       help="generate the network instead of loading one")
+        network = p.add_mutually_exclusive_group()
+        network.add_argument("--network", help="edge-list file")
+        network.add_argument("--generate", metavar="N,M,SEED",
+                             help="generate the network instead of loading one")
         p.add_argument("--config", help="game description JSON")
-        p.add_argument("--seeds", help="comma-separated starting players")
-        p.add_argument("--seeds-random", type=int, metavar="K",
-                       help="draw K random starting players")
+        seeds = p.add_mutually_exclusive_group()
+        seeds.add_argument("--seeds", help="comma-separated starting players")
+        seeds.add_argument("--seeds-random", type=int, metavar="K",
+                           help="draw K random starting players")
         p.add_argument("--seeds-seed", type=int, default=0)
         p.add_argument("--alpha", help="global-effect intensity (rational)")
         p.add_argument("--c", help="miscoordination cost (rational, default 1)")
@@ -386,9 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The namespace takes --json-errors before the subcommand is parsed, so
+    # a usage error in the subcommand's flags still sees it.
+    args = argparse.Namespace()
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.func(args)
     except NetcontagionError as exc:
         if args.json_errors:

@@ -15,7 +15,8 @@ a reduced num/den pair, equilibrium size, marginal player) appended once
 per step for every row that closes a stage.  The search's invariants are
 checked over those arrays; the Monte Carlo sweep reads the log directly,
 and ``full_contagion_threshold`` builds its one result from it, from which
-``depth_function`` takes its breakpoints.  The log also keeps each step's
+``depth_function`` takes its breakpoints.  The engine takes every q as an
+integer pair, ``cascade``'s too.  The log also keeps each step's
 flips: the stage equilibria nest, so a row's join order (its initial set,
 then its flips step by step) lists every stage's members as a prefix.
 
@@ -25,7 +26,8 @@ current set, so flips within a wave do not see each other.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -51,9 +53,10 @@ def _below(a: Fraction, b: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class CascadeResult:
-    """Trace of one cascade: C_0, the flip waves, and the reached equilibrium."""
+    """Trace of one cascade: C_0, the flip waves, and the reached
+    equilibrium ``final``, which is C_0 plus the waves."""
 
-    final: PlayerSet
+    final: PlayerSet = field(init=False)
     waves: tuple[PlayerSet, ...]
     initial: PlayerSet
     subsets_checked: int
@@ -68,8 +71,7 @@ class CascadeResult:
             if not wave or union & wave:
                 raise InvariantViolationError("waves must be nonempty and disjoint")
             union |= wave
-        if union != set(self.final):
-            raise InvariantViolationError("final set must equal C_0 plus the waves")
+        object.__setattr__(self, "final", frozenset(union))
 
 
 @dataclass(frozen=True)
@@ -88,14 +90,13 @@ class ThresholdResult:
     """Output of the full-network contagion search.
 
     ``stages[n]`` pairs q_n with the equilibrium reached by cascading at
-    q_n; the q's strictly decrease from 1 to q* while the equilibria
-    strictly grow to the full set.  ``marginal_players[n]`` is the
+    q_n; the q's strictly decrease from 1 to q* (``q_star``, the last q)
+    while the equilibria strictly grow to the full set.  ``marginal_players[n]`` is the
     lowest-indexed attainer of the max that produced ``stages[n+1].q``.
     ``order`` lists the players as they joined, the initial set and then
     each step's flips ascending: stage n's members are its first ``stages[n].size``.
     """
 
-    q_star: Fraction
     stages: tuple[ThresholdStage, ...]
     subsets_checked: int
     marginal_players: tuple[int, ...]
@@ -111,13 +112,15 @@ class ThresholdResult:
                     "q must strictly decrease and equilibria strictly grow")
         if self.stages[-1].size != self.node_count:
             raise InvariantViolationError("last equilibrium must be the full set")
-        if self.q_star != self.stages[-1].q:
-            raise InvariantViolationError("q_star must equal the last stage q")
         if len(self.marginal_players) != len(self.stages) - 1:
             raise InvariantViolationError("one marginal player per stage descent")
         order = np.fromiter(self.order, dtype=np.int64, count=len(self.order))
         if not np.array_equal(np.sort(order), np.arange(self.node_count)):
             raise InvariantViolationError("the join order must list every player once")
+
+    @property
+    def q_star(self) -> Fraction:
+        return self.stages[-1].q
 
     def members(self, k: int) -> PlayerSet:
         """The equilibrium of stage ``k``."""
@@ -145,12 +148,10 @@ class DepthFunction:
     breakpoints: tuple[Fraction, ...]
     interval_sizes: tuple[int, ...]
     node_count: int
-    _ascending: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.interval_sizes) != len(self.breakpoints) - 1:
             raise InvariantViolationError("one interval value per breakpoint gap")
-        object.__setattr__(self, "_ascending", tuple(reversed(self.breakpoints)))
 
     @classmethod
     def from_threshold(cls, result: ThresholdResult) -> "DepthFunction":
@@ -178,9 +179,9 @@ def depth_at(df: DepthFunction, q) -> Fraction:
     q = as_unit_rational(q, "q")
     if q <= df.q_star:
         return Fraction(1)
-    # q is in some (q_{n+1}, q_n]; locate q_n as the smallest breakpoint >= q.
-    j = bisect_left(df._ascending, q)
-    return Fraction(df.interval_sizes[len(df.breakpoints) - 1 - j], df.node_count)
+    # q is in some (q_{n+1}, q_n]: n + 1 breakpoints are >= q.
+    n = bisect_right(df.breakpoints, -q, key=operator.neg) - 1
+    return Fraction(df.interval_sizes[n], df.node_count)
 
 
 def _deviators(cfg: GameConfig, members: PlayerSet, q: Fraction) -> np.ndarray:
@@ -188,7 +189,7 @@ def _deviators(cfg: GameConfig, members: PlayerSet, q: Fraction) -> np.ndarray:
     engine = ExactEngine(cfg)
     if engine.start([members]):  # full: s_i = w_i, so all deviate at any q <= 1
         return np.ones(cfg.network.node_count, dtype=bool)
-    deviates = engine.deviating([q])[0]
+    deviates = engine.deviating(np.array([q.as_integer_ratio()], dtype=object))[0]
     deviates[list(cfg.infected)] = True
     return deviates
 
@@ -219,17 +220,17 @@ def cascade(cfg: GameConfig, start: Iterable[int], q) -> CascadeResult:
     engine = ExactEngine(cfg)
     initial = start | cfg.infected
     engine.start([initial])
+    pair = np.array([q.as_integer_ratio()], dtype=object)
     waves: list[PlayerSet] = []
     checked = 0
     while engine.uninfected_count() > 0:
-        flips = engine.flip_candidates([q])
+        flips = engine.flip_candidates(pair)
         checked += 1
         if len(flips) == 0:
             break
         engine.apply(flips)
         waves.append(frozenset(flips.tolist()))
-    return CascadeResult(final=engine.infected_set(), waves=tuple(waves),
-                         initial=initial, subsets_checked=checked)
+    return CascadeResult(waves=tuple(waves), initial=initial, subsets_checked=checked)
 
 
 def full_contagion_threshold(cfg: GameConfig, start: Iterable[int]) -> ThresholdResult:
@@ -277,7 +278,6 @@ class StageLog:
         order = [np.sort(np.fromiter(initial, dtype=np.int64, count=len(initial)))]
         order += [flips[live[flips // n] == row] % n for live, flips in self.steps]
         return ThresholdResult(
-            q_star=qs[-1],
             stages=tuple([ThresholdStage(q, size) for q, size in
                           zip(qs, self.size[lo:hi].tolist())]),
             subsets_checked=int(self.subsets_checked[row]),

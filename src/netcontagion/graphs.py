@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +44,11 @@ _BYTE_CLASS = bytes(c - 48 if 48 <= c <= 57 else _BLANK if c in b" \t"
                     else _BREAK if chr(c) in _LINE_BREAKS else _OTHER for c in range(256))
 # 64-bit words that generate_ba draws at a time.
 _DRAW_BLOCK = 1024
+# Peak bytes of building a network, per node and per edge, and per edge
+# that generate_ba draws (its endpoint lists hold a Python int per entry):
+# rounded up from tracemalloc peaks of 24 B per node and 116 B per edge for
+# from_edges, and 165 B per edge for all of generate_ba(50000, 5, 1).
+_NODE_BYTES, _EDGE_BYTES, _DRAWN_EDGE_BYTES = 32, 128, 64
 
 
 def _flat_ints(rows: Iterable[Iterable[int]], count: int) -> np.ndarray:
@@ -57,6 +63,27 @@ def _flat_ints(rows: Iterable[Iterable[int]], count: int) -> np.ndarray:
     except OverflowError:
         return np.fromiter(map(operator.index, chain.from_iterable(rows)),
                            dtype=object, count=count)
+
+
+def _physical_memory() -> int | None:
+    """The machine's physical memory in bytes, None where it cannot be read."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return memory if memory > 0 else None  # -1: no value on this system
+
+
+def _check_size(n: int, edges: int, drawn: bool = False) -> None:
+    """Refuse a network of ``n`` nodes and ``edges`` edges (``drawn`` by
+    generate_ba) whose construction would need more than physical memory,
+    before anything that large is allocated."""
+    need = _NODE_BYTES * n + (_EDGE_BYTES + _DRAWN_EDGE_BYTES * drawn) * edges
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ParameterError(
+            f"a network of {n} nodes and {edges} edges needs about {need / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -167,6 +194,7 @@ class Network:
                                  else f"edge {a}-{b} out of range")
         if node_count > _MAX_NODES:
             raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {node_count}")
+        _check_size(node_count, len(ends))
         n = node_count
         key = np.sort(np.concatenate([u * n + v, v * n + u]))
         rows, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
@@ -287,6 +315,7 @@ def generate_ba(n: int, m: int, seed: int) -> Network:
         raise ParameterError(f"m must be smaller than n; got m={m}, n={n}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative; got {seed}")
+    _check_size(n, n * m, drawn=True)
     rng = np.random.Generator(np.random.PCG64(seed))
     # The generator is local, so drawing ahead of the picks is invisible.
     halves = chain.from_iterable(map(_uint32_halves, repeat(rng.bit_generator)))

@@ -278,18 +278,20 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     bat.check("depth-cascade-agreement", ok, ser, detail)
 
 
-def _check_counts(trials: int, max_i: int) -> None:
+def _check_counts(trials: int, max_i: int, seed: int) -> None:
     # Random networks have 4 to max_i nodes.
     if max_i < 4:
         raise ParameterError(f"max_i must be at least 4; got {max_i}")
     if trials < 0:
         raise ParameterError(f"trials must be nonnegative; got {trials}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative; got {seed}")
 
 
 def run_checks(trials: int = 50, max_i: int = 12, seed: int = 0, *,
                cascade_impl=None, threshold_impl=None) -> list[PropertyReport]:
     """Run the property battery on ``trials`` random instances."""
-    _check_counts(trials, max_i)
+    _check_counts(trials, max_i, seed)
     bat = _Battery(cascade_impl or contagion.cascade,
                    threshold_impl or contagion.full_contagion_threshold)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -311,7 +313,7 @@ def run_cohesion_checks(trials: int = 30, max_i: int = 12,
     and only if q <= q*.  Subsets are swept exhaustively up to 9 nodes and
     sampled above that.
     """
-    _check_counts(trials, max_i)
+    _check_counts(trials, max_i, seed)
     bat = _Battery(contagion.cascade, contagion.full_contagion_threshold)
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(trials):

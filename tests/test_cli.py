@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -98,9 +99,8 @@ def test_threshold_collects_members_only_for_members(cycle_file, capsys):
 
 def test_depth_has_no_members_flag(cycle_file, capsys):
     # --members lists threshold stages; depth prints none, so it refuses the flag.
-    with pytest.raises(SystemExit) as exited:
-        main(["depth", "--network", cycle_file, "--seeds", "0", "--q", "1/2", "--members"])
-    assert exited.value.code == 2
+    code = main(["depth", "--network", cycle_file, "--seeds", "0", "--q", "1/2", "--members"])
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
@@ -185,6 +185,16 @@ GRID = {"network_size": 30, "m_values": [2], "alpha_values": ["0"], "networks_pe
      {"grid.json": GRID}),
     (["verify", "--max-i", "3"], {}),
     (["verify", "--trials", "-1"], {}),
+    (["verify", "--trials", "1", "--seed", "-1"], {}),
+    (["verify", "--trials", "0", "--max-i", "3"], {}),
+    (["generate", "-n", "30", "-m", "2", "-o", "@grid.json/out"], {"grid.json": GRID}),
+    (["threshold", "--generate", "30,2,1", "--config", "game\0.json"], {}),
+    # Usage errors, conflicting flags among them.
+    (["threshold", "--generate", "10,3,1", "--seeds-random", "abc"], {}),
+    (["threshold", "--generate", "10,3,1", "--seeds", "1", "--bogus"], {}),
+    (["generate", "-n", "10"], {}),
+    (["threshold", "--network", "@net.edges", "--generate", "10,3,1", "--seeds", "1"], {}),
+    (["threshold", "--generate", "10,3,1", "--seeds", "1", "--seeds-random", "3"], {}),
     (["threshold", "--config", "@game.json"],
      {"game.json": {"network": {"path": 5}, "infected": [0]}}),
     (["threshold", "--config", "@game.json"],
@@ -206,6 +216,9 @@ GRID = {"network_size": 30, "m_values": [2], "alpha_values": ["0"], "networks_pe
         "grid-zero-step", "generate-negative-seed", "generate-flag-negative-seed",
         "config-negative-seed", "no-workers", "negative-workers", "grid-repeated-m",
         "out-under-a-file", "verify-max-i-below-4", "verify-negative-trials",
+        "verify-negative-seed", "verify-no-trials-max-i-below-4", "generate-out-under-a-file",
+        "config-path-nul", "flag-not-an-int", "unknown-flag", "missing-required-flag",
+        "network-and-generate", "seeds-and-random",
         "network-path-number", "network-path-null", "network-path-nul", "c-boolean",
         "alpha-boolean", "weight-boolean", "table-boolean", "q-boolean"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, files):
@@ -478,10 +491,7 @@ def test_verify_reports_injected_bug():
         result = contagion.cascade(cfg, start, q)
         if not result.waves:
             return result
-        final = result.initial
-        for wave in result.waves[:-1]:
-            final |= wave
-        return contagion.CascadeResult(final=final, waves=result.waves[:-1],
+        return contagion.CascadeResult(waves=result.waves[:-1],
                                        initial=result.initial,
                                        subsets_checked=result.subsets_checked)
 
@@ -567,21 +577,177 @@ def test_any_game_document_ends_in_an_answer_or_one_typed_error(document_dir, do
     path = document_dir / "game.json"
     path.write_text(text)
     argv = ["--json-errors"] * json_errors + [command, "--config", str(path), "--json"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a disconnected network warns
-        code = main(argv)
+    code, out, err = run_quietly(argv)
     read = [doc.get(key) for key in ("c", "weights", "global_tables", "infected")]
     read += [doc.get("q") if command == "depth" else None, doc.get("alpha")]
     if code == 0:
-        assert err.getvalue() == "" and json.loads(out.getvalue())
+        assert err == "" and json.loads(out)
         assert not holds_boolean(read), read
         return
-    assert code == 2 and out.getvalue() == ""
-    lines = err.getvalue().splitlines()
+    assert_one_error(code, out, err, json_errors)
+
+
+def run_quietly(argv):
+    """``main(argv)``'s exit code, stdout and stderr; warnings are silenced
+    (a disconnected network warns)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error(code, out, err, json_errors):
+    """Exit 2, nothing on stdout, and one line on stderr: a JSON object
+    under --json-errors, else an ``error:`` line."""
+    assert code == 2 and out == ""
+    lines = err.splitlines()
     assert len(lines) == 1, lines
     if json_errors:
         assert json.loads(lines[0])["error"]
     else:
         assert lines[0].startswith("error: ")
+
+
+# Malformed flag values: no number here is valid and large, so a run never
+# asks for a big network, many trials or many worker processes.
+MALFORMED = ["", "x", "-1", "0", "1/2", "0.5", "1e3", "a,b,c", "3,", "--json", "--bogus", "\0",
+             "true", "\u0663"]
+# Tokens dropped anywhere after the subcommand.
+STRAY = st.sampled_from(["extra", "--bogus", "-q", "--json-errors", "--members", "--seeds"])
+# Per subcommand: (flag, its good values or None for a switch, its bad
+# values besides MALFORMED, chance in eighths that it is given).  "@name"
+# is a file or directory of the test's.
+GAME_FLAGS = [("--generate", ["30,2,1", "12,3,5", "5,1,0"], ["5,9,1", "30,2"], 7),
+              ("--network", ["@net.edges"], ["@missing", "@dir"], 1),
+              ("--config", ["@game.json"], ["@grid.json", "@missing"], 1),
+              ("--seeds", ["0", "0,1", "3,4"], ["29", "0,a"], 1),
+              ("--seeds-random", ["1", "3", "5"], ["99"], 7),
+              ("--seeds-seed", ["0", "7"], [], 1),
+              ("--alpha", ["0", "1/2", "1"], ["2"], 3),
+              ("--c", ["1", "3/2"], [], 1),
+              ("--weights", ["@weights.json"], ["@game.json", "@dir"], 1),
+              ("--endogenous", None, None, 1),
+              ("--json", None, None, 4)]
+COMMANDS = {
+    "generate": [("-n", ["12", "30"], ["2"], 7), ("-m", ["1", "2"], ["30"], 7),
+                 ("--seed", ["0", "3"], [], 3),
+                 ("-o", ["@out.edges"], ["@dir", "@net.edges/out"], 4)],
+    "threshold": GAME_FLAGS + [("--members", None, None, 2)],
+    "depth": GAME_FLAGS + [("--q", ["1/2", "1/4,3/4", "0,1"], ["2"], 7),
+                           ("--members", None, None, 1)],
+    "montecarlo": [("--config", ["@grid.json"], ["@game.json", "@missing"], 7),
+                   ("--out", ["@sweep"], ["@net.edges/sweep"], 7),
+                   ("--workers", ["1"], [], 3), ("--master-seed", ["0", "5"], [], 2),
+                   ("--plots", None, None, 4)],
+    "verify": [("--trials", ["0", "1", "3"], [], 8), ("--max-i", ["4", "6"], ["3"], 4),
+               ("--seed", ["0", "2"], [], 3)],
+}
+
+
+def chance(eighths):
+    """True in about ``eighths`` of eight draws."""
+    return st.integers(0, 7).map(lambda k: k < eighths)
+
+
+def seldom(good, bad):
+    """Mostly ``good``, now and then ``bad``."""
+    return chance(7).flatmap(lambda ok: good if ok else bad)
+
+
+@st.composite
+def argument_lists(draw):
+    """An argument list of one subcommand, malformed values mixed in."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, good, bad, eighths in COMMANDS[command]:
+        if draw(chance(eighths)):
+            argv.append(flag)
+            if good is not None:
+                argv.append(draw(seldom(st.sampled_from(good), st.sampled_from(MALFORMED + bad))))
+    if draw(chance(1)):
+        argv.insert(draw(st.integers(1, len(argv))), draw(STRAY))
+    return argv
+
+
+# A grid field's malformed values: the wrong type, or a number out of range.
+GRID_JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-3, 0),
+                      st.sampled_from(["", "x", "1/2", "2", "1e3", [], {}, [[1]], ["x"]]))
+
+
+@st.composite
+def grid_documents(draw):
+    """A ``montecarlo --config`` document of at most 30 nodes, two networks
+    per m and two sets per size; now and then one field is malformed and
+    one is left out."""
+    n = draw(st.integers(4, 30))
+    units = st.sampled_from(["0", "1/4", "1/2", "3/4", "1"])
+    good = {
+        "network_size": st.just(n),
+        "m_values": st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+        "alpha_values": st.lists(units, min_size=1, max_size=2, unique=True),
+        "networks_per_m": st.integers(1, 2),
+        "sets_per_size": st.integers(1, 2),
+        "set_sizes": st.one_of(
+            st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True),
+            st.fixed_dictionaries({"start": st.integers(1, 10), "stop": st.integers(2, n)},
+                                  optional={"step": st.integers(1, 12)})),
+        "q_grid": st.lists(units, min_size=1, max_size=2),
+        "master_seed": st.integers(0, 5),
+    }
+    bad = {
+        "network_size": st.just(10**30),
+        "m_values": st.just([2, 2]),
+        "alpha_values": st.lists(GOOD, min_size=1, max_size=2),
+        "set_sizes": st.one_of(
+            st.lists(st.integers(0, 31), min_size=1, max_size=3),
+            st.fixed_dictionaries({"start": st.integers(0, 10), "stop": st.integers(0, 31)},
+                                  optional={"step": st.integers(-2, 12)})),
+        "q_grid": st.lists(GOOD, min_size=1, max_size=2),
+        "master_seed": st.just(10**30),
+    }
+    doc = {key: draw(value) for key, value in good.items()}
+    broken, dropped = (draw(mostly(st.none(), st.sampled_from(sorted(good)))) for _ in "ab")
+    if broken:
+        doc[broken] = draw(st.one_of(GRID_JUNK, bad.get(broken, GRID_JUNK)))
+    doc.pop(dropped, None)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def argument_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("arguments")
+    (path / "net.edges").write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+    (path / "dir").mkdir()
+    (path / "game.json").write_text(json.dumps({"infected": [0], "alpha": "1/2", "q": ["1/2"]}))
+    # Players 0 and 1 are neighbours in every generated network and in net.edges.
+    (path / "weights.json").write_text(json.dumps([[0, 1, "3/2"]]))
+    return path
+
+
+@given(argv=argument_lists(), grid=grid_documents(), json_errors=st.booleans())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_any_argument_list_ends_in_an_answer_or_one_typed_error(argument_dir, argv, grid,
+                                                                json_errors):
+    # Every run exits 0, or 2 with one error line (a JSON object under
+    # --json-errors); an uncaught exception fails the test with its traceback.
+    # A malformed output path is relative: it lands in the test's directory.
+    (argument_dir / "grid.json").write_text(json.dumps(grid))
+    argv = ["--json-errors"] * json_errors + [
+        str(argument_dir / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    cwd = os.getcwd()
+    os.chdir(argument_dir)
+    try:
+        code, out, err = run_quietly(argv)
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        assert_one_error(code, out, err, json_errors)
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["threshold", "--help"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0 and "usage:" in capsys.readouterr().out

@@ -400,14 +400,16 @@ def test_depth_at_domain(cycle4_seeded):
 def test_cascade_result_validation():
     from netcontagion.contagion import CascadeResult
     from netcontagion.errors import InvariantViolationError
-    CascadeResult(final=frozenset({0, 1}), waves=(frozenset({1}),),
-                  initial=frozenset({0}), subsets_checked=1)
+    result = CascadeResult(waves=(frozenset({1}), frozenset({2, 3})),
+                           initial=frozenset({0}), subsets_checked=3)
+    assert result.final == frozenset({0, 1, 2, 3})  # C_0 plus the waves
+    assert CascadeResult(waves=(), initial=frozenset({4}), subsets_checked=1).final == {4}
     with pytest.raises(InvariantViolationError):
-        CascadeResult(final=frozenset({0, 1}), waves=(frozenset({0}),),
+        CascadeResult(waves=(frozenset({0}),),
                       initial=frozenset({0}), subsets_checked=1)  # overlap
-    with pytest.raises(InvariantViolationError):
-        CascadeResult(final=frozenset({0, 1, 2}), waves=(frozenset({1}),),
-                      initial=frozenset({0}), subsets_checked=1)  # union short
+    with pytest.raises(TypeError):
+        CascadeResult(final=frozenset({0, 1}), waves=(frozenset({1}),),
+                      initial=frozenset({0}), subsets_checked=1)  # final is derived
 
 
 def stage_list(*pairs):
@@ -430,19 +432,17 @@ GOOD_STAGES = stage_list((1, 1), ("1/2", 3), ("1/3", 4))
     ({"stages": stage_list((1, 1), ("1/2", 3), ("1/3", 3)), "node_count": 3},
      "equilibria strictly grow"),
     ({"node_count": 5}, "last equilibrium must be the full set"),
-    ({"q_star": F(1, 4)}, "q_star must equal the last stage q"),
-    ({"q_star": F(2, 6) + F(1, 10**30)}, "q_star must equal the last stage q"),
     ({"marginal_players": (2,)}, "one marginal player per stage descent"),
     ({"marginal_players": (2, 3, 0)}, "one marginal player per stage descent"),
     ({"order": (0, 1, 1, 3)}, "join order must list every player once"),
     ({"order": (0, 1, 2)}, "join order must list every player once"),
     ({"order": (0, 1, 2, 3, 4)}, "join order must list every player once"),
 ], ids=["first-q", "no-stages", "q-flat", "q-rising", "size-flat", "size-flat-at-end",
-        "last-not-full", "q-star", "q-star-near", "marginals-short", "marginals-long",
+        "last-not-full", "marginals-short", "marginals-long",
         "order-repeats", "order-short", "order-outside"])
 def test_threshold_result_rejects_malformed_stages(changes, message):
-    fields = dict(q_star=F(1, 3), stages=GOOD_STAGES, subsets_checked=4,
+    fields = dict(stages=GOOD_STAGES, subsets_checked=4,
                   marginal_players=(2, 3), node_count=4, order=(2, 0, 3, 1))
-    ThresholdResult(**fields)
+    assert ThresholdResult(**fields).q_star == F(1, 3)
     with pytest.raises(InvariantViolationError, match=message):
         ThresholdResult(**{**fields, **changes})

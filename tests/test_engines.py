@@ -110,10 +110,12 @@ class OneRow:
         return self.engine.uninfected_count()
 
     def infected_set(self):
-        return self.engine.infected_set(0)
+        if not len(self.engine.live):  # a full row is retired
+            return frozenset(range(self.engine.n))
+        return frozenset(np.flatnonzero(~self.engine.outside[0]).tolist())
 
     def flip_candidates(self, q):
-        return self.engine.flip_candidates([q])
+        return self.engine.flip_candidates(pairs([q]))
 
     def apply(self, flips):
         self.engine.apply(flips)
@@ -121,6 +123,12 @@ class OneRow:
     def max_threshold(self):
         [(t, first)] = thresholds(self.engine, [0])
         return t, first
+
+
+def pairs(qs):
+    """The engine's form of one q per batch row: a ``(rows, 2)`` array of
+    numerators and denominators, as Python ints."""
+    return np.array([F(q).as_integer_ratio() for q in qs], dtype=object).reshape(-1, 2)
 
 
 def thresholds(engine, positions):
@@ -185,7 +193,7 @@ def fraction_search(cfg, initial):
         assert engine.infected_set() == frozenset(order)
         stages.append(ThresholdStage(q=q, size=n - engine.uninfected_count()))
         if engine.uninfected_count() == 0:
-            return ThresholdResult(q_star=q, stages=tuple(stages), subsets_checked=checked,
+            return ThresholdResult(stages=tuple(stages), subsets_checked=checked,
                                    marginal_players=tuple(marginals), node_count=n,
                                    order=tuple(order))
         q, first = engine.max_threshold()
@@ -280,10 +288,10 @@ def test_fast_engine_flags_empty_pool():
     engine.start([cfg.infected])
     # At q=1 the hub needs every neighbor (its share pool is empty), while a
     # leaf needs only its single neighbor.
-    assert list(engine.flip_candidates([F(1)])) == []
+    assert list(engine.flip_candidates(pairs([F(1)]))) == []
     engine2 = ExactEngine(GameConfig(network=star, infected=frozenset({0})))
     engine2.start([frozenset({0})])
-    flips = engine2.flip_candidates([F(1)])
+    flips = engine2.flip_candidates(pairs([F(1)]))
     assert sorted(int(i) for i in flips) == [1, 2, 3, 4, 5]
 
 
@@ -374,23 +382,23 @@ def test_max_threshold_settles_float_ties_exactly(big):
     cfg = GameConfig(network=net, weights=weights, infected=frozenset({1}))
     engine = ExactEngine(cfg)
     engine.start([cfg.infected])
-    assert len(engine.flip_candidates([F(1)])) == 0
+    assert len(engine.flip_candidates(pairs([F(1)]))) == 0
     assert thresholds(engine, [0]) == [(F(big + 1, big + 2), 2)]
     assert_engines_agree(cfg, cfg.infected)
     # Across rows, the settling moves only the rows whose float argmax was
     # wrong; the row seeded at 3 has a float-distinct max 1/(big+1) at 0.
     engine.start([frozenset({1}), frozenset({3}), frozenset({1})])
-    assert len(engine.flip_candidates([F(1)] * 3)) == 0
+    assert len(engine.flip_candidates(pairs([F(1)] * 3))) == 0
     assert thresholds(engine, [0, 1, 2]) == [
         (F(big + 1, big + 2), 2), (F(1, big + 1), 0), (F(big + 1, big + 2), 2)]
     assert thresholds(engine, [1, 2]) == [(F(1, big + 1), 0), (F(big + 1, big + 2), 2)]
 
 
 def test_max_threshold_after_apply_sees_the_new_set():
-    # Thresholds read after an apply must come from the grown set, not from
-    # the pairs the preceding flip_candidates call evaluated.
-    # At alpha = 1/2 every outsider's denominator stays positive, so the
-    # max is defined mid-stage too.
+    # max_threshold reads the pairs of the last deviating call, so after an
+    # apply it refuses until the grown set is evaluated again.  At alpha =
+    # 1/2 every outsider's denominator stays positive, so the max is
+    # defined mid-stage too.
     net = generate_ba(30, 2, 4)
     rng = np.random.Generator(np.random.PCG64(2))
     for weights in (InfluenceWeights.unit(net), random_weights(rng, net)):
@@ -399,10 +407,15 @@ def test_max_threshold_after_apply_sees_the_new_set():
         engine, reference = ExactEngine(cfg), FractionEngine(cfg)
         engine.start([frozenset({0, 1, 2})])
         reference.start(frozenset({0, 1, 2}))
-        flips = engine.flip_candidates([F(1, 3)])
+        with pytest.raises(InvariantViolationError, match="last deviating call"):
+            engine.max_threshold([0])  # nothing evaluated since the start
+        flips = engine.flip_candidates(pairs([F(1, 3)]))
         assert len(flips)
         engine.apply(flips)
         reference.apply(flips.tolist())
+        with pytest.raises(InvariantViolationError, match="last deviating call"):
+            engine.max_threshold([0])
+        engine.deviating(pairs([F(1, 3)]))
         [(t, first)] = thresholds(engine, [0])
         assert (t, first) == reference.max_threshold()
 
@@ -652,7 +665,7 @@ def test_stage_log_checks_the_threshold_invariants(changes, message, big_terms):
     qs = [F(*big(q)) if big_terms else F(*q) for q in GOOD_LOG[0]]
     assert (max(log.q_den.tolist()) >= 2**32) == big_terms
     assert log.result(0) == ThresholdResult(
-        q_star=qs[-1], stages=tuple(ThresholdStage(q, size) for q, size in zip(qs, [1, 3, 4])),
+        stages=tuple(ThresholdStage(q, size) for q, size in zip(qs, [1, 3, 4])),
         subsets_checked=3, marginal_players=(2, 3), node_count=n, order=(0, 1, 2, 3))
     bad = [changes.get(k, column) for k, column in enumerate(GOOD_LOG)]
     with pytest.raises(InvariantViolationError, match=message):

@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from netcontagion import graphs
 from netcontagion.errors import EdgeListParseError, ParameterError
 from netcontagion.graphs import (
     _COMMENT,
@@ -67,6 +68,22 @@ def test_generate_ba_checks_the_node_cap_before_drawing(monkeypatch):
     for n in (_MAX_NODES + 1, 10**10):
         with pytest.raises(ParameterError, match="at most"):
             generate_ba(n, 5, 0)
+
+
+def test_sizes_beyond_physical_memory_are_refused_before_allocating(monkeypatch):
+    # The probe reads 1 MiB, so on any machine the refused sizes are never
+    # allocated: generate_ba's endpoint lists and from_edges' indptr alike.
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 2**20)
+    assert generate_ba(100, 3, 0).node_count == 100
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: pytest.fail("drew a network"))
+    with pytest.raises(ParameterError, match="physical memory"):
+        generate_ba(2_000_000_000, 5, 0)
+    for text in ("0 2999999999\n", "0 99999\n"):
+        with pytest.raises(ParameterError, match="physical memory"):
+            load_edge_list(text)
+    # Where the memory cannot be read, nothing is refused.
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: None)
+    assert load_edge_list("0 99999\n").node_count == 100_000
 
 
 def test_generated_networks_connected():
