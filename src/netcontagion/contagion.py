@@ -114,8 +114,11 @@ class ThresholdResult:
             raise InvariantViolationError("last equilibrium must be the full set")
         if len(self.marginal_players) != len(self.stages) - 1:
             raise InvariantViolationError("one marginal player per stage descent")
+        n = self.node_count
         order = np.fromiter(self.order, dtype=np.int64, count=len(self.order))
-        if not np.array_equal(np.sort(order), np.arange(self.node_count)):
+        # n players in range, each counted once: a permutation, in O(n).
+        if (len(order) != n or ((order < 0) | (order >= n)).any()
+                or not (np.bincount(order, minlength=n) == 1).all()):
             raise InvariantViolationError("the join order must list every player once")
 
     @property

@@ -6,7 +6,13 @@ as Python tuples are built only when a caller first reads ``adjacency``.
 :meth:`Network.from_edges` works on numpy arrays of endpoints, and
 :func:`load_edge_list` parses a plain-ASCII document as one byte array, so
 loading a graph costs a few array passes, not a Python object per node,
-edge or token.
+edge or token.  The passes write into buffers they allocate once, so the
+transient bytes stay within a small multiple of the CSR's 16 B per edge:
+tracemalloc peaks on the 149,985 edges of ``generate_ba(30000, 5, 1)`` are
+51.6 B per edge for ``from_edges`` (validation included), 74.7 B for
+``load_edge_list`` of its dump and 98.8 B for all of ``generate_ba``.
+:meth:`Network.edges` and :func:`dump_edge_list` turn ``_CHUNK`` CSR slots
+at a time into Python ints.
 
 Randomness convention: every generator in this package draws from
 ``numpy.random.Generator(numpy.random.PCG64(seed))``, so a seed pins the
@@ -44,11 +50,16 @@ _BYTE_CLASS = bytes(c - 48 if 48 <= c <= 57 else _BLANK if c in b" \t"
                     else _BREAK if chr(c) in _LINE_BREAKS else _OTHER for c in range(256))
 # 64-bit words that generate_ba draws at a time.
 _DRAW_BLOCK = 1024
+# Entries that a chunked pass takes at a time: CSR slots that Network.edges
+# and dump_edge_list turn into Python ints, or bytes that _parse_plain scans.
+_CHUNK = 2**16
 # Peak bytes of building a network, per node and per edge, and per edge
 # that generate_ba draws (its endpoint lists hold a Python int per entry):
-# rounded up from tracemalloc peaks of 24 B per node and 116 B per edge for
-# from_edges, and 165 B per edge for all of generate_ba(50000, 5, 1).
-_NODE_BYTES, _EDGE_BYTES, _DRAWN_EDGE_BYTES = 32, 128, 64
+# rounded up from least-squares fits of tracemalloc peaks at n = 20,000 and
+# 60,000, m = 1 to 10: 8 B per node and 50 B per edge for from_edges, 44 B
+# per node and 91 B per edge for all of generate_ba.  At generate_ba(30000,
+# 5, 1) these are 51.6 and 98.8 B per edge.
+_NODE_BYTES, _EDGE_BYTES, _DRAWN_EDGE_BYTES = 48, 64, 32
 
 
 def _flat_ints(rows: Iterable[Iterable[int]], count: int) -> np.ndarray:
@@ -107,26 +118,40 @@ def _check_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
     if len(indptr) != n + 1:
         raise ParameterError("adjacency length must equal node_count")
     row = np.repeat(np.arange(n), np.diff(indptr))
+    # Every pass writes into the check's own buffers: two bool flags here,
+    # ``row`` and ``mirrored`` below.  The caller's arrays are read-only.
+    flag, tmp = np.zeros(len(indices), dtype=bool), np.zeros(len(indices), dtype=bool)
     # Checked node by node as the lists read: a row out of order is
-    # reported at its first slot, before any bad neighbor in it.
-    steps_down = 1 + np.flatnonzero((np.diff(indices) <= 0) & (row[1:] == row[:-1]))
-    unordered = np.zeros(len(indices), dtype=bool)
-    unordered[indptr[row[steps_down]]] = True
-    bad = _first(unordered | (indices == row) | (indices < 0) | (indices >= n))
+    # reported at its first slot, before any bad neighbor in it.  Slot p
+    # steps down when it is in the row of slot p - 1 and its neighbor is
+    # not above the one before.
+    np.less_equal(indices[1:], indices[:-1], out=flag[1:])
+    flag[1:] &= np.equal(row[1:], row[:-1], out=tmp[1:])
+    unordered = indptr[row[np.flatnonzero(flag)]]
+    flag[:] = False
+    flag[unordered] = True
+    for test, bound in ((np.equal, row), (np.less, 0), (np.greater_equal, n)):
+        flag |= test(indices, bound, out=tmp)
+    bad = _first(flag)
     if bad is not None:
         i, j = int(row[bad]), int(indices[bad])
-        if unordered[bad]:
+        if bad in unordered:
             raise ParameterError(f"neighbor list of {i} is not sorted/unique")
         if j == i:
             raise ParameterError(f"self-loop at node {i}")
         raise ParameterError(f"neighbor {j} of node {i} out of range")
+    del flag
     # Rows sorted, unique and in range make the packed keys i*n + j of
     # the CSR strictly increasing; the graph is symmetric iff they equal
     # the sorted keys j*n + i of the mirrored pairs.  At the first
     # difference, the smaller key is a pair without its mirror.
-    key = row * n + indices
-    mirrored = np.sort(indices * n + row)
-    at = _first(mirrored != key)
+    mirrored = indices * n
+    mirrored += row
+    mirrored.sort()
+    key = row
+    key *= n
+    key += indices
+    at = _first(np.not_equal(mirrored, key, out=tmp))
     if at is not None:
         u, v = sorted(divmod(min(int(key[at]), int(mirrored[at])), n))
         raise ParameterError(f"edge {u}-{v} is not symmetric")
@@ -195,11 +220,24 @@ class Network:
         if node_count > _MAX_NODES:
             raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {node_count}")
         _check_size(node_count, len(ends))
-        n = node_count
-        key = np.sort(np.concatenate([u * n + v, v * n + u]))
-        rows, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        n, count = node_count, len(ends)
+        # Both directions of each pair as a packed key a*n + b, in one
+        # buffer sorted in place; a key unlike the one before it is new.
+        key = np.empty(2 * count, dtype=np.int64)
+        np.multiply(u, n, out=key[:count])
+        key[:count] += v
+        np.multiply(v, n, out=key[count:])
+        key[count:] += u
+        del ends, u, v
+        key.sort()
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        indices = key[new]
+        del key, new
+        # Row i's keys are those in [i*n, (i+1)*n), and a key's column is its remainder.
+        indptr = np.searchsorted(indices, np.arange(n + 1) * n)
+        np.remainder(indices, n, out=indices)
         return cls._from_csr(n, indptr, indices, meta)
 
     @cached_property
@@ -245,10 +283,22 @@ class Network:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, lexicographically."""
+        return chain.from_iterable(zip(u.tolist(), v.tolist()) for u, v in self._upper())
+
+    def _upper(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The edges as (u, v) arrays with u < v, lexicographically, in
+        chunks of at most ``_CHUNK`` CSR slots."""
         indptr, indices = self.csr
-        row = np.repeat(np.arange(self.node_count), np.diff(indptr))
-        upper = row < indices
-        return zip(row[upper].tolist(), indices[upper].tolist())
+        for lo in range(0, len(indices), _CHUNK):
+            hi = min(lo + _CHUNK, len(indices))
+            # The rows that hold slots lo..hi-1, each cut to those slots.
+            first = int(np.searchsorted(indptr, lo, side="right")) - 1
+            stop = int(np.searchsorted(indptr, hi))
+            row = np.repeat(np.arange(first, stop),
+                            np.diff(np.clip(indptr[first:stop + 1], lo, hi)))
+            col = indices[lo:hi]
+            upper = row < col
+            yield row[upper], col[upper]
 
     @cached_property
     def _connected(self) -> bool:
@@ -399,12 +449,17 @@ def _parse_plain(body: str) -> np.ndarray | None:
     if bytes((_OTHER,)) in classes:
         return None
     cls = np.frombuffer(classes, np.uint8)
+    # Byte positions, in int32 while the text is short enough.
+    position = np.int32 if len(cls) < 2**31 else np.int64
     digit = cls < 10
+    change = np.not_equal(digit[1:], digit[:-1])
+    del digit
     # Alternating: the non-digit byte before each digit run, then its last
     # digit; copied apart, as the passes below run faster on contiguous rows.
-    runs = np.flatnonzero(digit[1:] != digit[:-1])
-    del digit
+    runs = _flatnonzero(change, position)
+    del change
     before, last = runs.reshape(-1, 2).T.copy()
+    del runs
     width = int((last - before).max(initial=0))
     if not width or len(before) % 2 or width > 18:
         return None
@@ -413,7 +468,7 @@ def _parse_plain(body: str) -> np.ndarray | None:
     # one holds at least one.  A break in the gap before token j sorts
     # after every earlier token's bytes and not after token j's ``before``.
     gap_breaks = np.zeros(len(before) + 1, dtype=bool)
-    gap_breaks[np.searchsorted(before, np.flatnonzero(cls == _BREAK))] = True
+    gap_breaks[np.searchsorted(before, _flatnonzero(cls == _BREAK, position))] = True
     if gap_breaks[1::2].any() or not gap_breaks[2:-1:2].all():
         return None
     # Digit columns, left-aligned to the widest token.  Until its digits
@@ -428,6 +483,19 @@ def _parse_plain(body: str) -> np.ndarray | None:
         value += cls[at] & 15
         column += 1
     return value.reshape(-1, 2)
+
+
+def _flatnonzero(mask: np.ndarray, dtype) -> np.ndarray:
+    """``np.flatnonzero(mask)`` as ``dtype``, found ``_CHUNK`` entries at a
+    time, so no whole-mask array of int64 positions is built."""
+    hits = np.empty(np.count_nonzero(mask), dtype=dtype)
+    at = 0
+    for lo in range(0, len(mask), _CHUNK):
+        found = np.flatnonzero(mask[lo:lo + _CHUNK])
+        found += lo
+        hits[at:at + len(found)] = found
+        at += len(found)
+    return hits
 
 
 def _parse_lines(text: str) -> np.ndarray:
@@ -465,9 +533,7 @@ def dump_edge_list(net: Network, header: bool = False) -> str:
     With ``header=True``, generator metadata is emitted as ``#`` comments,
     which :func:`load_edge_list` ignores on the way back in.
     """
-    lines = []
-    if header and net.meta:
-        for key in sorted(net.meta):
-            lines.append(f"# {key}: {net.meta[key]}")
-    lines.extend(f"{u} {v}" for u, v in net.edges())
-    return "\n".join(lines) + "\n"
+    parts = [f"# {key}: {net.meta[key]}\n" for key in sorted(net.meta)] if header else []
+    for u, v in net._upper():
+        parts.append(("%d %d\n" * len(u)) % tuple(np.column_stack((u, v)).ravel().tolist()))
+    return "".join(parts) or "\n"

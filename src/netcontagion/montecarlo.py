@@ -46,6 +46,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import warnings
 from array import array
 from bisect import bisect_left
@@ -316,14 +317,17 @@ def iter_batches(grid: ExperimentGrid, workers: int = 1) -> Iterator[RunBatch]:
     Yields each task's :class:`RunBatch`, its runs ordered by set size,
     replicate and intensity, tasks in ascending ``(m, network_id)`` order,
     so the concatenation is the globally sorted run list for any worker
-    count.  With ``workers > 1`` at most ``2 * workers`` tasks are in
-    flight, and results are yielded in submission order.  ``workers`` is
-    checked before anything runs.
+    count.  ``workers`` is checked before anything runs, then capped at
+    the task count and the CPU count: a pool never starts a process that
+    could have no task or no core.  With more than one worker left, at most
+    ``2 * workers`` tasks are in flight, and results are yielded in
+    submission order.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1; got {workers}")
     tasks = [(m, net_id) for m in sorted(grid.m_values)
              for net_id in range(grid.networks_per_m)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     return (_run_network_task(grid, m, net_id) for m, net_id in tasks) \
         if workers == 1 else _pooled_tasks(grid, tasks, workers)
 

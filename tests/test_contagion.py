@@ -437,9 +437,11 @@ GOOD_STAGES = stage_list((1, 1), ("1/2", 3), ("1/3", 4))
     ({"order": (0, 1, 1, 3)}, "join order must list every player once"),
     ({"order": (0, 1, 2)}, "join order must list every player once"),
     ({"order": (0, 1, 2, 3, 4)}, "join order must list every player once"),
+    ({"order": (0, 1, 2, 4)}, "join order must list every player once"),
+    ({"order": (-1, 0, 1, 2)}, "join order must list every player once"),
 ], ids=["first-q", "no-stages", "q-flat", "q-rising", "size-flat", "size-flat-at-end",
         "last-not-full", "marginals-short", "marginals-long",
-        "order-repeats", "order-short", "order-outside"])
+        "order-repeats", "order-short", "order-outside", "order-above", "order-negative"])
 def test_threshold_result_rejects_malformed_stages(changes, message):
     fields = dict(stages=GOOD_STAGES, subsets_checked=4,
                   marginal_players=(2, 3), node_count=4, order=(2, 0, 3, 1))

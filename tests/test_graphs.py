@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import pickle
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -84,6 +85,27 @@ def test_sizes_beyond_physical_memory_are_refused_before_allocating(monkeypatch)
     # Where the memory cannot be read, nothing is refused.
     monkeypatch.setattr(graphs, "_physical_memory", lambda: None)
     assert load_edge_list("0 99999\n").node_count == 100_000
+
+
+def test_size_guard_is_at_least_the_measured_peak(monkeypatch):
+    # A machine with one byte less than the tracemalloc peak of building the
+    # network is refused: the guard's estimate, for the sizes that
+    # from_edges and generate_ba pass it, bounds the peak from above.
+    generate_ba(100, 5, 1)  # a first call's one-time allocations stay out of the peaks
+    n, m = 20000, 5
+    edges = np.array(list(generate_ba(n, m, 1).edges()))
+    peaks = []
+    for build in (lambda: Network.from_edges(n, edges), lambda: generate_ba(n, m, 1)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    for peak, sizes in zip(peaks, [(n, len(edges)), (n, n * m, True)]):
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: peak - 1)
+        with pytest.raises(ParameterError, match="physical memory"):
+            graphs._check_size(*sizes)
 
 
 def test_generated_networks_connected():
@@ -218,6 +240,21 @@ def reference_load(text):
     if max_index < 0:
         raise EdgeListParseError("document contains no edges", 1)
     return max_index + 1, reference_from_edges(max_index + 1, edges)
+
+
+def reference_dump(net, header):
+    """The edge-list text as dump_edge_list rendered it, one line at a time."""
+    lines = [f"# {key}: {net.meta[key]}" for key in sorted(net.meta)] if header else []
+    lines += [f"{i} {j}" for i, row in enumerate(net.adjacency) for j in row if i < j]
+    return "\n".join(lines) + "\n"
+
+
+def read_only_csr(adjacency):
+    """The CSR arrays of ``adjacency``, read-only as a network's are."""
+    indptr = np.cumsum([0, *map(len, adjacency)])
+    indices = np.array([j for row in adjacency for j in row], dtype=np.int64)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
 
 
 def reference_generate_ba(n, m, seed):
@@ -373,11 +410,16 @@ PLAIN_DOCUMENTS = ["", "\n", "\r\n\r", "# only a comment", " \t\n", "0 1", "0 1\
 
 
 @pytest.mark.parametrize("chunk", range(4))
-def test_load_matches_reference_loop_on_plain_documents(chunk):
+def test_load_matches_reference_loop_on_plain_documents(chunk, monkeypatch):
     rng = np.random.default_rng([2027, chunk])
     texts = [random_plain_document(rng) for _ in range(50)] + (PLAIN_DOCUMENTS if chunk == 0 else [])
-    for text in texts:
+    whole = [_parse_plain(_COMMENT.sub("", text)) for text in texts]
+    # Scanned a few bytes at a time, a document parses as it does in one piece.
+    monkeypatch.setattr(graphs, "_CHUNK", [graphs._CHUNK, 1, 3, 8][chunk])
+    for text, ends in zip(texts, whole):
         assert outcome(load_edge_list, text) == outcome(reference_load, text), repr(text)
+        again = _parse_plain(_COMMENT.sub("", text))
+        assert (again is None) == (ends is None) and (ends is None or np.array_equal(again, ends))
 
 
 def test_plain_documents_mostly_take_the_array_path():
@@ -414,6 +456,11 @@ def test_network_validation_matches_reference_loop(seed):
         want = outcome(reference_validate, n, adjacency)
         got = outcome(Network, n, adjacency)
         assert got == (want if want is not None else (n, adjacency)), adjacency
+        # Unpickling takes the same checks, on arrays it cannot write.
+        indptr, indices = read_only_csr(adjacency)
+        before = indices.copy()
+        assert outcome(Network._from_csr, n, indptr, indices, None) == got
+        assert np.array_equal(indices, before)
 
 
 def test_connectivity_matches_reference_loop():
@@ -435,7 +482,9 @@ def test_connectivity_matches_reference_loop():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_from_edges_matches_reference_loop(seed):
+def test_from_edges_matches_reference_loop(seed, monkeypatch):
+    # Chunks of 1 to 4 CSR slots: edges() and dump_edge_list cut rows apart.
+    monkeypatch.setattr(graphs, "_CHUNK", seed + 1)
     rng = np.random.default_rng([11, seed])
     for _ in range(50):
         n = int(rng.integers(1, 15))
@@ -447,12 +496,16 @@ def test_from_edges_matches_reference_loop(seed):
         if not isinstance(want[0], type):
             want = (n, want)
         assert outcome(Network.from_edges, n, edges) == want, edges
-        assert outcome(Network.from_edges, n, np.array(edges, dtype=np.int64).reshape(-1, 2)) == want
+        array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        assert outcome(Network.from_edges, n, array) == want
+        assert array.tolist() == [list(e) for e in edges]  # the caller's array is unchanged
         if isinstance(want[0], int):
             net, ref = Network.from_edges(n, edges), Network(n, want[1])
             assert net == ref and hash(net) == hash(ref)
             assert net.adjacency == ref.adjacency and net.degrees == ref.degrees
-            assert list(net.edges()) == list(ref.edges())
+            assert list(net.edges()) == [(i, j) for i, row in enumerate(want[1])
+                                         for j in row if i < j]
+            assert dump_edge_list(net) == reference_dump(ref, False)
             assert all(map(np.array_equal, net.csr, ref.csr))
 
 
@@ -471,10 +524,25 @@ def test_generate_ba_pinned_digest():
         "a3b3e48db6499de3659839dea37deba1d5fc2796aab8cae3886baddf76cf1640")
 
 
+@pytest.mark.parametrize("net, header", [
+    (generate_ba(2000, 3, 1), True),
+    (generate_ba(2000, 3, 1), False),
+    (Network.from_edges(3, [], {"source": "none"}), True),
+    (Network(3, ((), (), ())), False),
+], ids=["header", "no-header", "no-edges-header", "no-edges"])
+@pytest.mark.parametrize("chunk", [graphs._CHUNK, 7])
+def test_dump_matches_the_per_line_rendering(net, header, chunk, monkeypatch):
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    assert dump_edge_list(net, header) == reference_dump(net, header)
+    assert list(net.edges()) == [(i, j) for i, row in enumerate(net.adjacency)
+                                 for j in row if i < j]
+
+
 def test_round_trip_30k_nodes():
     net = generate_ba(30000, 5, 3)
     again = load_edge_list(dump_edge_list(net, header=True))
     assert again == net
+    assert pickle.loads(pickle.dumps(net, protocol=5)) == net
     assert again.edge_count == net.edge_count == 5 * (30000 - 5) + 10
     for a, b in zip(again.csr, net.csr):
         assert np.array_equal(a, b)

@@ -20,7 +20,7 @@ from sweep_reference import (
 )
 
 import netcontagion
-from netcontagion import contagion, montecarlo
+from netcontagion import cli, contagion, montecarlo
 from netcontagion.contagion import DepthFunction, depth_at, full_contagion_threshold
 from netcontagion.errors import ParameterError
 from netcontagion.game import GameConfig
@@ -104,6 +104,7 @@ class RecordingPool:
     """A synchronous stand-in for ProcessPoolExecutor that counts submissions."""
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.submitted = 0
         self.cancelled = None
         RecordingPool.last = self
@@ -120,6 +121,7 @@ class RecordingPool:
 
 def test_iter_grid_keeps_at_most_twice_the_workers_in_flight(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)  # 2 and 3 workers stay uncapped
     grid = ExperimentGrid(
         network_size=20, m_values=(1, 2), alpha_values=(F(0),), networks_per_m=6,
         sets_per_size=1, set_sizes=(3,), q_grid=(), master_seed=5)
@@ -134,6 +136,31 @@ def test_iter_grid_keeps_at_most_twice_the_workers_in_flight(monkeypatch):
     next(stream)
     stream.close()
     assert RecordingPool.last.submitted == 6 and RecordingPool.last.cancelled is True
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(64, 2), (1, None), (None, None)])
+def test_montecarlo_pool_is_capped_by_tasks_and_cpus(monkeypatch, tmp_path, cpus, pool_size):
+    """A huge ``--workers`` on a two-task grid asks for at most two processes,
+    and none beyond the CPU count; the recorder starts no process at all."""
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    RecordingPool.last = None
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "network_size": 20, "m_values": [1, 2], "alpha_values": ["0"], "networks_per_m": 1,
+        "sets_per_size": 1, "set_sizes": {"start": 3, "stop": 9, "step": 3}}))
+    trees = []
+    for workers in ("1000000000", "1"):
+        out = tmp_path / workers
+        assert cli.main(["montecarlo", "--config", str(config), "--out", str(out),
+                         "--workers", workers]) == 0
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    pool = RecordingPool.last
+    if pool_size is None:
+        assert pool is None  # one worker left: the tasks run in this process
+    else:
+        assert (pool.max_workers, pool.submitted) == (pool_size, 2)
+    assert trees[0] == trees[1]
 
 
 def test_iter_grid_checks_workers_before_running(monkeypatch):
