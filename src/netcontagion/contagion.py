@@ -41,14 +41,9 @@ from .errors import (
     PreconditionError,
     UnsupportedHypothesisError,
 )
-from .game import GameConfig, PlayerSet
+from .game import GameConfig, PlayerSet, _player
 from .graphs import Network
 from .rational import as_unit_rational, rational_json, rational_str
-
-
-def _below(a: Fraction, b: Fraction) -> bool:
-    """``a < b`` by integer cross-products, without Fraction's generic comparison."""
-    return a.numerator * b.denominator < b.numerator * a.denominator
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,7 @@ class ThresholdResult:
     lowest-indexed attainer of the max that produced ``stages[n+1].q``.
     ``order`` lists the players as they joined, the initial set and then
     each step's flips ascending: stage n's members are its first ``stages[n].size``.
+    It may be given as an int64 array; it is kept as a tuple.
     """
 
     stages: tuple[ThresholdStage, ...]
@@ -104,22 +100,21 @@ class ThresholdResult:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.stages or self.stages[0].q != 1:
+        if not self.stages:
             raise InvariantViolationError("stage sequence must start at q_0 = 1")
-        for a, b in zip(self.stages, self.stages[1:]):
-            if not (_below(b.q, a.q) and b.size > a.size):
-                raise InvariantViolationError(
-                    "q must strictly decrease and equilibria strictly grow")
-        if self.stages[-1].size != self.node_count:
-            raise InvariantViolationError("last equilibrium must be the full set")
         if len(self.marginal_players) != len(self.stages) - 1:
             raise InvariantViolationError("one marginal player per stage descent")
         n = self.node_count
-        order = np.fromiter(self.order, dtype=np.int64, count=len(self.order))
+        _check_stages(np.array([0, len(self.stages)]),
+                      np.array([st.q.as_integer_ratio() for st in self.stages], dtype=object),
+                      np.array([st.size for st in self.stages]),
+                      np.array([*self.marginal_players, -1]), n)
+        order = np.asarray(self.order, dtype=np.int64)
         # n players in range, each counted once: a permutation, in O(n).
         if (len(order) != n or ((order < 0) | (order >= n)).any()
                 or not (np.bincount(order, minlength=n) == 1).all()):
             raise InvariantViolationError("the join order must list every player once")
+        object.__setattr__(self, "order", tuple(order.tolist()))
 
     @property
     def q_star(self) -> Fraction:
@@ -285,7 +280,7 @@ class StageLog:
                           zip(qs, self.size[lo:hi].tolist())]),
             subsets_checked=int(self.subsets_checked[row]),
             marginal_players=tuple(self.marginal[lo:hi - 1].tolist()),
-            node_count=n, order=tuple(np.concatenate(order).tolist()))
+            node_count=n, order=np.concatenate(order))
 
 
 def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
@@ -345,10 +340,31 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
     return _stage_log(pieces, n, initials, steps)
 
 
+def _check_stages(start, q, size, marginal, n: int):
+    """Check :class:`ThresholdResult`'s invariants on the stages of each row
+    ``r``, ``start[r]:start[r + 1]`` (nonempty) of the columns: q as
+    reduced pairs, equilibrium sizes and marginal players (-1 on a row's
+    last stage).  Products of two q terms are taken in Python ints where
+    they may exceed int64."""
+    first, last = start[:-1], start[1:] - 1
+    qn, qd = (q[:, 0], q[:, 1]) if int(q.max()) ** 2 < _INT64_LIMIT else (
+        q[:, 0].astype(object), q[:, 1].astype(object))
+    descent = np.ones(len(size), dtype=bool)
+    descent[last] = False
+    if not ((qn[first] == 1) & (qd[first] == 1)).all():
+        raise InvariantViolationError("stage sequence must start at q_0 = 1")
+    # Stages k and k + 1 belong to one row where k is a descent.
+    if not ((qn[1:] * qd[:-1] < qn[:-1] * qd[1:]) & (size[1:] > size[:-1]))[descent[:-1]].all():
+        raise InvariantViolationError("q must strictly decrease and equilibria strictly grow")
+    if (size[last] != n).any():
+        raise InvariantViolationError("last equilibrium must be the full set")
+    if ((marginal >= 0) != descent).any():
+        raise InvariantViolationError("one marginal player per stage descent")
+
+
 def _stage_log(pieces, n: int, initials, steps) -> StageLog:
     """Group the logged stages by row, reduce their q pairs, and check the
-    search's invariants on them, in Python ints where a product of two q
-    terms may exceed int64; count each row's evaluations from the steps."""
+    search's invariants on them; count each row's evaluations from the steps."""
     row, q, size, marginal = (np.concatenate(col) for col in zip(*pieces))
     order = np.argsort(row, kind="stable")
     row, q, size, marginal = row[order], q[order], size[order], marginal[order]
@@ -358,20 +374,7 @@ def _stage_log(pieces, n: int, initials, steps) -> StageLog:
         evaluations[live] += 1
     counts = np.bincount(row, minlength=len(initials))
     start = np.concatenate([[0], np.cumsum(counts)])
-    first, last = start[:-1], start[1:] - 1
-    qn, qd = (q[:, 0], q[:, 1]) if int(q.max()) ** 2 < _INT64_LIMIT else (
-        q[:, 0].astype(object), q[:, 1].astype(object))
-    same = row[1:] == row[:-1]  # consecutive stages of one row
-    descent = np.ones(len(row), dtype=bool)
-    descent[last] = False
-    if not ((qn[first] == 1) & (qd[first] == 1)).all():
-        raise InvariantViolationError("stage sequence must start at q_0 = 1")
-    if not ((qn[1:] * qd[:-1] < qn[:-1] * qd[1:]) & (size[1:] > size[:-1]))[same].all():
-        raise InvariantViolationError("q must strictly decrease and equilibria strictly grow")
-    if (size[last] != n).any():
-        raise InvariantViolationError("last equilibrium must be the full set")
-    if ((marginal >= 0) != descent).any():
-        raise InvariantViolationError("one marginal player per stage descent")
+    _check_stages(start, q, size, marginal, n)
     # Each resumed stage re-examines the set whose evaluation ended the
     # previous stage; it is counted once, not twice.
     return StageLog(start=start, q_num=q[:, 0], q_den=q[:, 1], size=size,
@@ -417,13 +420,11 @@ def coexisting_conventions(cfg: GameConfig, start: Iterable[int], q) -> PlayerSe
 def cohesiveness(net: Network, members: Iterable[int]) -> Fraction:
     """Largest r such that every member has at least fraction r of its
     neighbors inside the set (unit-weight notion)."""
-    S = frozenset(int(i) for i in members)
+    S = frozenset(_player(i, net.node_count) for i in members)
     if not S:
         raise ParameterError("cohesiveness of the empty set is undefined")
     best: Fraction | None = None
     for i in S:
-        if not 0 <= i < net.node_count:
-            raise ParameterError(f"player {i} out of range")
         nbrs = net.adjacency[i]
         if not nbrs:
             continue  # no neighbors: vacuously as cohesive as anything

@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
 )
 from .graphs import Network, is_connected
-from .rational import as_rational, as_unit_rational
+from .rational import as_integer, as_rational, as_unit_rational
 
 PlayerSet = frozenset[int]
 
@@ -292,11 +292,8 @@ class GameConfig:
         object.__setattr__(self, "c", as_rational(self.c, "c"))
         if self.c <= 0:
             raise ParameterError(f"c must be positive; got {self.c}")
-        infected = frozenset(int(i) for i in self.infected)
-        for i in infected:
-            if not 0 <= i < n:
-                raise ParameterError(f"infected player {i} out of range")
-        object.__setattr__(self, "infected", infected)
+        object.__setattr__(self, "infected",
+                           frozenset(_player(i, n, "infected player") for i in self.infected))
         # Global effects must never make deviation dominant on their own:
         # phi_i(p) <= c * w_i for all p, which building the engine's tables checks.
         from ._engines import _tables
@@ -312,21 +309,20 @@ class GameConfig:
         return self.network.node_count
 
     def player_set(self, members: Iterable[int]) -> PlayerSet:
-        out = frozenset(int(i) for i in members)
-        for i in out:
-            if not 0 <= i < self.network.node_count:
-                raise ParameterError(f"player {i} out of range")
-        return out
+        return frozenset(_player(i, self.network.node_count) for i in members)
 
 
-def _check_player(cfg: GameConfig, i: int):
-    if not 0 <= i < cfg.network.node_count:
-        raise ParameterError(f"player {i} out of range")
+def _player(i, n: int, what: str = "player") -> int:
+    """Player id ``i`` of an n-player game, an integer by ``as_integer``'s rule."""
+    i = as_integer(i, what)
+    if not 0 <= i < n:
+        raise ParameterError(f"{what} {i} out of range")
+    return i
 
 
 def local_support(cfg: GameConfig, i: int, members: Iterable[int]) -> Fraction:
     """Weighted count s_i(E) of i's neighbors inside E."""
-    _check_player(cfg, i)
+    i = _player(i, cfg.network.node_count)
     return _local_support(cfg, i, cfg.player_set(members))
 
 
@@ -340,7 +336,7 @@ def global_share(cfg: GameConfig, i: int, members: Iterable[int]) -> Fraction:
 
     When the aggregate is over an empty pool (d_i = I - 1) the share is 0.
     """
-    _check_player(cfg, i)
+    i = _player(i, cfg.network.node_count)
     return _global_share(cfg, i, cfg.player_set(members))
 
 
@@ -364,7 +360,7 @@ def has_incentive(cfg: GameConfig, i: int, members: Iterable[int], q) -> bool:
     Exogenously infected players always have the incentive; at q = 0 every
     player does.  Indifference counts as incentive.
     """
-    _check_player(cfg, i)
+    i = _player(i, cfg.network.node_count)
     q = as_unit_rational(q, "q")
     if i in cfg.infected or q == 0:
         return True
@@ -381,7 +377,7 @@ def switch_threshold(cfg: GameConfig, i: int, members: Iterable[int]) -> Fractio
     the global effect alone is dominant, which the configuration bound
     excludes; seeing it indicates a broken invariant.
     """
-    _check_player(cfg, i)
+    i = _player(i, cfg.network.node_count)
     E = cfg.player_set(members)
     if i in E:
         raise ParameterError(f"player {i} is already in the set")

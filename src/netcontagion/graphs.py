@@ -10,7 +10,8 @@ edge or token.  The passes write into buffers they allocate once, so the
 transient bytes stay within a small multiple of the CSR's 16 B per edge:
 tracemalloc peaks on the 149,985 edges of ``generate_ba(30000, 5, 1)`` are
 51.6 B per edge for ``from_edges`` (validation included), 74.7 B for
-``load_edge_list`` of its dump and 98.8 B for all of ``generate_ba``.
+``load_edge_list`` of its dump and 67.6 B for all of ``generate_ba``, which
+frees its endpoint lists before ``from_edges`` runs.
 :meth:`Network.edges` and :func:`dump_edge_list` turn ``_CHUNK`` CSR slots
 at a time into Python ints.
 
@@ -37,6 +38,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EdgeListParseError, ParameterError
+from .rational import as_integer
 
 # Largest node count whose packed edge keys ``u * n + v`` fit in int64.
 _MAX_NODES = math.isqrt(2**63 - 1)
@@ -57,8 +59,9 @@ _CHUNK = 2**16
 # that generate_ba draws (its endpoint lists hold a Python int per entry):
 # rounded up from least-squares fits of tracemalloc peaks at n = 20,000 and
 # 60,000, m = 1 to 10: 8 B per node and 50 B per edge for from_edges, 44 B
-# per node and 91 B per edge for all of generate_ba.  At generate_ba(30000,
-# 5, 1) these are 51.6 and 98.8 B per edge.
+# per node and 91 B per edge for all of generate_ba, fitted while it still
+# held its endpoint lists through from_edges, so now a loose bound.  At
+# generate_ba(30000, 5, 1) the peaks are 51.6 and 67.6 B per edge.
 _NODE_BYTES, _EDGE_BYTES, _DRAWN_EDGE_BYTES = 48, 64, 32
 
 
@@ -357,6 +360,7 @@ def generate_ba(n: int, m: int, seed: int) -> Network:
     whose pick is ``(x*k) >> 32``, redrawn while ``(x*k) mod 2**32 < 2**32
     mod k``.  The outputs are drawn in blocks, not one call per draw.
     """
+    n, m, seed = as_integer(n, "n"), as_integer(m, "m"), as_integer(seed, "seed")
     if n > _MAX_NODES:
         raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {n}")
     if m < 1:
@@ -388,11 +392,13 @@ def generate_ba(n: int, m: int, seed: int) -> Network:
         targets.extend(picked)
         repeated.extend(picked)
         repeated.extend([v] * m)
+    del repeated, halves
 
     core = [(i, j) for i in range(m) for j in range(i + 1, m)]
     edges = np.concatenate([
         np.array(core, dtype=np.int64).reshape(-1, 2),
         np.column_stack((targets, np.repeat(np.arange(m, n), m)))])
+    del targets
     meta = {
         "generator": "preferential-attachment",
         "n": n,

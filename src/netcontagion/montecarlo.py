@@ -64,7 +64,8 @@ from .contagion import _staged_search
 from .errors import ParameterError
 from .game import GameConfig, InfluenceWeights, ParametricGlobalEffect
 from .graphs import generate_ba
-from .rational import as_rational, as_unit_rational, decimal_ratio, decimal_render, rational_str
+from .rational import (as_integer, as_rational, as_unit_rational, decimal_ratio, decimal_render,
+                       rational_str)
 
 
 # Bytes of one (rows, network size) engine state array that a batch of a
@@ -110,10 +111,13 @@ class ExperimentGrid:
     master_seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        for name in ("network_size", "networks_per_m", "sets_per_size", "master_seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        object.__setattr__(self, "m_values", tuple(as_integer(m, "m") for m in self.m_values))
         object.__setattr__(self, "alpha_values",
                            tuple(as_unit_rational(a, "alpha") for a in self.alpha_values))
-        object.__setattr__(self, "set_sizes", tuple(int(s) for s in self.set_sizes))
+        object.__setattr__(self, "set_sizes",
+                           tuple(as_integer(s, "set size") for s in self.set_sizes))
         object.__setattr__(self, "q_grid",
                            tuple(as_unit_rational(q, "q") for q in self.q_grid))
         if self.network_size < 2:

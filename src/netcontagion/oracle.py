@@ -1,10 +1,12 @@
 """Brute-force ground truth for small instances.
 
-Everything here goes through exhaustive subset sweeps or a naive
-best-response fixpoint built directly on the incentive condition, so the
-results are independent of the engine bookkeeping in
-:mod:`netcontagion.contagion` and serve as its oracle in tests.  Size
-guards refuse instances whose sweeps would not finish promptly.
+One bitmask table per game decides every answer here: its ``willing`` is
+the oracle's only copy of the incentive condition, which the exhaustive
+subset sweeps, the synchronous best-response fixpoint and the threshold
+candidates all read.  The results are thus independent of the engine
+bookkeeping in :mod:`netcontagion.contagion` and of the Fraction spec in
+:mod:`netcontagion.game`, and serve as their oracle in tests.  Size guards
+refuse instances whose sweeps would not finish promptly.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Iterable
 
 from .contagion import cohesiveness
 from .errors import InvariantViolationError, SizeGuardError
-from .game import GameConfig, PlayerSet, has_incentive
+from .game import GameConfig, PlayerSet
 from .graphs import Network
-from .rational import as_rational, as_unit_rational
+from .rational import as_integer, as_rational, as_unit_rational
 
 SIZE_GUARD = 20
 
@@ -27,68 +29,66 @@ def _guard(count: int, what: str):
             f"{what} would sweep 2^{count} subsets; the guard is {SIZE_GUARD}")
 
 
-class _MaskTable:
-    """Precomputed per-player data for subset sweeps over bitmasks."""
+def _mask(players: Iterable[int]) -> int:
+    return sum(1 << i for i in players)
 
-    def __init__(self, cfg: GameConfig, q: Fraction):
-        net = cfg.network
+
+class _MaskTable:
+    """One game's per-player data for subset sweeps over bitmasks, and the
+    incentive condition over them (``willing``)."""
+
+    def __init__(self, cfg: GameConfig):
+        net, c = cfg.network, cfg.c
         n = net.node_count
-        self.n = n
-        self.q = q
-        self.infected_mask = 0
-        for i in cfg.infected:
-            self.infected_mask |= 1 << i
-        self.nbr_mask = [0] * n
-        for i in range(n):
-            for j in net.adjacency[i]:
-                self.nbr_mask[i] |= 1 << j
-        self.unit = cfg.weights.is_unit
-        c = cfg.c
-        self.c = c
+        self.n, self.c = n, c
+        self.infected_mask = _mask(cfg.infected)
+        self.nbr_mask = [_mask(nbrs) for nbrs in net.adjacency]
         # c*w_i - phi_i(outside/pool_i), indexed by outside count.
         self.rhs: list[list[Fraction]] = []
-        for i in range(n):
-            pool = n - net.degree(i) - 1
+        for i, nbrs in enumerate(net.adjacency):
+            pool = n - len(nbrs) - 1
             cw = c * cfg.weights.row_sum(i)
-            row = []
-            for outside in range(pool + 1):
-                p = Fraction(0) if pool == 0 else Fraction(outside, pool)
-                row.append(cw - cfg.global_effect.value(i, p, c, net.degree(i)))
-            self.rhs.append(row)
-        if not self.unit:
-            # Weighted support for every subset of each neighborhood, keyed
-            # by the raw restricted bitmask.
-            self.support: list[dict[int, Fraction]] = []
-            for i in range(n):
+            self.rhs.append([cw - cfg.global_effect.value(i, Fraction(outside, pool or 1), c,
+                                                          len(nbrs))
+                             for outside in range(pool + 1)])
+        # Weighted support for every subset of each neighborhood, keyed by
+        # the raw restricted bitmask; unit weights count its bits instead.
+        self.support: list[dict[int, Fraction]] | None = None
+        if not cfg.weights.is_unit:
+            self.support = []
+            for i, nbrs in enumerate(net.adjacency):
                 sums = {0: Fraction(0)}
-                for j in net.adjacency[i]:
-                    w = cfg.weights.weight(i, j)
-                    bit = 1 << j
+                for j in nbrs:
+                    w, bit = cfg.weights.weight(i, j), 1 << j
                     sums.update({mask | bit: val + w for mask, val in sums.items()})
                 self.support.append(sums)
 
-    def is_nash_mask(self, mask: int) -> bool:
-        if (mask & self.infected_mask) != self.infected_mask:
-            return False
-        q = self.q
-        size = mask.bit_count()
-        for i in range(self.n):
-            bit = 1 << i
-            inside = mask & bit
-            if inside and (self.infected_mask & bit):
-                continue
-            k = (mask & self.nbr_mask[i]).bit_count()
-            outside = size - k - (1 if inside else 0)
-            if self.unit:
-                cs = self.c * k
-            else:
-                cs = self.c * self.support[i][mask & self.nbr_mask[i]]
-            willing = q == 0 or cs >= q * self.rhs[i][outside]
-            if inside and not willing:
-                return False
-            if not inside and willing:
-                return False
-        return True
+    def willing(self, i: int, mask: int, q: Fraction) -> bool:
+        """Whether i (weakly) prefers deviating while ``mask`` deviates, at q.
+
+        Infected players always do, and at q = 0 every player does (c*s >= 0).
+        """
+        if self.infected_mask >> i & 1:
+            return True
+        nbrs = mask & self.nbr_mask[i]
+        k = nbrs.bit_count()
+        s = k if self.support is None else self.support[i][nbrs]
+        outside = mask.bit_count() - k - (mask >> i & 1)
+        return self.c * s >= q * self.rhs[i][outside]
+
+    def is_nash_mask(self, mask: int, q: Fraction) -> bool:
+        """Whether exactly the members of ``mask`` are willing at q."""
+        # Infected players are always willing, so a mask missing one fails at once.
+        return (mask & self.infected_mask == self.infected_mask
+                and all(self.willing(i, mask, q) == (mask >> i & 1) for i in range(self.n)))
+
+    def limit(self, mask: int, q: Fraction) -> int:
+        """Synchronous best-response fixpoint from ``mask`` plus the infected."""
+        mask |= self.infected_mask
+        while flips := _mask(i for i in range(self.n)
+                             if not mask >> i & 1 and self.willing(i, mask, q)):
+            mask |= flips
+        return mask
 
 
 def enumerate_nash(cfg: GameConfig, q) -> list[PlayerSet]:
@@ -99,11 +99,9 @@ def enumerate_nash(cfg: GameConfig, q) -> list[PlayerSet]:
     q = as_unit_rational(q, "q")
     n = cfg.network.node_count
     _guard(n, "equilibrium enumeration")
-    table = _MaskTable(cfg, q)
-    found = []
-    for mask in range(1 << n):
-        if table.is_nash_mask(mask):
-            found.append(frozenset(i for i in range(n) if mask >> i & 1))
+    table = _MaskTable(cfg)
+    found = [frozenset(i for i in range(n) if mask >> i & 1)
+             for mask in range(1 << n) if table.is_nash_mask(mask, q)]
     found.sort(key=lambda E: (len(E), tuple(sorted(E))))
     return found
 
@@ -118,10 +116,8 @@ def smallest_nash_containing(cfg: GameConfig, start: Iterable[int], q) -> Player
     n = cfg.network.node_count
     start = cfg.player_set(start)
     _guard(n, "containing-equilibrium search")
-    table = _MaskTable(cfg, q)
-    start_mask = 0
-    for i in start:
-        start_mask |= 1 << i
+    table = _MaskTable(cfg)
+    start_mask = _mask(start)
     free = ((1 << n) - 1) & ~start_mask
     best_mask = None
     best_size = n + 1
@@ -129,7 +125,7 @@ def smallest_nash_containing(cfg: GameConfig, start: Iterable[int], q) -> Player
     sub = free
     while True:
         mask = start_mask | sub
-        if table.is_nash_mask(mask):
+        if table.is_nash_mask(mask, q):
             size = mask.bit_count()
             if size < best_size:
                 best_mask, best_size, tie = mask, size, False
@@ -147,51 +143,28 @@ def smallest_nash_containing(cfg: GameConfig, start: Iterable[int], q) -> Player
     return frozenset(i for i in range(n) if best_mask >> i & 1)
 
 
-def _best_response_limit(cfg: GameConfig, start: PlayerSet, q: Fraction) -> PlayerSet:
-    """Naive synchronous best-response fixpoint from ``start`` (plus infected)."""
-    E = frozenset(start) | cfg.infected
-    nodes = range(cfg.network.node_count)
-    while True:
-        flips = frozenset(i for i in nodes
-                          if i not in E and has_incentive(cfg, i, E, q))
-        if not flips:
-            return E
-        E |= flips
-
-
 def brute_threshold(cfg: GameConfig, start: Iterable[int]) -> Fraction:
     """Largest q in [0, 1] whose best-response limit is the full set.
 
-    Candidate q values are every attainable switch boundary
-    c*s / (c*w_i - phi_i(outside/pool_i)) over all players, attainable
-    weighted supports s, and outside counts, plus 0 and 1; the limit is
-    evaluated at each candidate from the top down.
+    Candidate q values are every attainable switch boundary c*s / rhs over
+    all players, attainable weighted supports s and positive rhs rows of the
+    table, plus 0 and 1; the limit is evaluated at each candidate from the
+    top down.
     """
     n = cfg.network.node_count
     _guard(n, "threshold candidate sweep")
     start = cfg.player_set(start)
-    c = cfg.c
+    table = _MaskTable(cfg)
     candidates = {Fraction(0), Fraction(1)}
     for i in range(n):
-        nbrs = cfg.network.adjacency[i]
-        supports = {Fraction(0)}
-        for j in nbrs:
-            w = cfg.weights.weight(i, j)
-            supports |= {s + w for s in supports}
-        pool = n - len(nbrs) - 1
-        cw = c * cfg.weights.row_sum(i)
-        for outside in range(pool + 1):
-            p = Fraction(0) if pool == 0 else Fraction(outside, pool)
-            rhs = cw - cfg.global_effect.value(i, p, c, len(nbrs))
-            if rhs <= 0:
-                continue
-            for s in supports:
-                t = c * s / rhs
-                if 0 <= t <= 1:
-                    candidates.add(t)
-    full = frozenset(range(n))
+        supports = (range(table.nbr_mask[i].bit_count() + 1) if table.support is None
+                    else set(table.support[i].values()))
+        for rhs in table.rhs[i]:
+            if rhs > 0:
+                candidates.update(t for t in (table.c * s / rhs for s in supports) if t <= 1)
+    start_mask, full = _mask(start), (1 << n) - 1
     for t in sorted(candidates, reverse=True):
-        if _best_response_limit(cfg, start, t) == full:
+        if table.limit(start_mask, t) == full:
             return t
     raise InvariantViolationError("the limit at q = 0 must be the full set")
 
@@ -199,7 +172,7 @@ def brute_threshold(cfg: GameConfig, start: Iterable[int]) -> Fraction:
 def brute_uniform_cohesion(net: Network, members: Iterable[int], r) -> bool:
     """Whether every nonempty subset of ``members`` is at most r-cohesive."""
     r = as_rational(r, "r")
-    A = sorted(frozenset(int(i) for i in members))
+    A = sorted(frozenset(as_integer(i, "player") for i in members))
     _guard(len(A), "uniform-cohesion sweep")
     for sub_bits in range(1, 1 << len(A)):
         subset = [A[pos] for pos in range(len(A)) if sub_bits >> pos & 1]

@@ -8,6 +8,9 @@ approximations; pass strings (``"0.1"``, ``"1/3"``), ints, or Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -28,6 +31,19 @@ def as_rational(value, name: str = "value") -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParameterError(f"{name} is not a rational: {value!r}") from exc
+
+
+def as_integer(value, name: str = "value") -> int:
+    """``operator.index(value)``; booleans (numpy's too) are a ParameterError, as is
+    anything ``operator.index`` refuses, so nothing is truncated or parsed."""
+    if type(value) is int:  # the common case, ahead of the checks
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer; got {value!r}")
 
 
 def as_unit_rational(value, name: str = "value") -> Fraction:

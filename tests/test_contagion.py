@@ -448,3 +448,13 @@ def test_threshold_result_rejects_malformed_stages(changes, message):
     assert ThresholdResult(**fields).q_star == F(1, 3)
     with pytest.raises(InvariantViolationError, match=message):
         ThresholdResult(**{**fields, **changes})
+
+
+def test_threshold_result_keeps_an_order_array_as_a_tuple():
+    fields = dict(stages=GOOD_STAGES, subsets_checked=4, marginal_players=(2, 3), node_count=4)
+    given = ThresholdResult(**fields, order=np.array([2, 0, 3, 1]))
+    assert given.order == (2, 0, 3, 1) and type(given.order[0]) is int
+    assert given == ThresholdResult(**fields, order=(2, 0, 3, 1))
+    # The stage log's check reads -1 as "no marginal player": a descent needs one.
+    with pytest.raises(InvariantViolationError, match="one marginal player per stage descent"):
+        ThresholdResult(**{**fields, "marginal_players": (2, -1)}, order=(2, 0, 3, 1))

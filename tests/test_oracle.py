@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netcontagion import oracle
+from netcontagion import _engines, game, oracle
 from netcontagion.contagion import cascade, full_contagion_threshold
 from netcontagion.errors import SizeGuardError
 from netcontagion.game import (
@@ -89,9 +89,51 @@ def test_brute_threshold_values(cycle4):
     assert oracle.brute_threshold(cfg_star, {0}) == 1
     cfg_cycle = GameConfig(network=cycle4, infected=frozenset({0}))
     assert oracle.brute_threshold(cfg_cycle, {0}) == F(1, 2)
+    # c scales both sides of the incentive, here with every rhs row at most 1.
+    assert oracle.brute_threshold(replace(cfg_cycle, c=F(1, 4)), {0}) == F(1, 2)
     everyone = frozenset(range(4))
     cfg_full = GameConfig(network=cycle4, infected=everyone)
     assert oracle.brute_threshold(cfg_full, everyone) == 1
+
+
+@pytest.mark.parametrize("kind", ["unit", "weighted", "tabular"])
+def test_oracle_needs_neither_the_fraction_spec_nor_the_engine(kind, monkeypatch):
+    # The oracle's table is its only incentive rule: with game's Fraction spec
+    # and the engine's evaluation refusing every call, its answers stand.
+    assert not hasattr(oracle, "has_incentive")
+    net = generate_ba(9, 2, 4)
+    weights = InfluenceWeights.unit(net) if kind == "unit" else InfluenceWeights(net, [
+        {j: F(1 + (i + j) % 3, 2) for j in nbrs} for i, nbrs in enumerate(net.adjacency)])
+    effect = (TabularGlobalEffect.uniform(((0, 0), (F(1, 3), F(1, 2))), 9) if kind == "tabular"
+              else ParametricGlobalEffect(F(1, 2)))
+    cfg = GameConfig(network=net, weights=weights, global_effect=effect,
+                     infected=frozenset({0}))
+
+    def answers():
+        return (oracle.enumerate_nash(cfg, F(2, 5)),
+                oracle.smallest_nash_containing(cfg, {0, 3}, F(2, 5)),
+                oracle.brute_threshold(cfg, {0}))
+
+    expected = answers()
+    assert expected[2] == full_contagion_threshold(cfg, {0}).q_star
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle decides incentives on its own")
+
+    for owner, name in [(game, "has_incentive"), (game, "switch_threshold"),
+                        (_engines.ExactEngine, "deviating")]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert answers() == expected
+
+
+def test_unit_weight_table_holds_no_supports():
+    # A unit star at the size guard would need 2^19 supports for its hub.
+    hub = Network.from_edges(20, [(0, i) for i in range(1, 20)])
+    assert oracle._MaskTable(GameConfig(network=hub)).support is None
+    small = Network.from_edges(5, [(0, i) for i in range(1, 5)])
+    weighted = InfluenceWeights.from_pairs(small, {(0, 1): 2})
+    table = oracle._MaskTable(GameConfig(network=small, weights=weighted))
+    assert len(table.support[0]) == 2**4 and table.support[0][0b110] == 3
 
 
 def test_brute_uniform_cohesion(cycle4):

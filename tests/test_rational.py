@@ -1,9 +1,22 @@
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from netcontagion.contagion import cohesiveness
 from netcontagion.errors import ParameterError
+from netcontagion.game import (
+    GameConfig,
+    global_share,
+    has_incentive,
+    local_support,
+    switch_threshold,
+)
+from netcontagion.graphs import generate_ba
+from netcontagion.montecarlo import desk_grid
 from netcontagion.rational import (
+    as_integer,
     as_rational,
     as_unit_rational,
     decimal_render,
@@ -37,6 +50,51 @@ def test_booleans_are_not_rationals(value):
         as_rational(value, "c")
     with pytest.raises(ParameterError, match="not a boolean"):
         as_unit_rational(value, "alpha")
+
+
+def test_as_integer_takes_what_operator_index_takes_but_booleans():
+    assert as_integer(7) == 7
+    for value in (np.int64(-3), np.int32(5), np.uint64(2**63)):
+        assert as_integer(value) == int(value) and type(as_integer(value)) is int
+    for value in (True, np.False_, 2.0, 1.5, np.float64(3), "4", F(4), None):
+        with pytest.raises(ParameterError, match="m must be an integer"):
+            as_integer(value, "m")
+
+
+NET = generate_ba(10, 2, 1)
+CFG = GameConfig(network=NET)
+
+# Every place that takes a player id or a count, with a value it accepts.
+INTEGER_SITES = {
+    "infected": (lambda v: GameConfig(network=NET, infected={v, 3}), 1),
+    "player_set": (lambda v: CFG.player_set([v, 2]), 1),
+    "cohesiveness": (lambda v: cohesiveness(NET, [v, 2]), 1),
+    "has_incentive": (lambda v: has_incentive(CFG, v, {2}, "1/2"), 1),
+    "local_support": (lambda v: local_support(CFG, v, {1}), 2),
+    "global_share": (lambda v: global_share(CFG, v, {1}), 2),
+    "switch_threshold": (lambda v: switch_threshold(CFG, v, {1}), 2),
+    "m_values": (lambda v: replace(desk_grid(), m_values=(v,)), 2),
+    "set_sizes": (lambda v: replace(desk_grid(), set_sizes=(v,)), 10),
+    "master_seed": (lambda v: replace(desk_grid(), master_seed=v), 1),
+    "sets_per_size": (lambda v: replace(desk_grid(), sets_per_size=v), 1),
+    "network_size": (lambda v: replace(desk_grid(), network_size=v), 300),
+    "networks_per_m": (lambda v: replace(desk_grid(), networks_per_m=v), 1),
+    "generate_ba n": (lambda v: generate_ba(v, 2, 1), 50),
+    "generate_ba m": (lambda v: generate_ba(50, v, 1), 2),
+    "generate_ba seed": (lambda v: generate_ba(50, 2, v), 1),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_player_ids_and_counts_follow_one_integer_rule(site):
+    # Nothing is truncated, parsed or read as 0/1: floats (integral ones
+    # too), strings and booleans are refused, numpy integers pass.
+    call, good = INTEGER_SITES[site]
+    call(good)
+    call(np.int64(good))
+    for value in (float(good), good + 0.7, str(good), True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(value)
 
 
 def test_as_unit_rational_range():
