@@ -46,8 +46,8 @@ and the live rows after it move up one position.  Without a global term
 constant ``MW``, so each step compares the state against one row of
 constants.  ``max_threshold`` serves the rows that end a stage, with each
 row's max and its lowest-indexed attainer returned as integer arrays,
-from the pairs of the last ``deviating`` call.  A single row is the case
-that ``cascade``, ``full_contagion_threshold`` and ``is_nash`` run.
+from the pairs of the last ``deviating`` call.  ``is_nash`` runs a single
+row, as does the staged search of ``cascade`` and ``full_contagion_threshold``.
 
 A player deviates at ``q = qn/qd`` iff ``num_i*qd >= qn*den_i``.  Both
 ``num_i`` and ``den_i`` lie in ``[0, B]`` with ``B = max_i M_i*W_i``, a
@@ -68,7 +68,7 @@ fit it (``max(qn, qd)*B < 2^31`` for int32 tables), else in int64 when
 ``max(qn, qd)*B < 2^63``, else in Python ints (object arrays, the same
 expressions), which is logged once per engine at DEBUG.  The staged search's
 q pairs are stage maxima, pairs of at most B, so its calls never leave the
-tables' tier; a ``cascade`` or ``is_nash`` at a q with large terms may.
+tables' tier; a cascade's fixed q or ``is_nash``'s q with large terms may.
 Every mixed-dtype step casts explicitly, since a value cast into a
 narrower ``out=`` array wraps silently on numpy versions before 2.
 The weights and a tabular effect arrive in integer form (the weights'

@@ -1,13 +1,14 @@
 """Best-response contagion algorithms and equilibrium objects.
 
-``cascade`` runs synchronized best-response waves from a starting set at a
-fixed q and returns the smallest Nash equilibrium containing it.
-``full_contagion_threshold`` repeatedly lowers q by the smallest amount
-that lets the cascade resume (bootstrapping from the previous equilibrium,
-never from scratch) until the whole network deviates; the final q is the
-contagion threshold q*: the cascade fills the network exactly for q <= q*.
-The stagewise equilibria also determine the depth step function and the
-virality of a starting set.
+One loop, the staged search, runs synchronized best-response waves:
+at a fixed q they reach the smallest Nash equilibrium containing the
+starting set, where ``cascade`` stops.  ``full_contagion_threshold`` goes
+on, lowering q by the smallest amount that lets the waves resume
+(bootstrapping from the previous equilibrium, never from scratch) until
+the whole network deviates; the final q is the contagion threshold q*:
+the cascade fills the network exactly for q <= q*.  The stagewise
+equilibria also determine the depth step function and the virality of a
+starting set.
 
 The staged search runs many starting sets at once, one engine row each,
 and keeps its stages as a :class:`StageLog` of integer columns (row, q as
@@ -16,9 +17,9 @@ per step for every row that closes a stage.  The search's invariants are
 checked over those arrays; the Monte Carlo sweep reads the log directly,
 and ``full_contagion_threshold`` builds its one result from it, from which
 ``depth_function`` takes its breakpoints.  The engine takes every q as an
-integer pair, ``cascade``'s too.  The log also keeps each step's
-flips: the stage equilibria nest, so a row's join order (its initial set,
-then its flips step by step) lists every stage's members as a prefix.
+integer pair, ``cascade``'s too.  The log also keeps each step's flips:
+the stage equilibria nest, so a row's join order (its initial set, then
+its flips step by step) lists every stage's members as a prefix.
 
 Waves are synchronous: each flip wave is computed against the frozen
 current set, so flips within a wave do not see each other.
@@ -215,20 +216,11 @@ def cascade(cfg: GameConfig, start: Iterable[int], q) -> CascadeResult:
     q = as_unit_rational(q, "q")
     start = cfg.player_set(start)
     _check_start_incentive(cfg, start, q)
-    engine = ExactEngine(cfg)
     initial = start | cfg.infected
-    engine.start([initial])
-    pair = np.array([q.as_integer_ratio()], dtype=object)
-    waves: list[PlayerSet] = []
-    checked = 0
-    while engine.uninfected_count() > 0:
-        flips = engine.flip_candidates(pair)
-        checked += 1
-        if len(flips) == 0:
-            break
-        engine.apply(flips)
-        waves.append(frozenset(flips.tolist()))
-    return CascadeResult(waves=tuple(waves), initial=initial, subsets_checked=checked)
+    log = _staged_search(cfg, [initial], fixed_q=q)
+    # One row: its flat ids are its players, and only its last step may be empty.
+    waves = tuple(frozenset(flips.tolist()) for _, flips in log.steps if len(flips))
+    return CascadeResult(waves=waves, initial=initial, subsets_checked=int(log.subsets_checked[0]))
 
 
 def full_contagion_threshold(cfg: GameConfig, start: Iterable[int]) -> ThresholdResult:
@@ -284,13 +276,16 @@ class StageLog:
 
 
 def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
-                   snapshot: StartSnapshot | None = None) -> StageLog:
+                   snapshot: StartSnapshot | None = None,
+                   fixed_q: Fraction | None = None) -> StageLog:
     """The staged search from every initial set at once, one engine row each.
 
     ``initials`` are the engine's starting sets (start plus infected); the
-    caller has checked that every member deviates at q = 1.  Rows advance
-    in lockstep: each step evaluates every live row at its own q, applies
-    the rows that flip, and closes a stage on each row that does not.
+    caller has checked that every member deviates at q = 1, or at the
+    ``fixed_q`` of a one-row cascade, which stops at its first stage, below
+    q = 1 and so not held to the search's invariants.  Rows advance in
+    lockstep: each step evaluates every live row at its own q, applies the
+    rows that flip, and closes a stage on each row that does not.
     Each step appends its closed stages and its flips to the log as arrays.
     Searches of the same sets on one network and weights may share a
     ``snapshot`` of their start (see ``ExactEngine.start``).
@@ -303,6 +298,8 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
     # and the log's columns stay int64); the log reduces the pairs once.
     pairs = np.ones((len(initials), 2), dtype=object if engine.tables.bound >= _INT64_LIMIT
                     else np.int64)
+    if fixed_q is not None:  # a one-row cascade's q, of any terms: Python ints
+        pairs = np.array([fixed_q.as_integer_ratio()], dtype=object)
     # Log pieces: (rows, q pairs, sizes, marginals), one per closing event.
     pieces: list[tuple[np.ndarray, ...]] = []
     steps: list[tuple[np.ndarray, np.ndarray]] = []
@@ -324,6 +321,9 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
             ended = np.flatnonzero(~moving)
         if len(ended):
             closed = live[ended]
+            if fixed_q is not None:
+                pieces.append((closed, pairs[closed], engine.K[ended], np.full(len(ended), -1)))
+                break
             num, den, marginal = engine.max_threshold(ended)
             q = pairs[closed]
             # Exact in int64: q and the threshold are pairs of at most B,
@@ -337,7 +337,7 @@ def _staged_search(cfg: GameConfig, initials: Sequence[Iterable[int]],
             pieces.append((closed, q, engine.K[ended], marginal))
             pairs[closed, 0], pairs[closed, 1] = num, den
         filled = engine.apply(flips) if len(flips) else []
-    return _stage_log(pieces, n, initials, steps)
+    return _stage_log(pieces, n, initials, steps, checked=fixed_q is None)
 
 
 def _check_stages(start, q, size, marginal, n: int):
@@ -362,9 +362,9 @@ def _check_stages(start, q, size, marginal, n: int):
         raise InvariantViolationError("one marginal player per stage descent")
 
 
-def _stage_log(pieces, n: int, initials, steps) -> StageLog:
-    """Group the logged stages by row, reduce their q pairs, and check the
-    search's invariants on them; count each row's evaluations from the steps."""
+def _stage_log(pieces, n: int, initials, steps, checked: bool = True) -> StageLog:
+    """Group the logged stages by row, reduce their q pairs, check the
+    search's invariants on them if ``checked``, and count each row's evaluations."""
     row, q, size, marginal = (np.concatenate(col) for col in zip(*pieces))
     order = np.argsort(row, kind="stable")
     row, q, size, marginal = row[order], q[order], size[order], marginal[order]
@@ -374,7 +374,8 @@ def _stage_log(pieces, n: int, initials, steps) -> StageLog:
         evaluations[live] += 1
     counts = np.bincount(row, minlength=len(initials))
     start = np.concatenate([[0], np.cumsum(counts)])
-    _check_stages(start, q, size, marginal, n)
+    if checked:
+        _check_stages(start, q, size, marginal, n)
     # Each resumed stage re-examines the set whose evaluation ended the
     # previous stage; it is counted once, not twice.
     return StageLog(start=start, q_num=q[:, 0], q_den=q[:, 1], size=size,
@@ -406,15 +407,13 @@ def coexisting_conventions(cfg: GameConfig, start: Iterable[int], q) -> PlayerSe
     """Smallest equilibrium strictly between empty and full containing ``start``.
 
     Returns None when the cascade from ``start`` fills the network (no
-    coexistence extending this set) or when it is empty.
+    coexistence extending this set).
     """
     start = cfg.player_set(start)
     if not start:
         raise ParameterError("starting set must be nonempty")
     final = cascade(cfg, start, q).final
-    if final and len(final) < cfg.network.node_count:
-        return final
-    return None
+    return final if len(final) < cfg.network.node_count else None
 
 
 def cohesiveness(net: Network, members: Iterable[int]) -> Fraction:
@@ -423,16 +422,10 @@ def cohesiveness(net: Network, members: Iterable[int]) -> Fraction:
     S = frozenset(_player(i, net.node_count) for i in members)
     if not S:
         raise ParameterError("cohesiveness of the empty set is undefined")
-    best: Fraction | None = None
-    for i in S:
-        nbrs = net.adjacency[i]
-        if not nbrs:
-            continue  # no neighbors: vacuously as cohesive as anything
-        inside = sum(1 for j in nbrs if j in S)
-        ratio = Fraction(inside, len(nbrs))
-        if best is None or ratio < best:
-            best = ratio
-    return Fraction(1) if best is None else best
+    adjacency = net.adjacency
+    # A member without neighbors is vacuously as cohesive as anything.
+    return min((Fraction(sum(j in S for j in adjacency[i]), len(adjacency[i]))
+                for i in S if adjacency[i]), default=Fraction(1))
 
 
 def is_uniformly_at_most_cohesive(cfg: GameConfig, members: Iterable[int], r) -> bool:

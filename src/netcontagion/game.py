@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter, index
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -94,7 +94,8 @@ class InfluenceWeights:
         # The pairs' keys i*n + j (-1 out of range) among the CSR's increasing
         # ones, which the sentinel n*n ends: the first miss is not a pair.
         keys = list(pairs)
-        ij = np.array([(index(i), index(j)) for i, j in keys], dtype=object).reshape(-1, 2)
+        ij = np.array([(as_integer(i, "player"), as_integer(j, "player"))
+                       for i, j in keys], dtype=object).reshape(-1, 2)
         packed = np.where(((ij >= 0) & (ij < n)).all(axis=1), ij[:, 0] * n + ij[:, 1], -1)
         csr_keys = np.append(row * n + indices, n * n)
         slot = np.searchsorted(csr_keys, packed.astype(np.int64))

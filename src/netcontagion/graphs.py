@@ -189,6 +189,7 @@ class Network:
     def __post_init__(self, node_count: int, indptr: np.ndarray, indices: np.ndarray,
                       meta: dict | None):
         # Every constructor ends here, so every network is validated.
+        node_count = as_integer(node_count, "node_count")
         _check_csr(node_count, indptr, indices)
         indptr.flags.writeable = indices.flags.writeable = False
         object.__setattr__(self, "node_count", node_count)
@@ -213,6 +214,7 @@ class Network:
         ``edges`` is an iterable of ``(u, v)`` pairs or an ``(E, 2)`` integer
         array; repeated and reversed pairs collapse into one edge.
         """
+        node_count = as_integer(node_count, "node_count")
         ends = _endpoints(edges)
         u, v = ends[:, 0], ends[:, 1]
         bad = _first((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= node_count))

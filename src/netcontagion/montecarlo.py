@@ -76,7 +76,7 @@ _BATCH_BYTES = 2**18
 
 def derive_seed(master_seed: int, *fields) -> int:
     """Stable 64-bit task seed from the master seed and a field tuple."""
-    text = ":".join(["netcontagion", str(int(master_seed))]
+    text = ":".join(["netcontagion", str(as_integer(master_seed, "master_seed"))]
                     + [str(f) for f in fields])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -85,6 +85,7 @@ def derive_seed(master_seed: int, *fields) -> int:
 def draw_players(rng: np.random.Generator, population: int, size: int) -> np.ndarray:
     """``size`` distinct players, uniform without replacement, as an int64
     array in the order a partial Fisher-Yates pass picks them."""
+    population, size = as_integer(population, "population"), as_integer(size, "size")
     if not 0 <= size <= population:
         raise ParameterError(f"cannot draw {size} players from {population}")
     arr = list(range(population))

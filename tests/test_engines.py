@@ -833,6 +833,8 @@ def test_int32_games_at_q_beyond_the_tier_match_the_reference(alpha, caplog):
             waves, final = run_fixed_q(FractionEngine(seeded), start, q)
             assert [sorted(wave) for wave in result.waves] == waves
             assert result.final == final
+            # One evaluation per wave, and one more, empty, unless the waves filled the network.
+            assert result.subsets_checked == result.steps + (len(result.final) < 300)
             assert is_nash(seeded, final, q)
             for members in (final, start):
                 assert is_nash(seeded, members, q) == (

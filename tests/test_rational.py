@@ -8,13 +8,14 @@ from netcontagion.contagion import cohesiveness
 from netcontagion.errors import ParameterError
 from netcontagion.game import (
     GameConfig,
+    InfluenceWeights,
     global_share,
     has_incentive,
     local_support,
     switch_threshold,
 )
-from netcontagion.graphs import generate_ba
-from netcontagion.montecarlo import desk_grid
+from netcontagion.graphs import Network, generate_ba
+from netcontagion.montecarlo import derive_seed, desk_grid, draw_set
 from netcontagion.rational import (
     as_integer,
     as_rational,
@@ -82,6 +83,13 @@ INTEGER_SITES = {
     "generate_ba n": (lambda v: generate_ba(v, 2, 1), 50),
     "generate_ba m": (lambda v: generate_ba(50, v, 1), 2),
     "generate_ba seed": (lambda v: generate_ba(50, 2, v), 1),
+    "Network node_count": (lambda v: Network(v, [[1], [0]]), 2),
+    "from_edges node_count": (lambda v: Network.from_edges(v, [(0, 1)]), 2),
+    "from_pairs i": (lambda v: InfluenceWeights.from_pairs(NET, {(v, 0): 2}), 1),
+    "from_pairs j": (lambda v: InfluenceWeights.from_pairs(NET, {(0, v): 2}), 1),
+    "derive_seed": (lambda v: derive_seed(v, "a"), 1),
+    "draw_set population": (lambda v: draw_set(np.random.default_rng(1), v, 2), 10),
+    "draw_set size": (lambda v: draw_set(np.random.default_rng(1), 10, v), 2),
 }
 
 
