@@ -243,13 +243,11 @@ def _grid_from_doc(doc: dict) -> ExperimentGrid:
     return ExperimentGrid(
         network_size=_int(get("network_size"), "network_size"),
         m_values=ints("m_values"),
-        alpha_values=tuple(as_unit_rational(a, "alpha")
-                           for a in _list(get("alpha_values"), "alpha_values")),
+        alpha_values=tuple(_list(get("alpha_values"), "alpha_values")),
         networks_per_m=_int(get("networks_per_m"), "networks_per_m"),
         sets_per_size=_int(get("sets_per_size"), "sets_per_size"),
         set_sizes=sizes,
-        q_grid=tuple(as_unit_rational(q, "q")
-                     for q in _list(doc.get("q_grid", ["1/4", "1/2", "3/4"]), "q_grid")),
+        q_grid=tuple(_list(doc.get("q_grid", ["1/4", "1/2", "3/4"]), "q_grid")),
         master_seed=_int(doc.get("master_seed", 42), "master_seed"))
 
 

@@ -86,9 +86,9 @@ class ThresholdResult:
     """Output of the full-network contagion search.
 
     ``stages[n]`` pairs q_n with the equilibrium reached by cascading at
-    q_n; the q's strictly decrease from 1 to q* (``q_star``, the last q)
+    q_n; the q's strictly decrease from 1 to q* >= 0 (``q_star``, the last q)
     while the equilibria strictly grow to the full set.  ``marginal_players[n]`` is the
-    lowest-indexed attainer of the max that produced ``stages[n+1].q``.
+    lowest-indexed player attaining the max that produced ``stages[n+1].q``.
     ``order`` lists the players as they joined, the initial set and then
     each step's flips ascending: stage n's members are its first ``stages[n].size``.
     It may be given as an int64 array; it is kept as a tuple.
@@ -139,9 +139,10 @@ class ThresholdResult:
 class DepthFunction:
     """Step function q -> reached fraction, stored by breakpoints.
 
-    ``breakpoints`` are q_0 = 1 > q_1 > ... > q_N = q*; on the half-open
+    ``breakpoints`` are q_0 = 1 > q_1 > ... > q_N = q* >= 0; on the half-open
     interval (q_{n+1}, q_n] the value is ``interval_sizes[n] / node_count``,
-    and on [0, q*] it is 1.
+    and on [0, q*] it is 1.  The sizes lie in [0, node_count) and do not
+    fall as q does (a step function built by hand may repeat one).
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -151,6 +152,13 @@ class DepthFunction:
     def __post_init__(self):
         if len(self.interval_sizes) != len(self.breakpoints) - 1:
             raise InvariantViolationError("one interval value per breakpoint gap")
+        qs, sizes = self.breakpoints, self.interval_sizes
+        if qs[0] != 1 or qs[-1] < 0 or any(a <= b for a, b in zip(qs, qs[1:])):
+            raise InvariantViolationError("breakpoints must fall strictly from 1 to a q* >= 0")
+        if any(not 0 <= k < self.node_count for k in sizes) or any(
+                a > b for a, b in zip(sizes, sizes[1:])):
+            raise InvariantViolationError(
+                "interval sizes must lie in [0, node_count) and must not fall")
 
     @classmethod
     def from_threshold(cls, result: ThresholdResult) -> "DepthFunction":
@@ -356,10 +364,16 @@ def _check_stages(start, q, size, marginal, n: int):
     # Stages k and k + 1 belong to one row where k is a descent.
     if not ((qn[1:] * qd[:-1] < qn[:-1] * qd[1:]) & (size[1:] > size[:-1]))[descent[:-1]].all():
         raise InvariantViolationError("q must strictly decrease and equilibria strictly grow")
+    if (qn[last] < 0).any():
+        raise InvariantViolationError("q* must be nonnegative")
+    if (size[first] < 0).any():
+        raise InvariantViolationError("equilibrium sizes must be nonnegative")
     if (size[last] != n).any():
         raise InvariantViolationError("last equilibrium must be the full set")
     if ((marginal >= 0) != descent).any():
         raise InvariantViolationError("one marginal player per stage descent")
+    if (marginal >= n).any():
+        raise InvariantViolationError("marginal players must be players of the network")
 
 
 def _stage_log(pieces, n: int, initials, steps, checked: bool = True) -> StageLog:

@@ -27,7 +27,6 @@ stable stream across versions (NEP 19); the tests compare it with one
 from __future__ import annotations
 
 import math
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -65,17 +64,22 @@ _CHUNK = 2**16
 _NODE_BYTES, _EDGE_BYTES, _DRAWN_EDGE_BYTES = 48, 64, 32
 
 
+def _node_id(value) -> int:
+    return as_integer(value, "node id")
+
+
 def _flat_ints(rows: Iterable[Iterable[int]], count: int) -> np.ndarray:
-    """The integers of ``rows``, flattened into int64.
+    """The node ids of ``rows``, flattened into int64, each read by the one
+    integer rule (:func:`~netcontagion.rational.as_integer`).
 
     An integer beyond int64 keeps the whole array as Python ints (object);
     no valid node id is that large, so only an error message reads them.
     """
     try:
-        return np.fromiter(map(operator.index, chain.from_iterable(rows)),
+        return np.fromiter(map(_node_id, chain.from_iterable(rows)),
                            dtype=np.int64, count=count)
     except OverflowError:
-        return np.fromiter(map(operator.index, chain.from_iterable(rows)),
+        return np.fromiter(map(_node_id, chain.from_iterable(rows)),
                            dtype=object, count=count)
 
 

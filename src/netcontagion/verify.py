@@ -8,19 +8,21 @@ global-effect containment, exact threshold agreement, the linear bound on
 subsets checked, and depth/cascade consistency.  Failures carry a
 serialized counterexample so they can be replayed.
 
-The cascade/threshold entry points are injectable so the harness itself
-can be tested against a deliberately broken implementation.
+The battery calls the shipped library, through :mod:`contagion`'s
+module attributes; a test checks the battery itself by patching a broken
+``cascade`` or ``full_contagion_threshold`` into that module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from . import contagion, oracle
-from .contagion import DepthFunction, depth_at
+from .contagion import CascadeResult, DepthFunction, depth_at
 from .errors import ParameterError, PreconditionError
 from .game import (
     GameConfig,
@@ -29,7 +31,7 @@ from .game import (
     has_incentive,
 )
 from .graphs import Network, generate_ba
-from .rational import rational_str
+from .rational import as_integer, rational_str
 
 ALPHA_CHOICES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 C_CHOICES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
@@ -47,11 +49,9 @@ class PropertyReport:
         return not self.failures
 
 
+@dataclass
 class _Battery:
-    def __init__(self, cascade_impl, threshold_impl):
-        self.cascade = cascade_impl
-        self.threshold = threshold_impl
-        self.reports: dict[str, PropertyReport] = {}
+    reports: dict[str, PropertyReport] = field(default_factory=dict)
 
     def check(self, name: str, ok: bool, instance: dict, detail: str = ""):
         report = self.reports.setdefault(name, PropertyReport(name))
@@ -143,13 +143,16 @@ def random_instance(rng: np.random.Generator, max_i: int = 12) -> dict:
             "serialized": serialized}
 
 
-def _cumulative(waves, initial: frozenset, upto: int) -> list[frozenset]:
-    out = [initial]
-    for wave in waves:
-        out.append(out[-1] | wave)
-    while len(out) <= upto:
-        out.append(out[-1])
-    return out
+def _waves_nest(inner: CascadeResult, outer: CascadeResult) -> bool:
+    """Whether, after every wave, ``inner``'s reached set lies inside
+    ``outer``'s; a cascade that has stopped keeps its final set."""
+    reached_in, reached_out = set(inner.initial), set(outer.initial)
+    for wave_in, wave_out in zip_longest(inner.waves, outer.waves, fillvalue=()):
+        if not reached_in <= reached_out:
+            return False
+        reached_in.update(wave_in)
+        reached_out.update(wave_out)
+    return reached_in <= reached_out
 
 
 def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
@@ -160,7 +163,7 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     n = cfg.network.node_count
     full = frozenset(range(n))
 
-    result = bat.cascade(cfg, start, q)
+    result = contagion.cascade(cfg, start, q)
     smallest = oracle.smallest_nash_containing(cfg, start, q)
     bat.check("smallest-equilibrium", result.final == smallest, ser,
               f"cascade gave {sorted(result.final)}, oracle {sorted(smallest)}")
@@ -169,7 +172,7 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     ok = True
     detail = ""
     for E in equilibria:
-        fixed = bat.cascade(cfg, E, q)
+        fixed = contagion.cascade(cfg, E, q)
         if fixed.final != E or fixed.steps != 0:
             ok, detail = False, f"equilibrium {sorted(E)} is not a fixed point"
             break
@@ -179,7 +182,7 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
         if probe in eq_set:
             continue
         try:
-            fixed = bat.cascade(cfg, probe, q)
+            fixed = contagion.cascade(cfg, probe, q)
         except PreconditionError:
             continue  # not a valid start, hence not an equilibrium
         if fixed.final == probe:
@@ -191,24 +194,16 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     # flip wave (always a valid enlargement) plus any exogenous players.
     bigger = start | (result.waves[0] if result.waves else frozenset()) | cfg.infected
     if bigger != start:
-        res_big = bat.cascade(cfg, bigger, q)
-        depth = max(len(result.waves), len(res_big.waves))
-        small_steps = _cumulative(result.waves, result.initial, depth)
-        big_steps = _cumulative(res_big.waves, res_big.initial, depth)
-        ok = all(a <= b for a, b in zip(small_steps, big_steps))
-        bat.check("wave-monotone-start", ok, ser,
+        bat.check("wave-monotone-start",
+                  _waves_nest(result, contagion.cascade(cfg, bigger, q)), ser,
                   f"enlarged start {sorted(bigger)} shrank some wave")
 
     q_low = q * _random_fraction(rng)
-    res_low = bat.cascade(cfg, start, q_low)
-    depth = max(len(result.waves), len(res_low.waves))
-    hi_steps = _cumulative(result.waves, result.initial, depth)
-    lo_steps = _cumulative(res_low.waves, res_low.initial, depth)
-    bat.check("wave-monotone-q",
-              all(a <= b for a, b in zip(hi_steps, lo_steps)), ser,
+    res_low = contagion.cascade(cfg, start, q_low)
+    bat.check("wave-monotone-q", _waves_nest(result, res_low), ser,
               f"lowering q to {q_low} shrank some wave")
 
-    boot = bat.cascade(cfg, result.final, q_low)
+    boot = contagion.cascade(cfg, result.final, q_low)
     bat.check("bootstrap", boot.final == res_low.final, ser,
               f"restart from {sorted(result.final)} at q'={q_low} gave "
               f"{sorted(boot.final)}, direct run gave {sorted(res_low.final)}")
@@ -218,13 +213,9 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
         alpha_low = alpha * _random_fraction(rng)
         cfg_low = replace(cfg, global_effect=ParametricGlobalEffect(alpha_low))
         start_low = _self_sustaining(cfg_low, set(start), q)
-        res_weak = bat.cascade(cfg_low, start_low, q)
-        res_strong = bat.cascade(cfg, start_low, q)
-        depth = max(len(res_weak.waves), len(res_strong.waves))
-        weak_steps = _cumulative(res_weak.waves, res_weak.initial, depth)
-        strong_steps = _cumulative(res_strong.waves, res_strong.initial, depth)
         bat.check("global-effect-monotone",
-                  all(a <= b for a, b in zip(weak_steps, strong_steps)), ser,
+                  _waves_nest(contagion.cascade(cfg_low, start_low, q),
+                              contagion.cascade(cfg, start_low, q)), ser,
                   f"raising alpha from {alpha_low} to {alpha} shrank some wave")
 
     # Threshold properties run with the start seeded exogenously, the way
@@ -233,7 +224,7 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     if not seed_set:
         seed_set = frozenset({int(rng.integers(0, n))})
     cfg_thr = replace(cfg, infected=seed_set)
-    thr = bat.threshold(cfg_thr, seed_set)
+    thr = contagion.full_contagion_threshold(cfg_thr, seed_set)
     brute = oracle.brute_threshold(cfg_thr, seed_set)
     bat.check("threshold-agreement", thr.q_star == brute, ser,
               f"algorithm q*={thr.q_star}, brute-force {brute}")
@@ -246,7 +237,7 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     detail = ""
     for _ in range(6):
         probe_q = _random_fraction(rng)
-        reached = bat.cascade(cfg_thr, seed_set, probe_q).final == full
+        reached = contagion.cascade(cfg_thr, seed_set, probe_q).final == full
         if reached != (probe_q <= thr.q_star):
             ok = False
             detail = f"full contagion at q={probe_q} is {reached} but q*={thr.q_star}"
@@ -257,7 +248,7 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     detail = ""
     for k, stage in enumerate(thr.stages):
         members = thr.members(k)
-        direct = bat.cascade(cfg_thr, seed_set, stage.q)
+        direct = contagion.cascade(cfg_thr, seed_set, stage.q)
         if not contagion.is_nash(cfg_thr, members, stage.q) or direct.final != members:
             ok = False
             detail = f"stage at q={stage.q} is inconsistent"
@@ -270,7 +261,7 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     for _ in range(6):
         probe_q = _random_fraction(rng)
         via_df = depth_at(df, probe_q)
-        via_cascade = Fraction(len(bat.cascade(cfg_thr, seed_set, probe_q).final), n)
+        via_cascade = Fraction(len(contagion.cascade(cfg_thr, seed_set, probe_q).final), n)
         if via_df != via_cascade:
             ok = False
             detail = f"depth at q={probe_q}: step function {via_df}, cascade {via_cascade}"
@@ -278,7 +269,9 @@ def _run_battery(bat: _Battery, rng: np.random.Generator, inst: dict):
     bat.check("depth-cascade-agreement", ok, ser, detail)
 
 
-def _check_counts(trials: int, max_i: int, seed: int) -> None:
+def _read_counts(trials: int, max_i: int, seed: int) -> tuple[int, int, int]:
+    trials, max_i, seed = (as_integer(trials, "trials"), as_integer(max_i, "max_i"),
+                           as_integer(seed, "seed"))
     # Random networks have 4 to max_i nodes.
     if max_i < 4:
         raise ParameterError(f"max_i must be at least 4; got {max_i}")
@@ -286,14 +279,13 @@ def _check_counts(trials: int, max_i: int, seed: int) -> None:
         raise ParameterError(f"trials must be nonnegative; got {trials}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative; got {seed}")
+    return trials, max_i, seed
 
 
-def run_checks(trials: int = 50, max_i: int = 12, seed: int = 0, *,
-               cascade_impl=None, threshold_impl=None) -> list[PropertyReport]:
+def run_checks(trials: int = 50, max_i: int = 12, seed: int = 0) -> list[PropertyReport]:
     """Run the property battery on ``trials`` random instances."""
-    _check_counts(trials, max_i, seed)
-    bat = _Battery(cascade_impl or contagion.cascade,
-                   threshold_impl or contagion.full_contagion_threshold)
+    trials, max_i, seed = _read_counts(trials, max_i, seed)
+    bat = _Battery()
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(trials):
         inst = random_instance(rng, max_i)
@@ -313,8 +305,8 @@ def run_cohesion_checks(trials: int = 30, max_i: int = 12,
     and only if q <= q*.  Subsets are swept exhaustively up to 9 nodes and
     sampled above that.
     """
-    _check_counts(trials, max_i, seed)
-    bat = _Battery(contagion.cascade, contagion.full_contagion_threshold)
+    trials, max_i, seed = _read_counts(trials, max_i, seed)
+    bat = _Battery()
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(trials):
         net = _random_network(rng, max_i)

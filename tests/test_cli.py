@@ -482,24 +482,65 @@ def test_verify_zero_trials_warns(capsys):
     assert "vacuously" in err
 
 
-def test_verify_reports_injected_bug():
+def test_verify_reports_injected_bug(monkeypatch):
     # The harness itself must catch a broken cascade and serialize a
     # counterexample.
     from netcontagion import contagion, verify
 
+    cascade = contagion.cascade
+
     def broken_cascade(cfg, start, q):
-        result = contagion.cascade(cfg, start, q)
+        result = cascade(cfg, start, q)
         if not result.waves:
             return result
         return contagion.CascadeResult(waves=result.waves[:-1],
                                        initial=result.initial,
                                        subsets_checked=result.subsets_checked)
 
-    reports = verify.run_checks(trials=10, seed=0, cascade_impl=broken_cascade)
+    monkeypatch.setattr(contagion, "cascade", broken_cascade)
+    reports = verify.run_checks(trials=10, seed=0)
     failing = [r for r in reports if r.failures]
     assert failing
     sample = failing[0].failures[0]
     assert "edges" in sample["instance"] and "q" in sample["instance"]
+
+
+def test_verify_reports_a_wrong_threshold(monkeypatch):
+    # A search that reports half the true q* fails the oracle comparison.
+    from dataclasses import replace
+
+    from netcontagion import contagion, verify
+
+    threshold = contagion.full_contagion_threshold
+
+    def halved_threshold(cfg, start):
+        result = threshold(cfg, start)
+        last = contagion.ThresholdStage(result.q_star / 2, result.node_count)
+        return replace(result, stages=(*result.stages[:-1], last))
+
+    monkeypatch.setattr(contagion, "full_contagion_threshold", halved_threshold)
+    reports = {r.name: r for r in verify.run_checks(trials=10, seed=0)}
+    failures = reports["threshold-agreement"].failures
+    assert failures and "brute-force" in failures[0]["detail"]
+    assert "edges" in failures[0]["instance"] and "q" in failures[0]["instance"]
+
+
+def test_verify_battery_counts_are_pinned():
+    # The per-property counts of ``verify --trials 50 --seed 0``: a change to
+    # what the battery draws from its generator changes them.
+    from netcontagion import verify
+
+    reports = verify.run_checks(trials=50, seed=0) + verify.run_cohesion_checks(trials=12, seed=0)
+    assert {r.name: (r.checks, len(r.failures)) for r in reports} == {
+        **{name: (50, 0) for name in (
+            "bootstrap", "depth-cascade-agreement", "equilibrium-fixed-points", "linear-bound",
+            "smallest-equilibrium", "stage-equilibria", "threshold-agreement",
+            "threshold-characterization", "wave-monotone-q")},
+        "global-effect-monotone": (34, 0), "wave-monotone-start": (31, 0),
+        **{name: (12, 0) for name in (
+            "cohesion-equilibrium", "uniform-cohesion-agreement", "uniform-cohesion-threshold")},
+    }
+    assert sum(r.checks for r in reports) == 551
 
 
 # JSON values for the fields of a game document.  Numbers stay small where

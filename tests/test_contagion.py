@@ -385,8 +385,22 @@ def test_subsets_checked_transition_not_double_counted(cycle4_seeded):
 
 
 def test_depth_function_validation():
-    with pytest.raises(Exception):
-        DepthFunction(breakpoints=(F(1), F(1, 2)), interval_sizes=(), node_count=4)
+    for breakpoints, sizes, message in [
+        ((F(1), F(1, 2)), (), "one interval value per breakpoint gap"),
+        ((F(1, 2), F(1)), (1,), "fall strictly from 1"),  # rising
+        ((F(1, 2),), (), "fall strictly from 1"),  # starts below 1
+        ((F(1), F(1, 2), F(1, 2)), (1, 2), "fall strictly from 1"),  # flat
+        ((F(1), F(-1, 2)), (1,), "fall strictly from 1"),  # negative q*
+        ((F(1), F(1, 2)), (9,), "interval sizes must lie in"),  # above n
+        ((F(1), F(1, 2)), (4,), "interval sizes must lie in"),  # n: no step at q*
+        ((F(1), F(1, 2)), (-2,), "interval sizes must lie in"),
+        ((F(1), F(1, 2), F(1, 3)), (3, 2), "must not fall"),
+    ]:
+        with pytest.raises(InvariantViolationError, match=message):
+            DepthFunction(breakpoints=breakpoints, interval_sizes=sizes, node_count=4)
+    # Sizes may repeat and start at 0; q* may be 0, or 1 with no steps.
+    DepthFunction(breakpoints=(F(1), F(1, 2), F(0)), interval_sizes=(0, 0), node_count=4)
+    assert DepthFunction(breakpoints=(F(1),), interval_sizes=(), node_count=4).q_star == 1
 
 
 def test_depth_at_domain(cycle4_seeded):
@@ -434,13 +448,18 @@ GOOD_STAGES = stage_list((1, 1), ("1/2", 3), ("1/3", 4))
     ({"node_count": 5}, "last equilibrium must be the full set"),
     ({"marginal_players": (2,)}, "one marginal player per stage descent"),
     ({"marginal_players": (2, 3, 0)}, "one marginal player per stage descent"),
+    ({"marginal_players": (2, 4)}, "marginal players must be players of the network"),
+    ({"stages": stage_list((1, 1), ("1/2", 3), (-1, 4))}, "q\\* must be nonnegative"),
+    ({"stages": stage_list((1, -3), ("1/2", 3), ("1/3", 4))},
+     "equilibrium sizes must be nonnegative"),
     ({"order": (0, 1, 1, 3)}, "join order must list every player once"),
     ({"order": (0, 1, 2)}, "join order must list every player once"),
     ({"order": (0, 1, 2, 3, 4)}, "join order must list every player once"),
     ({"order": (0, 1, 2, 4)}, "join order must list every player once"),
     ({"order": (-1, 0, 1, 2)}, "join order must list every player once"),
 ], ids=["first-q", "no-stages", "q-flat", "q-rising", "size-flat", "size-flat-at-end",
-        "last-not-full", "marginals-short", "marginals-long",
+        "last-not-full", "marginals-short", "marginals-long", "marginal-outside",
+        "q-star-negative", "size-negative",
         "order-repeats", "order-short", "order-outside", "order-above", "order-negative"])
 def test_threshold_result_rejects_malformed_stages(changes, message):
     fields = dict(stages=GOOD_STAGES, subsets_checked=4,

@@ -650,8 +650,10 @@ def test_from_edges_accepts_arrays_and_rejects_non_pairs():
         Network.from_edges(4, [(0, 1, 2)])
     with pytest.raises(ParameterError):
         Network.from_edges(4, np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(TypeError):
+    with pytest.raises(ParameterError, match="node id must be an integer"):
         Network.from_edges(4, [(0, 1.5)])
+    with pytest.raises(ParameterError, match="node id must be an integer"):
+        Network.from_edges(4, np.array([[0.0, 1.0]]))
 
 
 def test_node_count_beyond_packed_keys_is_rejected():

@@ -24,6 +24,7 @@ from netcontagion.rational import (
     rational_json,
     rational_str,
 )
+from netcontagion.verify import run_checks
 
 F = Fraction
 
@@ -90,6 +91,11 @@ INTEGER_SITES = {
     "derive_seed": (lambda v: derive_seed(v, "a"), 1),
     "draw_set population": (lambda v: draw_set(np.random.default_rng(1), v, 2), 10),
     "draw_set size": (lambda v: draw_set(np.random.default_rng(1), 10, v), 2),
+    "Network adjacency id": (lambda v: Network(2, [[v], [0]]), 1),
+    "from_edges pair id": (lambda v: Network.from_edges(2, [(v, 0)]), 1),
+    "run_checks trials": (lambda v: run_checks(trials=v, max_i=4), 1),
+    "run_checks max_i": (lambda v: run_checks(trials=0, max_i=v), 4),
+    "run_checks seed": (lambda v: run_checks(trials=0, seed=v), 1),
 }
 
 
