@@ -81,6 +81,17 @@ def _int(value, what: str) -> int:
     raise ParameterError(f"{what} must be an integer; got {value!r}")
 
 
+def _int_set(tokens: list[str], what: str) -> frozenset[int]:
+    """The decimal strings ``tokens`` as a set of integers, read as
+    :func:`_int` reads them; the first token it refuses is named."""
+    try:
+        return frozenset(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            _int(token, what)  # raises at the first token that int refuses
+        raise
+
+
 def _read_network(path: str):
     try:
         text = Path(path).read_text()
@@ -136,7 +147,7 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
                     else doc.get("c", "1"), "c")
 
     if getattr(args, "seeds", None):
-        start = frozenset(_int(x, "--seeds entry") for x in args.seeds.split(","))
+        start = _int_set(args.seeds.split(","), "--seeds entry")
     elif getattr(args, "seeds_random", None):
         rng_seed = getattr(args, "seeds_seed", 0) or 0
         if rng_seed < 0:
@@ -148,10 +159,11 @@ def _game_from_args(args, doc: dict) -> tuple[GameConfig, frozenset[int]]:
     else:
         raise ParameterError("no starting set; use --seeds or --seeds-random")
 
-    infected = frozenset() if getattr(args, "endogenous", False) else start
+    endogenous = getattr(args, "endogenous", False)
     cfg = GameConfig(network=net, weights=weights, c=c, global_effect=effect,
-                     infected=infected)
-    return cfg, cfg.player_set(start)
+                     infected=frozenset() if endogenous else start)
+    # A seeded start is the infected set that the game has just checked.
+    return cfg, (cfg.player_set(start) if endogenous else cfg.infected)
 
 
 def _q_list(args, doc: dict) -> list[Fraction]:

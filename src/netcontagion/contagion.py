@@ -44,13 +44,22 @@ from .errors import (
 )
 from .game import GameConfig, PlayerSet, _player
 from .graphs import Network
-from .rational import as_unit_rational, rational_json, rational_str
+from .rational import as_integer, as_unit_rational, rational_json, rational_str
+
+
+def _count(value, what: str, least: int = 0) -> int:
+    """A count of a result, an integer by ``as_integer``'s rule, at least ``least``."""
+    value = as_integer(value, what)
+    if value < least:
+        raise InvariantViolationError(f"{what} must be at least {least}; got {value}")
+    return value
 
 
 @dataclass(frozen=True)
 class CascadeResult:
     """Trace of one cascade: C_0, the flip waves, and the reached
-    equilibrium ``final``, which is C_0 plus the waves."""
+    equilibrium ``final``, which is C_0 plus the waves.  ``subsets_checked``
+    is a nonnegative integer."""
 
     final: PlayerSet = field(init=False)
     waves: tuple[PlayerSet, ...]
@@ -62,6 +71,7 @@ class CascadeResult:
         return len(self.waves)
 
     def __post_init__(self):
+        object.__setattr__(self, "subsets_checked", _count(self.subsets_checked, "subsets_checked"))
         union = set(self.initial)
         for wave in self.waves:
             if not wave or union & wave:
@@ -92,6 +102,7 @@ class ThresholdResult:
     ``order`` lists the players as they joined, the initial set and then
     each step's flips ascending: stage n's members are its first ``stages[n].size``.
     It may be given as an int64 array; it is kept as a tuple.
+    ``subsets_checked`` is a nonnegative integer.
     """
 
     stages: tuple[ThresholdStage, ...]
@@ -105,6 +116,7 @@ class ThresholdResult:
             raise InvariantViolationError("stage sequence must start at q_0 = 1")
         if len(self.marginal_players) != len(self.stages) - 1:
             raise InvariantViolationError("one marginal player per stage descent")
+        object.__setattr__(self, "subsets_checked", _count(self.subsets_checked, "subsets_checked"))
         n = self.node_count
         _check_stages(np.array([0, len(self.stages)]),
                       np.array([st.q.as_integer_ratio() for st in self.stages], dtype=object),
@@ -141,8 +153,9 @@ class DepthFunction:
 
     ``breakpoints`` are q_0 = 1 > q_1 > ... > q_N = q* >= 0; on the half-open
     interval (q_{n+1}, q_n] the value is ``interval_sizes[n] / node_count``,
-    and on [0, q*] it is 1.  The sizes lie in [0, node_count) and do not
-    fall as q does (a step function built by hand may repeat one).
+    and on [0, q*] it is 1.  ``node_count`` is an integer of at least 1;
+    the sizes lie in [0, node_count) and do not fall as q does (a step
+    function built by hand may repeat one).
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -150,6 +163,7 @@ class DepthFunction:
     node_count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "node_count", _count(self.node_count, "node_count", least=1))
         if len(self.interval_sizes) != len(self.breakpoints) - 1:
             raise InvariantViolationError("one interval value per breakpoint gap")
         qs, sizes = self.breakpoints, self.interval_sizes
@@ -274,7 +288,10 @@ class StageLog:
                                              self.q_den[lo:hi].tolist())]
         n, initial = self.node_count, self.initials[row]
         order = [np.sort(np.fromiter(initial, dtype=np.int64, count=len(initial)))]
-        order += [flips[live[flips // n] == row] % n for live, flips in self.steps]
+        if len(self.initials) == 1:  # one row: its flat ids are its players
+            order += [flips for _, flips in self.steps]
+        else:
+            order += [flips[live[flips // n] == row] % n for live, flips in self.steps]
         return ThresholdResult(
             stages=tuple([ThresholdStage(q, size) for q, size in
                           zip(qs, self.size[lo:hi].tolist())]),

@@ -293,8 +293,7 @@ class GameConfig:
         object.__setattr__(self, "c", as_rational(self.c, "c"))
         if self.c <= 0:
             raise ParameterError(f"c must be positive; got {self.c}")
-        object.__setattr__(self, "infected",
-                           frozenset(_player(i, n, "infected player") for i in self.infected))
+        object.__setattr__(self, "infected", _players(self.infected, n, "infected player"))
         # Global effects must never make deviation dominant on their own:
         # phi_i(p) <= c * w_i for all p, which building the engine's tables checks.
         from ._engines import _tables
@@ -310,7 +309,9 @@ class GameConfig:
         return self.network.node_count
 
     def player_set(self, members: Iterable[int]) -> PlayerSet:
-        return frozenset(_player(i, self.network.node_count) for i in members)
+        """``members`` as a set of players, each one an id of this game by
+        :func:`_player`'s rule; the first id that fails it is named."""
+        return _players(members, self.network.node_count)
 
 
 def _player(i, n: int, what: str = "player") -> int:
@@ -319,6 +320,25 @@ def _player(i, n: int, what: str = "player") -> int:
     if not 0 <= i < n:
         raise ParameterError(f"{what} {i} out of range")
     return i
+
+
+def _players(members: Iterable[int], n: int, what: str = "player") -> PlayerSet:
+    """The set of ``members``, each a player id by :func:`_player`'s rule.
+
+    Plain ``int`` ids are range-checked in one array pass.  Any other type,
+    an id beyond int64 or one out of range sends every id through
+    :func:`_player` in iteration order, which names the first that fails.
+    """
+    ids = members if isinstance(members, (frozenset, set, list, tuple)) else list(members)
+    if set(map(type, ids)) <= {int}:
+        try:
+            flat = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        except OverflowError:  # an id beyond int64: out of range
+            pass
+        else:
+            if flat.min(initial=0) >= 0 and flat.max(initial=0) < n:
+                return ids if type(ids) is frozenset else frozenset(ids)
+    return frozenset(_player(i, n, what) for i in ids)
 
 
 def local_support(cfg: GameConfig, i: int, members: Iterable[int]) -> Fraction:

@@ -6,12 +6,15 @@ as Python tuples are built only when a caller first reads ``adjacency``.
 :meth:`Network.from_edges` works on numpy arrays of endpoints, and
 :func:`load_edge_list` parses a plain-ASCII document as one byte array, so
 loading a graph costs a few array passes, not a Python object per node,
-edge or token.  The passes write into buffers they allocate once, so the
+edge or token.  In a document whose tokens are each separated by one
+byte, as :func:`dump_edge_list` writes them, that byte alone tells a
+blank within a line from a break between lines; ids of up to 9 digits are
+read in int32.  The passes write into buffers they allocate once, so the
 transient bytes stay within a small multiple of the CSR's 16 B per edge:
 tracemalloc peaks on the 149,985 edges of ``generate_ba(30000, 5, 1)`` are
-51.6 B per edge for ``from_edges`` (validation included), 74.7 B for
-``load_edge_list`` of its dump and 67.6 B for all of ``generate_ba``, which
-frees its endpoint lists before ``from_edges`` runs.
+51.6 B per edge for ``from_edges`` (validation included), 70.9 B for
+``load_edge_list`` of its dump with its header and 67.6 B for all of
+``generate_ba``, which frees its endpoint lists before ``from_edges`` runs.
 :meth:`Network.edges` and :func:`dump_edge_list` turn ``_CHUNK`` CSR slots
 at a time into Python ints.
 
@@ -439,7 +442,7 @@ def load_edge_list(text: str) -> Network:
     accepts and raises at the first bad line.
     """
     ends = _parse_plain(_COMMENT.sub("", text))
-    if ends is None or ends.max() >= _MAX_NODES or (ends[:, 0] == ends[:, 1]).any():
+    if ends is None or int(ends.max()) >= _MAX_NODES or (ends[:, 0] == ends[:, 1]).any():
         ends = _parse_lines(text)
     return Network.from_edges(int(ends.max()) + 1, ends)
 
@@ -450,7 +453,9 @@ def _parse_plain(body: str) -> np.ndarray | None:
     None when ``body`` holds any other character, no token, a line of
     other than two tokens, or a token of more than 18 digits; the per-line
     loop parses those.  The bytes are classified first, then the work is on token
-    positions, not on strings.
+    positions, not on strings: each line's shape is read from the gaps
+    between tokens (:func:`_two_per_line`), and the values from digit
+    columns, in int32 while no token has more than 9 digits, else int64.
     """
     if not body.isascii():
         return None
@@ -475,26 +480,44 @@ def _parse_plain(body: str) -> np.ndarray | None:
     width = int((last - before).max(initial=0))
     if not width or len(before) % 2 or width > 18:
         return None
-    # Exactly two tokens per line: the gap before each odd-indexed token
-    # holds no line break, and the gap before each later even-indexed
-    # one holds at least one.  A break in the gap before token j sorts
-    # after every earlier token's bytes and not after token j's ``before``.
-    gap_breaks = np.zeros(len(before) + 1, dtype=bool)
-    gap_breaks[np.searchsorted(before, _flatnonzero(cls == _BREAK, position))] = True
-    if gap_breaks[1::2].any() or not gap_breaks[2:-1:2].all():
+    if not _two_per_line(cls, before, last, position):
         return None
     # Digit columns, left-aligned to the widest token.  Until its digits
     # begin, a shorter token reads its ``before`` byte, a blank or a break,
-    # which ``& 15`` turns into 0.
-    value = np.zeros(len(before), dtype=np.int64)
+    # which ``& 15`` turns into 0.  Nine digits fit in int32.
+    # ``at`` is in numpy's index type, which ``take`` would otherwise copy it into.
+    value = np.zeros(len(before), dtype=np.int32 if width <= 9 else np.int64)
     column = last - (width - 1)
-    at = np.empty_like(column)
+    at = np.empty(len(before), dtype=np.intp)
+    digits = np.empty(len(before), dtype=np.uint8)
     for _ in range(width):
         np.maximum(column, before, out=at)
+        np.take(cls, at, out=digits, mode="clip")  # in range: no checked copy
+        digits &= 15
         value *= 10
-        value += cls[at] & 15
+        value += digits
         column += 1
     return value.reshape(-1, 2)
+
+
+def _two_per_line(cls: np.ndarray, before: np.ndarray, last: np.ndarray, position) -> bool:
+    """Whether the tokens, an even number, run two to a line: the gap
+    before each odd-indexed token holds no line break, and the gap before
+    each later even-indexed one holds at least one.
+
+    Every gap is at least one byte, so when the gaps add up to one byte
+    per gap, each is the lone byte before its token, a blank within a line
+    or a break between two, as ``dump_edge_list`` writes them.  Otherwise a
+    break in the gap before token j sorts after every earlier token's
+    bytes and not after token j's ``before``.
+    """
+    gaps = int(before[1:].sum(dtype=np.int64)) - int(last[:-1].sum(dtype=np.int64))
+    if gaps == len(before) - 1:
+        separator = cls[before]
+        return bool((separator[1::2] == _BLANK).all() and (separator[2::2] == _BREAK).all())
+    gap_breaks = np.zeros(len(before) + 1, dtype=bool)
+    gap_breaks[np.searchsorted(before, _flatnonzero(cls == _BREAK, position))] = True
+    return bool(not gap_breaks[1::2].any() and gap_breaks[2:-1:2].all())
 
 
 def _flatnonzero(mask: np.ndarray, dtype) -> np.ndarray:

@@ -10,13 +10,14 @@ global-effect intensity, reusing the same draw across intensities.
 The searches of one network and intensity run in batches of consecutive
 set sizes: every draw of a size group is a row of a single engine state,
 advanced together by the staged search of ``contagion``.  A group holds as
-many whole sizes (at least one) as keep each ``(rows, network_size)`` state
-array within ``_BATCH_BYTES``, at the itemsize of the task's widest engine
-tier (see ``_engines``), which bounds the engine's memory whatever the grid:
-games whose tables are int32 at every intensity, as all of the desk preset's
-are, batch twice the rows of int64 ones.  Draws, seeds and the run order do
-not depend on the grouping.  One ``GameConfig`` serves each (network,
-intensity) without an infected set.
+many whole sizes as keep each ``(rows, network_size)`` state array within
+``_BATCH_BYTES``, at the itemsize of the task's widest engine tier (see
+``_engines``), but never fewer than hold ``_BATCH_ROWS`` rows, below which
+numpy's per-call overhead dominates.  The larger of the two bounds the
+engine's memory whatever the grid: games whose tables are int32 at every
+intensity, as all of the desk preset's are, batch twice the rows of int64
+ones.  Draws, seeds and the run order do not depend on the grouping.  One
+``GameConfig`` serves each (network, intensity) without an infected set.
 No per-search config or start check is needed: every start is seeded
 exogenously, so every member deviates at q = 1, and the engine sees the
 seeding only through the union of start and infected set, which is the
@@ -69,9 +70,11 @@ from .rational import (as_integer, as_rational, as_unit_rational, decimal_ratio,
 
 
 # Bytes of one (rows, network size) engine state array that a batch of a
-# network task may hold, 2^15 int64 elements; a set size whose replicates
-# alone exceed it runs alone.
+# network task may hold, 2^15 int64 elements, and the rows that it holds
+# at least, whatever its bytes: below that, numpy's per-call overhead
+# outweighs each call's work.  Batches hold whole set sizes.
 _BATCH_BYTES = 2**18
+_BATCH_ROWS = 64
 
 
 def derive_seed(master_seed: int, *fields) -> int:
@@ -277,12 +280,13 @@ def _task_games(grid: ExperimentGrid, m: int, network_id: int) -> list[GameConfi
 
 
 def _size_groups(grid: ExperimentGrid, games: Sequence[GameConfig]) -> list[tuple[int, ...]]:
-    """Consecutive set sizes, each group as many whole sizes (at least one)
-    as keep its ``(rows, network_size)`` state arrays within ``_BATCH_BYTES``
-    in the widest of the games' engine tiers."""
+    """Consecutive set sizes, each group as many whole sizes as keep its
+    ``(rows, network_size)`` state arrays within ``_BATCH_BYTES`` in the
+    widest of the games' engine tiers, or as few as hold ``_BATCH_ROWS``
+    rows, whichever is more."""
     itemsize = max(cfg.engine_tables.M.itemsize for cfg in games)
     per_size = grid.sets_per_size * grid.network_size * itemsize
-    width = max(1, _BATCH_BYTES // per_size)
+    width = max(_BATCH_BYTES // per_size, -(-_BATCH_ROWS // grid.sets_per_size))
     return [grid.set_sizes[i:i + width] for i in range(0, len(grid.set_sizes), width)]
 
 

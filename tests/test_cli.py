@@ -125,6 +125,32 @@ def test_threshold_all_nodes_trivial(cycle_file, capsys):
     assert "q* = 1 " in out
 
 
+@pytest.mark.parametrize("seeds, message, endogenous", [
+    ("1,x", "--seeds entry must be an integer; got 'x'", None),
+    ("1,1.5", "--seeds entry must be an integer; got '1.5'", None),
+    ("1,True", "--seeds entry must be an integer; got 'True'", None),
+    ("1,,2", "--seeds entry must be an integer; got ''", None),
+    ("1,x,1.5", "--seeds entry must be an integer; got 'x'", None),
+    ("1,-1", "infected player -1 out of range", "player -1 out of range"),
+    ("1,10", "infected player 10 out of range", "player 10 out of range"),
+    (" 2,+3,1_0", "infected player 10 out of range", "player 10 out of range"),
+    ("1,99999999999999999999999", "infected player 99999999999999999999999 out of range",
+     "player 99999999999999999999999 out of range"),
+], ids=["letter", "float", "bool", "empty", "first-token", "negative", "out-of-range",
+        "int-syntax", "past-int64"])
+def test_seeds_are_refused_with_one_message(seeds, message, endogenous, capsys):
+    for flags, want in [([], message), (["--endogenous"], endogenous or message)]:
+        code, out, err = run_cli(capsys, "threshold", "--generate", "10,2,1",
+                                 "--seeds", seeds, *flags)
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+def test_seeds_are_read_as_int_reads_them(capsys):
+    answers = [run_cli(capsys, "threshold", "--generate", "30,2,1", "--seeds", seeds,
+                       "--json", "--members") for seeds in ("+2, 3,1_0,3", "2,3,10")]
+    assert answers[0] == answers[1] and answers[0][0] == 0
+
+
 def test_threshold_endogenous_precondition_error(cycle_file, capsys):
     code, _, err = run_cli(capsys, "--json-errors", "threshold", "--network",
                            cycle_file, "--seeds", "0", "--endogenous")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +399,14 @@ def test_depth_function_validation():
     ]:
         with pytest.raises(InvariantViolationError, match=message):
             DepthFunction(breakpoints=breakpoints, interval_sizes=sizes, node_count=4)
+    # A step function is over at least one player, counted by an integer.
+    for count in (0, -1):
+        with pytest.raises(InvariantViolationError, match="node_count must be at least 1"):
+            DepthFunction(breakpoints=(F(1),), interval_sizes=(), node_count=count)
+    with pytest.raises(ParameterError, match="node_count must be an integer; got 2.5"):
+        DepthFunction(breakpoints=(F(1), F(1, 2)), interval_sizes=(1,), node_count=2.5)
+    df = DepthFunction(breakpoints=(F(1), F(1, 2)), interval_sizes=(1,), node_count=np.int64(2))
+    assert type(df.node_count) is int and depth_at(df, F(3, 4)) == F(1, 2)
     # Sizes may repeat and start at 0; q* may be 0, or 1 with no steps.
     DepthFunction(breakpoints=(F(1), F(1, 2), F(0)), interval_sizes=(0, 0), node_count=4)
     assert DepthFunction(breakpoints=(F(1),), interval_sizes=(), node_count=4).q_star == 1
@@ -424,6 +433,12 @@ def test_cascade_result_validation():
     with pytest.raises(TypeError):
         CascadeResult(final=frozenset({0, 1}), waves=(frozenset({1}),),
                       initial=frozenset({0}), subsets_checked=1)  # final is derived
+    with pytest.raises(InvariantViolationError, match="subsets_checked must be at least 0"):
+        CascadeResult(waves=(), initial=frozenset({0}), subsets_checked=-3)
+    with pytest.raises(ParameterError, match="subsets_checked must be an integer; got 4.5"):
+        CascadeResult(waves=(), initial=frozenset({0}), subsets_checked=4.5)
+    counted = CascadeResult(waves=(), initial=frozenset({0}), subsets_checked=np.int64(2))
+    assert type(counted.subsets_checked) is int
 
 
 def stage_list(*pairs):
@@ -452,6 +467,7 @@ GOOD_STAGES = stage_list((1, 1), ("1/2", 3), ("1/3", 4))
     ({"stages": stage_list((1, 1), ("1/2", 3), (-1, 4))}, "q\\* must be nonnegative"),
     ({"stages": stage_list((1, -3), ("1/2", 3), ("1/3", 4))},
      "equilibrium sizes must be nonnegative"),
+    ({"subsets_checked": -4}, "subsets_checked must be at least 0"),
     ({"order": (0, 1, 1, 3)}, "join order must list every player once"),
     ({"order": (0, 1, 2)}, "join order must list every player once"),
     ({"order": (0, 1, 2, 3, 4)}, "join order must list every player once"),
@@ -459,7 +475,7 @@ GOOD_STAGES = stage_list((1, 1), ("1/2", 3), ("1/3", 4))
     ({"order": (-1, 0, 1, 2)}, "join order must list every player once"),
 ], ids=["first-q", "no-stages", "q-flat", "q-rising", "size-flat", "size-flat-at-end",
         "last-not-full", "marginals-short", "marginals-long", "marginal-outside",
-        "q-star-negative", "size-negative",
+        "q-star-negative", "size-negative", "subsets-negative",
         "order-repeats", "order-short", "order-outside", "order-above", "order-negative"])
 def test_threshold_result_rejects_malformed_stages(changes, message):
     fields = dict(stages=GOOD_STAGES, subsets_checked=4,
@@ -467,6 +483,15 @@ def test_threshold_result_rejects_malformed_stages(changes, message):
     assert ThresholdResult(**fields).q_star == F(1, 3)
     with pytest.raises(InvariantViolationError, match=message):
         ThresholdResult(**{**fields, **changes})
+
+
+def test_threshold_result_counts_subsets_by_the_integer_rule():
+    fields = dict(stages=GOOD_STAGES, marginal_players=(2, 3), node_count=4, order=(2, 0, 3, 1))
+    for count in (4.5, 4.0, "4", True):
+        with pytest.raises(ParameterError, match="subsets_checked must be an integer"):
+            ThresholdResult(**fields, subsets_checked=count)
+    result = ThresholdResult(**fields, subsets_checked=np.int64(4))
+    assert json.loads(json.dumps(result.to_dict()))["subsets_checked"] == 4
 
 
 def test_threshold_result_keeps_an_order_array_as_a_tuple():

@@ -352,3 +352,41 @@ def test_benefit_resilience_round_trip():
         assert c / (b + c) == q
     with pytest.raises(ParameterError):
         benefit_for_resilience(c, F(0))
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([1, True], "must be an integer; got True"),
+    ([1, 1.0], "must be an integer; got 1.0"),
+    ([1, 2.5], "must be an integer; got 2.5"),
+    ([3, "4"], "must be an integer; got '4'"),
+    ([1, -1], "-1 out of range"),
+    ([1, 10], "10 out of range"),
+    ([2**64, 1], f"{2**64} out of range"),
+    # The first id that fails is named, in the order the ids are given.
+    ([1, 2**64, -1], f"{2**64} out of range"),
+    ([1, -1, 2**64], "-1 out of range"),
+    ([1, 12, 1.5], "12 out of range"),
+], ids=["bool", "integral-float", "float", "string", "negative", "out-of-range",
+        "past-int64", "past-int64-first", "negative-first", "range-before-type"])
+def test_player_ids_are_checked_with_one_message(ids, message):
+    net = generate_ba(10, 2, 1)
+    for build, what in [(lambda v: GameConfig(network=net, infected=v), "infected player"),
+                        (GameConfig(network=net).player_set, "player")]:
+        for given in (ids, tuple(ids), iter(ids)):
+            with pytest.raises(ParameterError) as err:
+                build(given)
+            assert str(err.value) == f"{what} {message}"
+
+
+def test_player_sets_of_plain_and_numpy_ids_are_sets_of_ints():
+    net = generate_ba(10, 2, 1)
+    cfg = GameConfig(network=net)
+    for ids in ([np.int64(3), 1], np.array([3, 1]), {1: "a", 3: "b"}, (i for i in (1, 3)),
+                frozenset({1, 3}), [3, 1, 3]):
+        got = cfg.player_set(ids)
+        assert got == {1, 3} and {type(i) for i in got} == {int}
+    assert cfg.player_set([]) == frozenset() == GameConfig(network=net).infected
+    # A set of plain ints is already what the game holds.
+    members = frozenset(range(10))
+    assert cfg.player_set(members) is members
+    assert GameConfig(network=net, infected=members).infected is members

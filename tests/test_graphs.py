@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcontagion import graphs
 from netcontagion.errors import EdgeListParseError, ParameterError
@@ -14,6 +15,7 @@ from netcontagion.graphs import (
     _LINE_BREAKS,
     _MAX_NODES,
     Network,
+    _parse_lines,
     _parse_plain,
     dump_edge_list,
     generate_ba,
@@ -430,6 +432,108 @@ def test_plain_documents_mostly_take_the_array_path():
     assert sum(isinstance(kind, int) for kind in kinds) > len(texts) / 2
     parsed = [_parse_plain(_COMMENT.sub("", text)) is not None for text in texts]
     assert sum(parsed) > len(texts) / 2
+
+
+# Gaps within a line and breaks between lines: the one-byte forms that
+# dump_edge_list writes, listed often, and longer ones.
+GAPS = [" "] * 4 + ["\t", "  ", " \t", "\t\t "]
+BREAKS = ["\n"] * 4 + ["\r", "\x0b", "\x0c", "\x1c", "\r\n", "\n\n", " \n", "\n\t"]
+
+
+@st.composite
+def edge_tokens(draw):
+    """An id of 1-2 digits, or of 9, 10, 18 or 19 digits: zero-padded or not."""
+    value = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        return str(value)
+    digits = draw(st.sampled_from([9, 10, 18, 19]))
+    if draw(st.booleans()):
+        return str(value).zfill(digits)
+    return str(draw(st.integers(10 ** (digits - 1), 10**digits - 1)))
+
+
+@st.composite
+def edge_documents(draw):
+    """Edge lines of mostly two tokens, else of one, three or four, with
+    blank and comment lines, leading and trailing whitespace, and every
+    gap and break one byte or drawn from the longer forms."""
+    one_byte = draw(st.booleans())
+    gap = (lambda: " ") if one_byte else (lambda: draw(st.sampled_from(GAPS)))
+    brk = (lambda: "\n") if one_byte else (lambda: draw(st.sampled_from(BREAKS)))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge"] * 4 + ["one", "three", "four", "blank", "comment"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "comment":
+            lines.append("# 1 2 3")
+        else:
+            count = {"edge": 2, "one": 1, "three": 3, "four": 4}[kind]
+            line = gap().join(draw(edge_tokens()) for _ in range(count))
+            if not one_byte and draw(st.integers(0, 4)) == 0:
+                line = f"{gap()}{line}{gap()}"
+            if draw(st.integers(0, 9)) == 0:
+                line += f"{gap()}# note"
+            lines.append(line)
+    text = "".join(line + brk() for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def line_loop_outcome(text):
+    """The node count and endpoints that the per-line loop reads, or its error."""
+    try:
+        ends = _parse_lines(text)
+    except EdgeListParseError as err:
+        return EdgeListParseError, err.line, str(err)
+    return int(ends.max()) + 1, ends.tolist()
+
+
+def check_load_against_the_line_loop(text):
+    # The endpoints that load_edge_list hands to from_edges, so that a
+    # document of 10-digit ids allocates no network.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "from_edges",
+                      classmethod(lambda cls, n, ends: (n, np.asarray(ends).tolist())))
+        got = outcome(load_edge_list, text)
+    want = line_loop_outcome(text)
+    assert got == want, repr(text)
+    if isinstance(want[0], int) and want[0] <= 100:
+        assert load_edge_list(text) == Network.from_edges(*want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_documents())
+def test_load_reads_what_the_line_loop_reads(text):
+    check_load_against_the_line_loop(text)
+
+
+# (document, whether the array parse reads it): both parses' paths, the
+# one-byte gaps and the longer ones, each read or refused.
+EDGE_DOCUMENTS = [
+    ("0 1\n1 2\n2 3\n", True),
+    ("0 1\n1 2 3\n2 3\n", False),  # one-byte gaps, a line of three tokens
+    ("0 1\n1\n2 3", False),  # and of one
+    ("1 2 3\n4 5 6\n", False),  # an even number of tokens, not two to a line
+    ("0 1\n2\n3 4 5\n", False),
+    ("0 1 2\n3\n4 5", False),
+    ("0 1\n2\n3\n", False),
+    ("0 1 2 3\n", False),
+    ("0 1\n000000002 1\n0000000003 2\n999999999 0", True),  # 9 and 10 digits
+    ("0\t1\r\n1  2\x0b 2 3 \x1c3 4\x0c", True),
+    ("0\t1\r\n1  2\x0b 2 \x1c3 4\x0c", False),
+    ("# c\n\n 0 1 \n1 2 # x\n", True),
+    ("0 1\n\n1 2", True),
+    ("000000000000000001 2\n0 1", True),  # 18 digits
+    ("123456789012345678 0\n", True),  # 18 digits, past any network: the line loop refuses
+    ("0000000000000000001 2\n0 1", False),  # 19 digits
+    ("9999999999999999999 0\n", False),
+]
+
+
+@pytest.mark.parametrize("text, plain", EDGE_DOCUMENTS)
+def test_load_reads_what_the_line_loop_reads_on_fixed_documents(text, plain):
+    assert (_parse_plain(_COMMENT.sub("", text)) is not None) == plain
+    check_load_against_the_line_loop(text)
 
 
 @pytest.mark.parametrize("seed", range(4))

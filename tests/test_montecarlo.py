@@ -180,16 +180,18 @@ def test_size_batches_match_one_size_per_batch(monkeypatch):
     assert {cfg.engine_tables.M.dtype for task in games for cfg in task} == {np.dtype(np.int32)}
     per_size = grid.sets_per_size * grid.network_size * 4
     outcomes = []
-    # One size per batch, uneven groups of three, and every size in one batch.
-    for budget, widths in [(1, [1] * 7), (3 * per_size + 1, [3, 3, 1]),
-                           (10**9, [7])]:
+    # One size per batch, uneven groups of three by bytes and by rows, and
+    # every size in one batch.
+    for budget, rows, widths in [(1, 1, [1] * 7), (3 * per_size + 1, 1, [3, 3, 1]),
+                                 (1, 7, [3, 3, 1]), (10**9, 1, [7])]:
         monkeypatch.setattr(montecarlo, "_BATCH_BYTES", budget)
+        monkeypatch.setattr(montecarlo, "_BATCH_ROWS", rows)
         assert [len(group) for group in _size_groups(grid, games[0])] == widths
         outcomes.append([unpack(_run_network_task(grid, m, network_id))
                          for m in grid.m_values for network_id in range(2)])
     # Runs compare equal field by field: q*, depth, subsets_checked, and the
     # order set size, then replicate, then intensity.
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
     first = outcomes[0][0]
     assert [(r.set_size, r.replicate_id, r.alpha) for r in first] == [
         (size, rep, alpha) for size in grid.set_sizes
@@ -207,11 +209,13 @@ def test_presets_batch_sizes_within_the_element_budget():
         assert {cfg.engine_tables.M.dtype for cfg in games} == {np.dtype(np.int32)}
         assert [len(g) for g in _size_groups(desk, games)] == [21, 8]
     # 20 and 50 rows of 1000 players, whose alpha = 1 games are int64: one
-    # size per batch.
-    for grid in (m5_benchmark_grid(), full_grid()):
+    # size per batch by bytes, raised to the fewest sizes that hold 64 rows.
+    for grid, width in ((m5_benchmark_grid(), 4), (full_grid(), 2)):
         games = _task_games(grid, 5, 0)
         assert games[-1].engine_tables.M.dtype == np.int64
-        assert {len(g) for g in _size_groups(grid, games)} == {1}
+        assert 2 * grid.sets_per_size * grid.network_size * 8 > montecarlo._BATCH_BYTES
+        groups = _size_groups(grid, games)
+        assert {len(g) for g in groups[:-1]} == {width} and sum(map(len, groups)) == 99
 
 
 def test_derive_seed_stable_golden():

@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netcontagion.contagion import cohesiveness
+from netcontagion.contagion import (
+    CascadeResult,
+    DepthFunction,
+    ThresholdResult,
+    ThresholdStage,
+    cohesiveness,
+)
 from netcontagion.errors import ParameterError
 from netcontagion.game import (
     GameConfig,
@@ -96,6 +102,11 @@ INTEGER_SITES = {
     "run_checks trials": (lambda v: run_checks(trials=v, max_i=4), 1),
     "run_checks max_i": (lambda v: run_checks(trials=0, max_i=v), 4),
     "run_checks seed": (lambda v: run_checks(trials=0, seed=v), 1),
+    "DepthFunction node_count": (lambda v: DepthFunction((F(1), F(1, 2)), (1,), v), 2),
+    "ThresholdResult subsets_checked": (lambda v: ThresholdResult(
+        (ThresholdStage(F(1), 1), ThresholdStage(F(1, 2), 2)), v, (0,), 2, (0, 1)), 3),
+    "CascadeResult subsets_checked": (
+        lambda v: CascadeResult(waves=(), initial=frozenset({0}), subsets_checked=v), 1),
 }
 
 
