@@ -91,6 +91,35 @@ class ThresholdStage:
         return {"q": rational_json(self.q), "equilibrium_size": self.size}
 
 
+class _JoinOrder:
+    """``ThresholdResult.order``, a dataclass field without a default: held
+    as the int64 array that ``__post_init__`` checks, read as a tuple of
+    ints, which is built on first read."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("order")  # no class-level default
+        state = result.__dict__
+        if "_order_tuple" not in state:
+            state["_order_tuple"] = tuple(state["_order"].tolist())
+        return state["_order_tuple"]
+
+    def __set__(self, result, value):  # __init__'s and __post_init__'s writes, before any read
+        result.__dict__["_order"] = value
+
+
+def _join_order(order) -> np.ndarray:
+    """``order`` as an int64 array of the result's own, each entry an integer
+    by ``as_integer``'s rule; an integer array is copied in one pass."""
+    if isinstance(order, np.ndarray) and order.dtype.kind in "iu" and order.ndim == 1:
+        return order.astype(np.int64)
+    ids = [as_integer(i, "order entry") for i in order]
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:  # past int64, so no player
+        raise InvariantViolationError("the join order must list every player once") from None
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     """Output of the full-network contagion search.
@@ -101,15 +130,18 @@ class ThresholdResult:
     lowest-indexed player attaining the max that produced ``stages[n+1].q``.
     ``order`` lists the players as they joined, the initial set and then
     each step's flips ascending: stage n's members are its first ``stages[n].size``.
-    It may be given as an int64 array; it is kept as a tuple.
-    ``subsets_checked`` is a nonnegative integer.
+    ``node_count`` (at least 1), ``subsets_checked`` (nonnegative) and every
+    player id are integers by ``as_integer``'s rule.  ``order`` may be given
+    as an int64 array, as the stage log gives it: the result keeps a copy
+    and reads it as a tuple of ints, built when ``order``, ``members``,
+    ``==``, ``hash`` or ``to_dict(include_members=True)`` first needs it.
     """
 
     stages: tuple[ThresholdStage, ...]
     subsets_checked: int
     marginal_players: tuple[int, ...]
     node_count: int
-    order: tuple[int, ...]
+    order: tuple[int, ...] = _JoinOrder()
 
     def __post_init__(self):
         if not self.stages:
@@ -117,17 +149,20 @@ class ThresholdResult:
         if len(self.marginal_players) != len(self.stages) - 1:
             raise InvariantViolationError("one marginal player per stage descent")
         object.__setattr__(self, "subsets_checked", _count(self.subsets_checked, "subsets_checked"))
-        n = self.node_count
+        n = _count(self.node_count, "node_count", least=1)
+        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "marginal_players", tuple(
+            as_integer(i, "marginal player") for i in self.marginal_players))
         _check_stages(np.array([0, len(self.stages)]),
                       np.array([st.q.as_integer_ratio() for st in self.stages], dtype=object),
                       np.array([st.size for st in self.stages]),
                       np.array([*self.marginal_players, -1]), n)
-        order = np.asarray(self.order, dtype=np.int64)
-        # n players in range, each counted once: a permutation, in O(n).
-        if (len(order) != n or ((order < 0) | (order >= n)).any()
-                or not (np.bincount(order, minlength=n) == 1).all()):
+        order = _join_order(self.__dict__["_order"])
+        # n ids in range, each counted once: a permutation, in one bincount pass.
+        if (len(order) != n or not 0 <= order.min() <= order.max() < n
+                or not np.bincount(order, minlength=n).all()):
             raise InvariantViolationError("the join order must list every player once")
-        object.__setattr__(self, "order", tuple(order.tolist()))
+        object.__setattr__(self, "order", order)
 
     @property
     def q_star(self) -> Fraction:
@@ -228,6 +263,23 @@ def _check_start_incentive(cfg: GameConfig, start: PlayerSet, q: Fraction):
                 f"in the starting configuration", i)
 
 
+def _initial(cfg: GameConfig, start: Iterable[int], q: Fraction) -> PlayerSet:
+    """The players a search starts from: ``start``, once each member is
+    checked to deviate at q, and the infected players.  The configuration's
+    own infected set, a seeded start, is checked already and is returned as
+    it is."""
+    if start is cfg.infected:
+        return start
+    start = cfg.player_set(start)
+    _check_start_incentive(cfg, start, q)
+    return start | cfg.infected
+
+
+def _ids(players: PlayerSet) -> np.ndarray:
+    """The players as an int64 array, the engine's form of a starting set."""
+    return np.fromiter(players, dtype=np.int64, count=len(players))
+
+
 def cascade(cfg: GameConfig, start: Iterable[int], q) -> CascadeResult:
     """Run best-response waves from ``start`` at resilience q.
 
@@ -236,10 +288,8 @@ def cascade(cfg: GameConfig, start: Iterable[int], q) -> CascadeResult:
     result is then the smallest Nash equilibrium at q containing the start.
     """
     q = as_unit_rational(q, "q")
-    start = cfg.player_set(start)
-    _check_start_incentive(cfg, start, q)
-    initial = start | cfg.infected
-    log = _staged_search(cfg, [initial], fixed_q=q)
+    initial = _initial(cfg, start, q)
+    log = _staged_search(cfg, [_ids(initial)], fixed_q=q)
     # One row: its flat ids are its players, and only its last step may be empty.
     waves = tuple(frozenset(flips.tolist()) for _, flips in log.steps if len(flips))
     return CascadeResult(waves=waves, initial=initial, subsets_checked=int(log.subsets_checked[0]))
@@ -253,9 +303,7 @@ def full_contagion_threshold(cfg: GameConfig, start: Iterable[int]) -> Threshold
     equilibrium at the largest q that switches some outsider; by the
     bootstrap property the resumed cascade reaches exactly C(start, q).
     """
-    start = cfg.player_set(start)
-    _check_start_incentive(cfg, start, Fraction(1))
-    return _staged_search(cfg, [start | cfg.infected]).result(0)
+    return _staged_search(cfg, [_ids(_initial(cfg, start, Fraction(1)))]).result(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +335,7 @@ class StageLog:
         qs = [Fraction(a, b) for a, b in zip(self.q_num[lo:hi].tolist(),
                                              self.q_den[lo:hi].tolist())]
         n, initial = self.node_count, self.initials[row]
-        order = [np.sort(np.fromiter(initial, dtype=np.int64, count=len(initial)))]
+        order = [np.sort(initial if isinstance(initial, np.ndarray) else _ids(initial))]
         if len(self.initials) == 1:  # one row: its flat ids are its players
             order += [flips for _, flips in self.steps]
         else:

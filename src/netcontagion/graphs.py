@@ -1,9 +1,15 @@
 """Undirected simple graphs: representation, scale-free generation, and I/O.
 
 A :class:`Network` stores its neighbour lists as the CSR arrays
-``(indptr, indices)`` and validates them in one vectorized pass; the lists
-as Python tuples are built only when a caller first reads ``adjacency``.
-:meth:`Network.from_edges` works on numpy arrays of endpoints, and
+``(indptr, indices)``; the lists as Python tuples are built only when a
+caller first reads ``adjacency``.  A CSR that comes from outside,
+``Network(n, adjacency)``'s or an unpickled one's, is validated in one
+vectorized pass (:func:`_check_csr`).  :meth:`Network.from_edges` checks
+the node count and every endpoint, then builds its CSR valid by
+construction (every pair in both directions, one sort, duplicates
+dropped), so it skips that pass; ``tests/test_graphs.py`` checks its CSRs
+with :func:`_check_csr` instead.  It packs its edge keys ``u*n + v`` in
+int32 while ``n*n`` fits, which halves the sort's bytes.
 :func:`load_edge_list` parses a plain-ASCII document as one byte array, so
 loading a graph costs a few array passes, not a Python object per node,
 edge or token.  In a document whose tokens are each separated by one
@@ -12,8 +18,8 @@ blank within a line from a break between lines; ids of up to 9 digits are
 read in int32.  The passes write into buffers they allocate once, so the
 transient bytes stay within a small multiple of the CSR's 16 B per edge:
 tracemalloc peaks on the 149,985 edges of ``generate_ba(30000, 5, 1)`` are
-51.6 B per edge for ``from_edges`` (validation included), 70.9 B for
-``load_edge_list`` of its dump with its header and 67.6 B for all of
+25.8 B per edge for ``from_edges``, 70.9 B for ``load_edge_list`` of its
+dump with its header (the parse's peak) and 44.5 B for all of
 ``generate_ba``, which frees its endpoint lists before ``from_edges`` runs.
 :meth:`Network.edges` and :func:`dump_edge_list` turn ``_CHUNK`` CSR slots
 at a time into Python ints.
@@ -62,8 +68,9 @@ _CHUNK = 2**16
 # rounded up from least-squares fits of tracemalloc peaks at n = 20,000 and
 # 60,000, m = 1 to 10: 8 B per node and 50 B per edge for from_edges, 44 B
 # per node and 91 B per edge for all of generate_ba, fitted while it still
-# held its endpoint lists through from_edges, so now a loose bound.  At
-# generate_ba(30000, 5, 1) the peaks are 51.6 and 67.6 B per edge.
+# held its endpoint lists through from_edges and from_edges still ran
+# _check_csr, so now a loose bound.  At generate_ba(30000, 5, 1) the peaks
+# are 25.8 and 44.5 B per edge.
 _NODE_BYTES, _EDGE_BYTES, _DRAWN_EDGE_BYTES = 48, 64, 32
 
 
@@ -173,13 +180,15 @@ class Network:
 
     Its state is ``csr``, the read-only ``(indptr, indices)`` arrays of the
     sorted neighbour lists, which the engines traverse.  ``Network(n,
-    adjacency)`` takes the lists as sequences and flattens them;
-    :meth:`from_edges` builds the arrays directly.  Either way one
-    vectorized pass validates them: every row is sorted and unique, no node
-    is its own neighbor, every neighbor is in range, and every edge appears
-    in both rows.  ``adjacency``, the lists as tuples, is built on first
-    read.  Two networks are equal when their node counts and neighbour
-    lists are; ``meta`` does not count.
+    adjacency)`` takes the lists as sequences and flattens them, and
+    unpickling hands back arrays; one vectorized pass (:func:`_check_csr`)
+    validates both: every row is sorted and unique, no node is its own
+    neighbor, every neighbor is in range, and every edge appears in both
+    rows.  :meth:`from_edges` checks its node count and endpoints and
+    builds arrays that hold by construction, so it does not run that pass.
+    ``adjacency``, the lists as tuples, is built on first read.  Two
+    networks are equal when their node counts and neighbour lists are;
+    ``meta`` does not count.
     """
 
     node_count: int
@@ -195,13 +204,20 @@ class Network:
 
     def __post_init__(self, node_count: int, indptr: np.ndarray, indices: np.ndarray,
                       meta: dict | None):
-        # Every constructor ends here, so every network is validated.
+        # Every CSR that comes from outside ends here and is validated:
+        # ``Network(n, adjacency)``'s and an unpickled one's.  from_edges,
+        # which builds its CSR valid, stores it through _store.
         node_count = as_integer(node_count, "node_count")
         _check_csr(node_count, indptr, indices)
+        self._store(node_count, indptr, indices, meta)
+
+    def _store(self, node_count: int, indptr: np.ndarray, indices: np.ndarray,
+               meta: dict | None) -> "Network":
         indptr.flags.writeable = indices.flags.writeable = False
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "csr", (indptr, indices))
         object.__setattr__(self, "meta", {} if meta is None else meta)
+        return self
 
     @classmethod
     def _from_csr(cls, node_count: int, indptr: np.ndarray, indices: np.ndarray,
@@ -219,7 +235,9 @@ class Network:
         """The network on ``node_count`` nodes with the given undirected edges.
 
         ``edges`` is an iterable of ``(u, v)`` pairs or an ``(E, 2)`` integer
-        array; repeated and reversed pairs collapse into one edge.
+        array; repeated and reversed pairs collapse into one edge.  The node
+        count and every endpoint are checked; the CSR built from them is
+        valid by construction, so it is stored without ``_check_csr``.
         """
         node_count = as_integer(node_count, "node_count")
         ends = _endpoints(edges)
@@ -231,11 +249,14 @@ class Network:
                                  else f"edge {a}-{b} out of range")
         if node_count > _MAX_NODES:
             raise ParameterError(f"node_count must be at most {_MAX_NODES}; got {node_count}")
+        if node_count < 1:
+            raise ParameterError(f"node_count must be positive; got {node_count}")
         _check_size(node_count, len(ends))
         n, count = node_count, len(ends)
         # Both directions of each pair as a packed key a*n + b, in one
         # buffer sorted in place; a key unlike the one before it is new.
-        key = np.empty(2 * count, dtype=np.int64)
+        # Every key is below n*n, so int32 holds them while n*n does.
+        key = np.empty(2 * count, dtype=np.int32 if n * n < 2**31 else np.int64)
         np.multiply(u, n, out=key[:count])
         key[:count] += v
         np.multiply(v, n, out=key[count:])
@@ -245,12 +266,15 @@ class Network:
         new = np.empty(len(key), dtype=bool)
         new[:1] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
-        indices = key[new]
-        del key, new
+        # Sorted and unique, with both directions of every edge and no
+        # self-loop or id out of range: a valid CSR, as _check_csr reads one.
+        key = key[new]
+        del new
         # Row i's keys are those in [i*n, (i+1)*n), and a key's column is its remainder.
-        indptr = np.searchsorted(indices, np.arange(n + 1) * n)
-        np.remainder(indices, n, out=indices)
-        return cls._from_csr(n, indptr, indices, meta)
+        indptr = np.searchsorted(key, np.arange(n + 1, dtype=key.dtype) * n)
+        indices = key if key.dtype == np.int64 else np.empty(len(key), dtype=np.int64)
+        np.remainder(key, n, out=indices)
+        return cls.__new__(cls)._store(n, indptr, indices, meta)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -315,23 +339,20 @@ class Network:
     @cached_property
     def _connected(self) -> bool:
         # Breadth-first from node 0, one array gather per level: the CSR
-        # slots of the frontier's lists, then their unseen neighbours.
+        # slots of the frontier's lists, whose neighbours are marked in a
+        # node mask; the marked nodes not seen before are the next frontier.
         indptr, indices = self.csr
         seen = np.zeros(self.node_count, dtype=bool)
         seen[0] = True
-        # A node reached several times keeps the one position that its
-        # scattered write in ``slot`` left, whichever write that was.
-        slot = np.empty(self.node_count, dtype=np.int64)
+        fresh = np.zeros(self.node_count, dtype=bool)
         frontier = np.zeros(1, dtype=np.int64)
         while len(frontier):
             starts, lens = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
             slots = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-            reached = indices[slots]
-            reached = reached[~seen[reached]]
-            order = np.arange(len(reached))
-            slot[reached] = order
-            frontier = reached[slot[reached] == order]
-            seen[frontier] = True
+            fresh[indices[slots]] = True
+            np.greater(fresh, seen, out=fresh)  # fresh and not seen
+            frontier = np.flatnonzero(fresh)
+            seen |= fresh
         return bool(seen.all())
 
 

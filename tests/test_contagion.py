@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -492,6 +493,81 @@ def test_threshold_result_counts_subsets_by_the_integer_rule():
             ThresholdResult(**fields, subsets_checked=count)
     result = ThresholdResult(**fields, subsets_checked=np.int64(4))
     assert json.loads(json.dumps(result.to_dict()))["subsets_checked"] == 4
+
+
+def test_threshold_result_reads_ids_and_node_count_by_the_integer_rule():
+    fields = dict(stages=GOOD_STAGES, subsets_checked=4, marginal_players=(2, 3),
+                  node_count=4, order=(2, 0, 3, 1))
+    for changes, message in [
+            ({"order": (2.5, 0, 3, 1)}, "order entry must be an integer; got 2.5"),
+            ({"order": ("2", 0, 3, 1)}, "order entry must be an integer; got '2'"),
+            ({"order": np.array([2.0, 0, 3, 1])}, "order entry must be an integer"),
+            ({"order": np.array([True, False, True, True])}, "order entry must be an integer"),
+            ({"marginal_players": (2.5, 3)}, "marginal player must be an integer; got 2.5"),
+            ({"node_count": 4.0}, "node_count must be an integer; got 4.0")]:
+        with pytest.raises(ParameterError, match=message):
+            ThresholdResult(**{**fields, **changes})
+    for changes, message in [
+            ({"order": (2**70, 0, 3, 1)}, "join order must list every player once"),
+            ({"order": (2**62, 0, 3, 1)}, "join order must list every player once"),
+            ({"order": np.array([2, 0, 4, 1])}, "join order must list every player once"),
+            ({"order": np.array([2, 0, -1, 1])}, "join order must list every player once"),
+            ({"order": np.array([2**64 - 1, 0, 3, 1], dtype=np.uint64)},
+             "join order must list every player once")]:
+        with pytest.raises(InvariantViolationError, match=message):
+            ThresholdResult(**{**fields, **changes})
+    result = ThresholdResult(**{**fields, "marginal_players": (np.int64(2), 3),
+                                "node_count": np.int32(4),
+                                "order": (np.int64(2), 0, np.uint8(3), 1)})
+    assert result == ThresholdResult(**fields)
+    assert type(result.node_count) is int and type(result.marginal_players[0]) is int
+    assert json.dumps(result.to_dict(include_members=True)) == \
+        json.dumps(ThresholdResult(**fields).to_dict(include_members=True))
+
+
+def test_threshold_result_of_the_log_array_reads_as_one_of_a_tuple():
+    # Results of the stage log hold the join order as an array: each fresh
+    # one is compared before anything else reads its order.
+    cfg = GameConfig(network=generate_ba(300, 2, 4), global_effect=ParametricGlobalEffect(F(1, 2)),
+                     infected=range(0, 300, 17))
+
+    def fresh():
+        return full_contagion_threshold(cfg, cfg.infected)
+
+    given = fresh()
+    twin = ThresholdResult(given.stages, given.subsets_checked, given.marginal_players,
+                           given.node_count, tuple(given.order))
+    assert len(twin.stages) > 3 and type(given.order) is tuple
+    assert fresh() == twin and twin == fresh() and fresh() != replace(twin, subsets_checked=0)
+    assert hash(fresh()) == hash(twin)
+    assert [fresh().members(k) for k in range(len(twin.stages))] == \
+        [twin.members(k) for k in range(len(twin.stages))]
+    for members in (False, True):
+        assert json.dumps(fresh().to_dict(include_members=members)) == \
+            json.dumps(twin.to_dict(include_members=members))
+    assert repr(fresh()) == repr(twin)
+    # The result holds its own copy of a given array.
+    given = np.array(twin.order)
+    held = ThresholdResult(twin.stages, twin.subsets_checked, twin.marginal_players,
+                           twin.node_count, given)
+    given[:] = given[::-1].copy()
+    assert held == twin
+
+
+def test_a_seeded_start_is_taken_as_checked(monkeypatch):
+    # The configuration's own infected set was checked when it was built:
+    # the searches take it without another check, and answer as for a copy.
+    cfg = GameConfig(network=generate_ba(200, 3, 2), infected=range(0, 200, 9))
+    copy = set(cfg.infected)
+    want = full_contagion_threshold(cfg, copy), cascade(cfg, copy, F(1, 3))
+
+    def forbidden(*args):
+        raise AssertionError("a seeded start was checked again")
+
+    monkeypatch.setattr(GameConfig, "player_set", forbidden)
+    monkeypatch.setattr(contagion_module, "_check_start_incentive", forbidden)
+    got = full_contagion_threshold(cfg, cfg.infected), cascade(cfg, cfg.infected, F(1, 3))
+    assert got == want and got[1].initial is cfg.infected
 
 
 def test_threshold_result_keeps_an_order_array_as_a_tuple():

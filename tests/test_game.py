@@ -345,6 +345,25 @@ def test_config_validation():
         GameConfig(network=disconnected, strict_connectivity=True)
 
 
+@pytest.mark.parametrize("edges, n, connected", [
+    ([(i, i + 1) for i in range(1999)], 2000, True),  # a long path: one BFS level per node
+    ([(i, i + 1) for i in range(1999) if i != 700], 2000, False),
+    ([(0, i) for i in range(1, 2000)], 2000, True),  # a star: one level
+    ([(0, i) for i in range(1, 1000)] + [(i, i + 1) for i in range(1000, 1999)], 2000, False),
+    ([(0, 1), (2, 3), (4, 5), (5, 6)], 7, False),
+], ids=["path", "cut-path", "star", "star-and-path", "three-components"])
+def test_disconnected_networks_warn_or_raise(edges, n, connected, recwarn):
+    net = Network.from_edges(n, edges)
+    GameConfig(network=net)
+    assert [str(w.message) for w in recwarn] == (
+        [] if connected else ["network is disconnected; results apply componentwise"])
+    if connected:
+        GameConfig(network=net, strict_connectivity=True)
+    else:
+        with pytest.raises(ConnectivityError, match="^network is disconnected$"):
+            GameConfig(network=net, strict_connectivity=True)
+
+
 def test_benefit_resilience_round_trip():
     c = F(3, 2)
     for q in (F(1, 3), F(1, 2), F(9, 10), F(1)):

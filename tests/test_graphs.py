@@ -569,10 +569,17 @@ def test_network_validation_matches_reference_loop(seed):
 
 def test_connectivity_matches_reference_loop():
     rng = np.random.Generator(np.random.PCG64(21))
+    # Long paths take one BFS level per node, a star one level in all.
+    label = np.random.Generator(np.random.PCG64(5)).permutation(3000).tolist()
+    path = list(zip(label, label[1:]))
+    star = [(7, i) for i in range(3000) if i != 7]
     networks = [Network(1, ((),)), Network(2, ((), ())), Network.from_edges(2, [(0, 1)]),
                 Network.from_edges(5, [(1, 2), (2, 3), (3, 4)]),  # node 0 isolated
                 Network.from_edges(5, [(0, 1), (1, 2), (2, 3)]),  # node 4 isolated
-                generate_ba(300, 1, 4)]
+                generate_ba(300, 1, 4),
+                Network.from_edges(3000, path), Network.from_edges(3000, path[:1200] + path[1201:]),
+                Network.from_edges(3000, star), Network.from_edges(3000, star[:-1]),
+                Network.from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)])]
     for _ in range(300):
         n = int(rng.integers(1, 40))
         # Sparse to dense: from many components down to a single one.
@@ -581,8 +588,42 @@ def test_connectivity_matches_reference_loop():
         networks.append(Network.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]]))
     answers = [is_connected(net) for net in networks]
     assert answers == [reference_connected(net.adjacency) for net in networks]
-    assert answers[:6] == [True, False, True, False, False, True]
+    assert answers[:11] == [True, False, True, False, False, True,
+                            True, False, True, False, False]
     assert 50 < sum(answers) < len(answers) - 50
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges, form): edges with duplicate and reversed pairs and
+    isolated nodes, as an int32 or int64 array or as Python pairs.  The
+    node counts include 46,340 and 46,341, the last for which n*n fits in
+    int32 and the first for which it does not, with few edges, whose ids
+    come from both ends of the range."""
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([46_340, 46_341])))
+    ids = (st.integers(0, n - 1) if n <= 40
+           else st.one_of(st.integers(0, 30), st.integers(n - 30, n - 1)))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                          max_size=0 if n == 1 else 30))
+    # Repeat some pairs as they are and some reversed.
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    edges = pairs + [(v, u) if draw(st.booleans()) else (u, v) for u, v in repeats]
+    edges = draw(st.permutations(edges))
+    form = draw(st.sampled_from(["int32", "int64", "pairs"]))
+    return n, edges, form
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_from_edges_builds_a_valid_csr(case):
+    # from_edges stores its CSR without _check_csr; this test carries that check.
+    n, edges, form = case
+    given_edges = edges if form == "pairs" else np.array(edges, dtype=form).reshape(-1, 2)
+    net = Network.from_edges(n, given_edges)
+    graphs._check_csr(net.node_count, *net.csr)
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in net.csr)
+    ref = Network(n, reference_from_edges(n, edges))
+    assert net == ref and all(map(np.array_equal, net.csr, ref.csr))
 
 
 @pytest.mark.parametrize("seed", range(4))

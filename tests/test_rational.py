@@ -105,6 +105,12 @@ INTEGER_SITES = {
     "DepthFunction node_count": (lambda v: DepthFunction((F(1), F(1, 2)), (1,), v), 2),
     "ThresholdResult subsets_checked": (lambda v: ThresholdResult(
         (ThresholdStage(F(1), 1), ThresholdStage(F(1, 2), 2)), v, (0,), 2, (0, 1)), 3),
+    "ThresholdResult order": (lambda v: ThresholdResult(
+        (ThresholdStage(F(1), 1), ThresholdStage(F(1, 2), 2)), 3, (0,), 2, (v, 0)), 1),
+    "ThresholdResult marginal_players": (lambda v: ThresholdResult(
+        (ThresholdStage(F(1), 1), ThresholdStage(F(1, 2), 2)), 3, (v,), 2, (1, 0)), 0),
+    "ThresholdResult node_count": (lambda v: ThresholdResult(
+        (ThresholdStage(F(1), 1), ThresholdStage(F(1, 2), 2)), 3, (0,), v, (1, 0)), 2),
     "CascadeResult subsets_checked": (
         lambda v: CascadeResult(waves=(), initial=frozenset({0}), subsets_checked=v), 1),
 }
